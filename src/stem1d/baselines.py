@@ -18,14 +18,10 @@ from scipy.special import ndtr, ndtri
 
 from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError
-from .grid import SampledSequence
-from .multitest import DetectionReport, Procedure
+from .grid import SQRT_2PI, SampledSequence
+from .multitest import DetectionReport, Procedure, step_up_count
 from .noise import NoiseMoments
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-_P_FLOOR = np.nextafter(0.0, 1.0)
-_P_CEIL = np.nextafter(1.0, 0.0)
+from .palm import bisect_decreasing, clip_pvalues
 
 
 def pointwise_pvalues(smoothed: SampledSequence, moments: NoiseMoments) -> CandidateSet:
@@ -36,8 +32,7 @@ def pointwise_pvalues(smoothed: SampledSequence, moments: NoiseMoments) -> Candi
         return CandidateSet.empty()
     idx = np.arange(margin, n - margin)
     values = smoothed.values[idx]
-    p = ndtr(-values / moments.sigma)
-    p = np.clip(p, _P_FLOOR, _P_CEIL)
+    p = clip_pvalues(ndtr(-values / moments.sigma))
     return CandidateSet(idx, smoothed.time_at(idx), values, p)
 
 
@@ -73,9 +68,7 @@ def pointwise_correct(
         if m == 0:
             cutoff = 1.0
         else:
-            ordered = np.sort(p)
-            below = np.flatnonzero(ordered < alpha * np.arange(1, m + 1) / m)
-            k = int(below[-1] + 1) if below.size else 0
+            k = step_up_count(p, alpha)
             cutoff = k * alpha / m if k > 0 else 0.0
     else:
         raise ValueError(f"{procedure} is not a pointwise procedure")
@@ -112,8 +105,8 @@ def excursion_bound(
     x = u / moments.sigma
     rate = domain_length * math.sqrt(moments.lambda2) / moments.sigma
     if convention == "classical":
-        rate /= _SQRT_2PI
-    return ndtr(-x) + rate * np.exp(-0.5 * x * x) / _SQRT_2PI
+        rate /= SQRT_2PI
+    return ndtr(-x) + rate * np.exp(-0.5 * x * x) / SQRT_2PI
 
 
 def supremum_threshold(
@@ -147,15 +140,7 @@ def supremum_threshold(
             lo -= max(sigma, 1.0)
             if lo < -1e9 * max(sigma, 1.0):
                 break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if bound(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect_decreasing(bound, alpha, lo, hi)[1]
 
 
 def height_rule_report(

@@ -7,24 +7,21 @@ Commands: ``detect`` (run the detection pipeline on a series file),
 
 Every command is deterministic given its flags; ``simulate`` requires an
 explicit ``--seed``.  Output files carry a provenance header recording
-the tool version, the result-determining flags and the seed.  The
-``--threads`` flag only parallelizes execution and never changes any
-output byte, so it is excluded from the provenance.
+the tool version, the result-determining flags and the seed.
 
-Exit codes: 2 for configuration errors, 3 for I/O errors, 4 for numeric
-failures on degenerate data.
+Exit codes: 2 for configuration errors, 3 for I/O errors and unreadable
+input files, 4 for numeric failures on degenerate data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigurationError, NumericFailureError
+from .errors import ConfigurationError, InputFileError, NumericFailureError
 from .evaluation import PRESET_NAMES, preset_design, run_sweep
 from .kernels import (
     convolve,
@@ -52,10 +49,9 @@ _FIGURE_TAGS = {"sim31": "fig3", "sim34": "fig6", "sim35": "fig7"}
 
 
 def _provenance_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
-    skip = {"func", "threads"}
     pairs = []
     for key in sorted(vars(args)):
-        if key in skip:
+        if key == "func":
             continue
         value = getattr(args, key)
         if value is None:
@@ -224,7 +220,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         overrides["alpha"] = args.alpha
     if overrides:
         design = design.with_options(**overrides)
-    result = run_sweep(design, seed=args.seed, threads=args.threads)
+    result = run_sweep(design, seed=args.seed)
     prov = _provenance_lines("simulate", args)
     lines = list(prov) + result.csv_lines()
     _write_lines(args.output, lines)
@@ -302,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="override the design's count")
     p.add_argument("--alpha", type=float, help="override the design's level")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("STEM_THREADS", "1")),
-        help="worker threads (default: STEM_THREADS or 1); never affects results",
-    )
     p.add_argument("--output", required=True, help="tidy results CSV path")
     p.add_argument(
         "--emit-figure-data",
@@ -326,7 +316,7 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigurationError, ValueError) as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-I/O problems with 3, and numeric/degenerate-input failures with 4.
+I/O problems and unreadable input files with 3, and numeric/degenerate-input
+failures with 4.
 """
 
 
@@ -15,6 +16,10 @@ class GridMismatchError(ConfigurationError):
 
 class BandwidthTooSmallError(ConfigurationError):
     """Requested kernel bandwidth is below the grid spacing."""
+
+
+class InputFileError(ValueError):
+    """A data file holds a line that is not a finite number."""
 
 
 class NumericFailureError(ValueError):

@@ -16,8 +16,8 @@ count as a single detection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,7 +34,7 @@ from .noise import (
     generate_noise,
 )
 from .palm import PalmParams, candidate_pvalues
-from .pipeline import find_local_maxima
+from .pipeline import find_local_maxima, most_rejections
 from .baselines import (
     height_rule_report,
     pointwise_correct,
@@ -414,247 +414,184 @@ def _cell_moments(
     return NoiseMoments(*acc)
 
 
-def _run_replications(runner, replications: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(runner, range(replications)))
-    return [runner(rep) for rep in range(replications)]
+class _Band:
+    """Per-bandwidth constants of a sweep, shared by every replication."""
+
+    def __init__(
+        self,
+        design: SimulationDesign,
+        index: int,
+        gamma: float,
+        base_mu: SampledSequence,
+        seed: int,
+    ):
+        self.design = design
+        self.gamma = gamma
+        self.kernel = design.build_kernel(gamma)
+        self.moments = _cell_moments(design, self.kernel, index, seed, gamma)
+        self.palm = PalmParams(self.moments)
+        self.regions = compute_regions(design.signal, self.kernel)
+        self.smoothed_mu = convolve(base_mu, self.kernel)
+
+    @cached_property
+    def sup_threshold(self) -> float:
+        d = self.design
+        return supremum_threshold(
+            self.moments, d.signal.domain_length, d.alpha, d.rice_convention
+        )
 
 
-def run_sweep(design: SimulationDesign, seed: int, threads: int = 1) -> SweepResult:
+class _Smoothed:
+    """One realization smoothed at one bandwidth, as the rules see it."""
+
+    def __init__(self, band: _Band, smoothed: SampledSequence):
+        self.band = band
+        self.smoothed = smoothed
+        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.palm)
+
+    @cached_property
+    def samples(self) -> CandidateSet:
+        return pointwise_pvalues(self.smoothed, self.band.moments)
+
+
+def _candidate_rule(view: _Smoothed, proc: Procedure, alpha: float):
+    return run_procedure(view.cands, alpha, view.band.palm, proc)
+
+
+def _pointwise_rule(view: _Smoothed, proc: Procedure, alpha: float):
+    return pointwise_correct(view.samples, alpha, proc, view.band.moments)
+
+
+def _supremum_rule(view: _Smoothed, proc: Procedure, alpha: float):
+    return height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
+
+
+# Procedure -> rule giving its report on one smoothed realization.
+_RULES = {
+    Procedure.BONFERRONI: _candidate_rule,
+    Procedure.BH: _candidate_rule,
+    Procedure.POINTWISE_BONFERRONI: _pointwise_rule,
+    Procedure.POINTWISE_BH: _pointwise_rule,
+    Procedure.SUPREMUM: _supremum_rule,
+}
+
+
+def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
     """Execute a design: one noise draw per replication, scored in every cell.
 
     Each replication derives its generator stream from (seed, stream tag,
     replication index) and reuses the same noise realization across all
     bandwidth and amplitude cells, so comparisons between cells are
-    paired.  Aggregation follows replication order, making the output
-    identical for any thread count.
+    paired.
     """
-    if threads < 1:
-        raise ValueError("threads must be positive")
     base_mu = synthesize_signal(design.signal, design.dt)
-    kernels = [design.build_kernel(g) for g in design.gamma_grid]
-    moments = [
-        _cell_moments(design, kernel, ki, seed, gamma)
-        for ki, (kernel, gamma) in enumerate(zip(kernels, design.gamma_grid))
+    bands = [
+        _Band(design, index, gamma, base_mu, seed)
+        for index, gamma in enumerate(design.gamma_grid)
     ]
-    regions = [compute_regions(design.signal, kernel) for kernel in kernels]
-    smoothed_mu = [convolve(base_mu, kernel) for kernel in kernels]
-    run = _run_auto if design.auto_bandwidth else _run_standard
-    cells = run(design, base_mu, smoothed_mu, kernels, moments, regions, seed, threads)
-    return SweepResult(design=design, seed=seed, cells=tuple(cells))
+    records = [
+        _trial(design, seed, base_mu, bands, rep)
+        for rep in range(design.replications)
+    ]
+    cells = tuple(_aggregate(design, records))
+    return SweepResult(design=design, seed=seed, cells=cells)
 
 
-def _run_standard(
+def _trial(
     design: SimulationDesign,
-    base_mu: SampledSequence,
-    smoothed_mu: list[SampledSequence],
-    kernels: list[Kernel],
-    moments: list[NoiseMoments],
-    regions: list[RegionSet],
     seed: int,
-    threads: int,
-) -> list[CellStats]:
-    palms = [PalmParams(m) for m in moments]
-    needs_pointwise = any(
-        p in (Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH)
-        for p in design.procedures
+    base_mu: SampledSequence,
+    bands: list[_Band],
+    rep: int,
+) -> dict[str, np.ndarray]:
+    """Metrics of one replication, by name.
+
+    Arrays are indexed [column, amplitude, procedure], and
+    ``locmax_per_peak`` by [column, amplitude].  Columns are the
+    bandwidths; an auto-bandwidth design has one column, scoring in each
+    cell the bandwidth with the most rejections.
+    """
+    noise = generate_noise(
+        design.noise,
+        0.0,
+        base_mu.values.size,
+        design.dt,
+        seed=(seed, _TRIAL_STREAM, rep),
     )
-    sup_thresholds = [
-        supremum_threshold(
-            m, design.signal.domain_length, design.alpha, design.rice_convention
-        )
-        if Procedure.SUPREMUM in design.procedures
-        else None
-        for m in moments
-    ]
-
-    def trial(rep: int):
-        noise = generate_noise(
-            design.noise,
-            0.0,
-            base_mu.values.size,
-            design.dt,
-            seed=(seed, _TRIAL_STREAM, rep),
-        )
-        sn = SampledSequence(noise.values, design.dt, t0=base_mu.t0)
-        out = []
-        for ki in range(len(kernels)):
-            zk = convolve(sn, kernels[ki])
-            for amp in design.amplitude_grid:
-                smoothed = zk.with_values(amp * smoothed_mu[ki].values + zk.values)
-                cands = candidate_pvalues(find_local_maxima(smoothed), palms[ki])
-                samples = (
-                    pointwise_pvalues(smoothed, moments[ki])
-                    if needs_pointwise
-                    else None
+    sn = SampledSequence(noise.values, design.dt, t0=base_mu.t0)
+    smoothed_noise = [convolve(sn, band.kernel) for band in bands]
+    columns = 1 if design.auto_bandwidth else len(bands)
+    shape = (columns, len(design.amplitude_grid), len(design.procedures))
+    record = {
+        name: np.empty(shape) for name in ("fwer", "fdr", "power", "chosen_gamma")
+    }
+    record["locmax_per_peak"] = np.empty(shape[:2])
+    for a, amp in enumerate(design.amplitude_grid):
+        views = [
+            _Smoothed(band, z.with_values(amp * band.smoothed_mu.values + z.values))
+            for band, z in zip(bands, smoothed_noise)
+        ]
+        for p, proc in enumerate(design.procedures):
+            reports = [_RULES[proc](view, proc, design.alpha) for view in views]
+            if design.auto_bandwidth:
+                counts = [report.num_rejected for report in reports]
+                scored = [most_rejections(counts, design.gamma_grid)]
+            else:
+                scored = range(len(bands))
+            for c, k in enumerate(scored):
+                outcome = score_trial(reports[k], views[k].cands, bands[k].regions)
+                locmax = outcome.locmax_per_peak
+                record["fwer"][c, a, p] = outcome.false_rejections > 0
+                record["fdr"][c, a, p] = outcome.false_discovery_proportion
+                record["power"][c, a, p] = outcome.detected_fraction
+                record["chosen_gamma"][c, a, p] = bands[k].gamma
+                record["locmax_per_peak"][c, a] = (
+                    locmax.mean() if locmax.size else float("nan")
                 )
-                row = []
-                for proc in design.procedures:
-                    if proc in (Procedure.BONFERRONI, Procedure.BH):
-                        report = run_procedure(cands, design.alpha, palms[ki], proc)
-                    elif proc in (
-                        Procedure.POINTWISE_BONFERRONI,
-                        Procedure.POINTWISE_BH,
-                    ):
-                        report = pointwise_correct(
-                            samples, design.alpha, proc, moments[ki]
-                        )
-                    else:
-                        report = height_rule_report(
-                            cands, sup_thresholds[ki], design.alpha, Procedure.SUPREMUM
-                        )
-                    outcome = score_trial(report, cands, regions[ki])
-                    row.append(
-                        (
-                            1.0 if outcome.false_rejections > 0 else 0.0,
-                            outcome.false_discovery_proportion,
-                            outcome.detected_fraction,
-                        )
-                    )
-                if len(regions[ki].peak_supports) > 0:
-                    locmax = score_trial(
-                        height_rule_report(
-                            cands, float("inf"), design.alpha, Procedure.SUPREMUM
-                        ),
-                        cands,
-                        regions[ki],
-                    ).locmax_per_peak.mean()
-                else:
-                    locmax = float("nan")
-                out.append((row, locmax))
-        return out
-
-    results = _run_replications(trial, design.replications, threads)
-    cells = []
-    flat = 0
-    for ki, gamma in enumerate(design.gamma_grid):
-        for amp in design.amplitude_grid:
-            per_rep = [res[flat] for res in results]
-            for pi, proc in enumerate(design.procedures):
-                fwer_flags = np.array([r[0][pi][0] for r in per_rep])
-                fdp = np.array([r[0][pi][1] for r in per_rep])
-                power = np.array([r[0][pi][2] for r in per_rep])
-                metrics = {
-                    "fwer": _proportion_stats(fwer_flags),
-                    "fdr": _mean_stats(fdp),
-                    "power": _mean_stats(power),
-                }
-                cells.append(
-                    CellStats(
-                        gamma=gamma,
-                        amplitude=amp,
-                        procedure=proc.value,
-                        replications=design.replications,
-                        metrics=metrics,
-                    )
-                )
-            locmax = np.array([r[1] for r in per_rep])
-            cells.append(
-                CellStats(
-                    gamma=gamma,
-                    amplitude=amp,
-                    procedure="candidates",
-                    replications=design.replications,
-                    metrics={"locmax_per_peak": _mean_stats(locmax)},
-                )
-            )
-            flat += 1
-    return cells
+    return record
 
 
-def _run_auto(
-    design: SimulationDesign,
-    base_mu: SampledSequence,
-    smoothed_mu: list[SampledSequence],
-    kernels: list[Kernel],
-    moments: list[NoiseMoments],
-    regions: list[RegionSet],
-    seed: int,
-    threads: int,
+def _aggregate(
+    design: SimulationDesign, records: list[dict[str, np.ndarray]]
 ) -> list[CellStats]:
-    palms = [PalmParams(m) for m in moments]
+    """Cells in output order, each reduced from its slot's per-replication series."""
+    stacked = {name: np.array([rec[name] for rec in records]) for name in records[0]}
 
-    def trial(rep: int):
-        noise = generate_noise(
-            design.noise,
-            0.0,
-            base_mu.values.size,
-            design.dt,
-            seed=(seed, _TRIAL_STREAM, rep),
+    def series(name: str, *index: int) -> np.ndarray:
+        return np.ascontiguousarray(stacked[name][(slice(None), *index)])
+
+    def cell(gamma: float, amp: float, procedure: str, metrics: dict) -> CellStats:
+        return CellStats(
+            gamma=gamma,
+            amplitude=amp,
+            procedure=procedure,
+            replications=design.replications,
+            metrics=metrics,
         )
-        sn = SampledSequence(noise.values, design.dt, t0=base_mu.t0)
-        smoothed_noise = [convolve(sn, kernel) for kernel in kernels]
-        out = []
-        for amp in design.amplitude_grid:
-            cand_sets = []
-            for ki in range(len(kernels)):
-                zk = smoothed_noise[ki]
-                smoothed = zk.with_values(amp * smoothed_mu[ki].values + zk.values)
-                cand_sets.append(
-                    candidate_pvalues(find_local_maxima(smoothed), palms[ki])
-                )
-            for proc in design.procedures:
-                reports = [
-                    run_procedure(cands, design.alpha, palm, proc)
-                    for cands, palm in zip(cand_sets, palms)
-                ]
-                best = 0
-                for i in range(1, len(reports)):
-                    better = reports[i].num_rejected > reports[best].num_rejected
-                    tie_smaller = (
-                        reports[i].num_rejected == reports[best].num_rejected
-                        and design.gamma_grid[i] < design.gamma_grid[best]
-                    )
-                    if better or tie_smaller:
-                        best = i
-                outcome = score_trial(reports[best], cand_sets[best], regions[best])
-                out.append(
-                    (
-                        1.0 if outcome.false_rejections > 0 else 0.0,
-                        outcome.false_discovery_proportion,
-                        outcome.detected_fraction,
-                        design.gamma_grid[best],
-                    )
-                )
-        return out
 
-    results = _run_replications(trial, design.replications, threads)
+    auto = design.auto_bandwidth
     cells = []
-    flat = 0
-    for amp in design.amplitude_grid:
-        for proc in design.procedures:
-            fwer_flags = np.array([res[flat][0] for res in results])
-            fdp = np.array([res[flat][1] for res in results])
-            power = np.array([res[flat][2] for res in results])
-            chosen = np.array([res[flat][3] for res in results])
-            metrics = {
-                "fwer": _proportion_stats(fwer_flags),
-                "fdr": _mean_stats(fdp),
-                "power": _mean_stats(power),
-                "chosen_gamma_mean": _mean_stats(chosen),
-            }
-            cells.append(
-                CellStats(
-                    gamma=float("nan"),
-                    amplitude=amp,
-                    procedure=proc.value,
-                    replications=design.replications,
-                    metrics=metrics,
-                )
-            )
-            for gamma in design.gamma_grid:
-                frac = _proportion_stats((np.abs(chosen - gamma) < 1e-9).astype(float))
-                cells.append(
-                    CellStats(
-                        gamma=gamma,
-                        amplitude=amp,
-                        procedure=proc.value,
-                        replications=design.replications,
-                        metrics={"chosen_fraction": frac},
-                    )
-                )
-            flat += 1
+    for c, gamma in enumerate((float("nan"),) if auto else design.gamma_grid):
+        for a, amp in enumerate(design.amplitude_grid):
+            for p, proc in enumerate(design.procedures):
+                metrics = {
+                    "fwer": _proportion_stats(series("fwer", c, a, p)),
+                    "fdr": _mean_stats(series("fdr", c, a, p)),
+                    "power": _mean_stats(series("power", c, a, p)),
+                }
+                if not auto:
+                    cells.append(cell(gamma, amp, proc.value, metrics))
+                    continue
+                chosen = series("chosen_gamma", c, a, p)
+                metrics["chosen_gamma_mean"] = _mean_stats(chosen)
+                cells.append(cell(gamma, amp, proc.value, metrics))
+                for g in design.gamma_grid:
+                    frac = _proportion_stats((np.abs(chosen - g) < 1e-9).astype(float))
+                    cells.append(cell(g, amp, proc.value, {"chosen_fraction": frac}))
+            if not auto:
+                locmax = _mean_stats(series("locmax_per_peak", c, a))
+                metrics = {"locmax_per_peak": locmax}
+                cells.append(cell(gamma, amp, "candidates", metrics))
     return cells
 
 

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def strict_local_maxima(v: np.ndarray) -> np.ndarray:
+    """Indices i with v[i] above both neighbours; plateaus never qualify."""
+    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
 
 
 @dataclass(frozen=True, eq=False)

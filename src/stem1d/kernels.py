@@ -21,9 +21,7 @@ from .errors import (
     GridMismatchError,
     NoQualifyingPeaksError,
 )
-from .grid import SampledSequence
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
 
 
 class KernelFamily(enum.Enum):
@@ -121,7 +119,7 @@ def gaussian_kernel(gamma: float, dt: float, trunc: float = 3.0) -> Kernel:
         raise ValueError("trunc must be positive")
     m = int(math.floor(gamma * trunc / dt + 1e-9))
     offsets = np.arange(-m, m + 1) * dt
-    weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * _SQRT_2PI)
+    weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * SQRT_2PI)
     weights /= weights.sum() * dt
     return Kernel(weights, dt, m, gamma, KernelFamily.GAUSSIAN)
 
@@ -174,7 +172,7 @@ def estimate_template(
         raise ValueError("window must be at least 3 samples")
     v = training.values
     n = v.size
-    idx = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    idx = strict_local_maxima(v)
     idx = idx[v[idx] > height_threshold]
     half = window // 2
     usable = idx[(idx - half >= 0) & (idx - half + window <= n)]

@@ -113,6 +113,14 @@ def _require_pvalues(candidates: CandidateSet) -> np.ndarray:
     return candidates.pvalues
 
 
+def step_up_count(p: np.ndarray, alpha: float) -> int:
+    """Largest i with the i-th smallest p-value below i * alpha / m; 0 if none."""
+    m = p.size
+    ordered = np.sort(p)
+    below = np.flatnonzero(ordered < alpha * np.arange(1, m + 1) / m)
+    return int(below[-1] + 1) if below.size else 0
+
+
 def bonferroni(
     candidates: CandidateSet, alpha: float, params: PalmParams
 ) -> DetectionReport:
@@ -152,9 +160,7 @@ def benjamini_hochberg(
         threshold = float("-inf")
         k = 0
     else:
-        ordered = np.sort(p)
-        below = np.flatnonzero(ordered < alpha * np.arange(1, m + 1) / m)
-        k = int(below[-1] + 1) if below.size else 0
+        k = step_up_count(p, alpha)
         if k == 0:
             cutoff = 0.0
             threshold = float("inf")

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSequenceError
-from .grid import SampledSequence
+from .grid import SQRT_2PI, SampledSequence
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def smoothing_taps(xi: float, dt: float) -> np.ndarray:
     """
     radius = int(math.ceil(6.0 * xi / dt))
     offsets = np.arange(-radius, radius + 1) * dt
-    return np.exp(-0.5 * (offsets / xi) ** 2) / (xi * _SQRT_2PI)
+    return np.exp(-0.5 * (offsets / xi) ** 2) / (xi * SQRT_2PI)
 
 
 def generate_noise(

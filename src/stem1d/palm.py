@@ -23,14 +23,36 @@ import numpy as np
 from scipy.special import ndtr
 
 from .candidates import CandidateSet
+from .grid import SQRT_2PI
 from .noise import NoiseMoments
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Smallest/largest doubles strictly inside (0, 1); p-values are clamped
 # here so extreme heights cannot round to an exact 0 or 1.
 _P_FLOOR = np.nextafter(0.0, 1.0)
 _P_CEIL = np.nextafter(1.0, 0.0)
+
+
+def clip_pvalues(p) -> np.ndarray:
+    """``p`` clamped into [_P_FLOOR, _P_CEIL], strictly inside (0, 1)."""
+    return np.clip(p, _P_FLOOR, _P_CEIL)
+
+
+def bisect_decreasing(f, target: float, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect a bracket of a decreasing ``f`` towards ``f(u) = target``.
+
+    A midpoint with ``f > target`` becomes the new ``lo``, any other the
+    new ``hi``.  Stops when the midpoint equals an end, or after 200
+    steps, and returns the final ``(lo, hi)``.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -49,7 +71,7 @@ class PalmParams:
 
 
 def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+    return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
 
 def palm_survival(params: PalmParams, u):
@@ -96,14 +118,7 @@ def palm_quantile(params: PalmParams, v: float) -> float:
         if palm_survival(params, lo) > v:
             break
         lo *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if palm_survival(params, mid) > v:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_decreasing(lambda u: palm_survival(params, u), v, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -117,5 +132,4 @@ def candidate_pvalues(candidates: CandidateSet, params: PalmParams) -> Candidate
     if len(candidates) == 0:
         return candidates.with_pvalues(np.zeros(0))
     p = np.asarray(palm_survival(params, candidates.heights), dtype=np.float64)
-    p = np.clip(p, _P_FLOOR, _P_CEIL)
-    return candidates.with_pvalues(p)
+    return candidates.with_pvalues(clip_pvalues(p))

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .candidates import CandidateSet
-from .grid import SampledSequence
+from .errors import DegenerateSequenceError
+from .grid import SampledSequence, strict_local_maxima
 from .kernels import Kernel, convolve
 from .multitest import DetectionReport, Procedure, run_procedure
 from .noise import NoiseMoments
@@ -30,7 +29,7 @@ def find_local_maxima(seq: SampledSequence, margin: int | None = None) -> Candid
     if margin < 0:
         raise ValueError("margin must be non-negative")
     v = seq.values
-    idx = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    idx = strict_local_maxima(v)
     idx = idx[(idx >= margin) & (idx < v.size - margin)]
     return CandidateSet(idx, seq.time_at(idx), v[idx])
 
@@ -55,9 +54,15 @@ def stem_detect(
 
     ``moments`` must describe the noise *after* smoothing by ``kernel``.
     The smoothed sequence's boundary margin (half the kernel support) is
-    excluded from the candidate search.
+    excluded from the candidate search; a series with no sample outside
+    that margin raises :class:`DegenerateSequenceError`.
     """
     smoothed = convolve(raw, kernel)
+    if smoothed.interior.size == 0:
+        raise DegenerateSequenceError(
+            f"no testable sample: {smoothed.values.size} samples, "
+            f"boundary margin {smoothed.margin} at each end"
+        )
     candidates = candidate_pvalues(
         find_local_maxima(smoothed), PalmParams(moments)
     )
@@ -72,6 +77,11 @@ class BandwidthSelection:
     chosen_index: int
     result: StemResult
     rejection_counts: tuple[int, ...]
+
+
+def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:
+    """Index of the largest rejection count; ties go to the smallest bandwidth."""
+    return min(range(len(counts)), key=lambda i: (-counts[i], bandwidths[i]))
 
 
 def auto_bandwidth(
@@ -96,15 +106,7 @@ def auto_bandwidth(
         for kernel, moments in zip(kernels, moments_per_kernel)
     ]
     counts = tuple(res.report.num_rejected for res in results)
-    best = 0
-    for i in range(1, len(results)):
-        better = counts[i] > counts[best]
-        tie_smaller = (
-            counts[i] == counts[best]
-            and kernels[i].bandwidth < kernels[best].bandwidth
-        )
-        if better or tie_smaller:
-            best = i
+    best = most_rejections(counts, [kernel.bandwidth for kernel in kernels])
     return BandwidthSelection(
         chosen_index=best, result=results[best], rejection_counts=counts
     )

@@ -9,9 +9,10 @@ prepend provenance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputFileError
 from .grid import SampledSequence
 from .kernels import KernelFamily
 from .multitest import Procedure
@@ -31,12 +32,16 @@ DESIGN_SCHEMA = 1
 
 
 def read_series(path, dt: float | None = None, t0: float | None = None) -> SampledSequence:
-    """Read a series file; flag values must agree with any header values."""
+    """Read a series file; flag values must agree with any header values.
+
+    Every data line must hold one finite number; any other line raises
+    :class:`InputFileError` naming the file and the line number.
+    """
     header_dt = None
     header_t0 = None
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -47,7 +52,15 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
                     elif token.startswith("t0="):
                         header_t0 = float(token[3:])
                 continue
-            values.append(float(line))
+            try:
+                value = float(line)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise InputFileError(
+                    f"{path}, line {lineno}: {line!r} is not a finite number"
+                )
+            values.append(value)
     if not values:
         raise ConfigurationError(f"{path}: no data lines")
     if dt is not None and header_dt is not None and not _close(dt, header_dt):

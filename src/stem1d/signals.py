@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledSequence
+from .grid import SQRT_2PI, SampledSequence
 from .kernels import Kernel
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +46,7 @@ class TruncatedGaussianShape:
         t = np.asarray(t, dtype=np.float64)
         inside = np.abs(t) <= self.half_support
         out = np.zeros_like(t)
-        out[inside] = np.exp(-0.5 * (t[inside] / self.b) ** 2) / (self.b * _SQRT_2PI)
+        out[inside] = np.exp(-0.5 * (t[inside] / self.b) ** 2) / (self.b * SQRT_2PI)
         return out
 
 

@@ -163,6 +163,40 @@ def test_detect_flag_errors(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_detect_unreadable_input_exits_3(tmp_path, capsys, bad):
+    series = tmp_path / "series.csv"
+    series.write_text(f"# dt=1.0\n0.0\n{bad}\n0.0\n")
+    moments = tmp_path / "moments.json"
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 1.0), moments)
+    code = main(
+        [
+            "detect", "--input", str(series), "--gamma", "1",
+            "--moments", str(moments), "--alpha", "0.05",
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "line 3" in err
+
+
+def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    _write_spike_series(series, [7], n=15)
+    moments = tmp_path / "moments.json"
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 10.0), moments)
+    code = main(
+        [
+            "detect", "--input", str(series), "--gamma", "10",
+            "--moments", str(moments), "--alpha", "0.05",
+        ]
+    )
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "no testable sample" in captured.err
+    assert "candidates:" not in captured.out
+
+
 def _write_training(path, dt=1.0):
     values = np.zeros(400)
     profile = 3.0 * (1.0 - np.abs(np.arange(-5, 6)) / 5.0)
@@ -275,21 +309,16 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     design = _tiny_design_json(tmp_path)
     out = tmp_path / "res.csv"
     outputs = []
-    for threads in ("1", "1", "4"):
+    for _ in range(2):
         code = main(
-            [
-                "simulate", "--design", str(design), "--seed", "9",
-                "--threads", threads, "--output", str(out),
-            ]
+            ["simulate", "--design", str(design), "--seed", "9", "--output", str(out)]
         )
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert outputs[0] == outputs[2]
     text = outputs[0].decode()
     assert "command=simulate" in text
     assert "seed=9" in text
-    assert "threads" not in text  # provenance never includes the thread count
     stdout = capsys.readouterr().out
     assert "design: mini" in stdout
 

@@ -245,7 +245,7 @@ def test_preset_designs_load():
 # the sweep driver
 
 
-def test_run_sweep_deterministic_across_threads():
+def test_run_sweep_deterministic():
     design = _tiny_design(
         procedures=(
             Procedure.BONFERRONI,
@@ -255,12 +255,10 @@ def test_run_sweep_deterministic_across_threads():
         ),
         replications=30,
     )
-    one = run_sweep(design, seed=5, threads=1)
-    four = run_sweep(design, seed=5, threads=4)
-    assert one.csv_lines() == four.csv_lines()
-    again = run_sweep(design, seed=5, threads=1)
+    one = run_sweep(design, seed=5)
+    again = run_sweep(design, seed=5)
     assert one.csv_lines() == again.csv_lines()
-    other = run_sweep(design, seed=6, threads=1)
+    other = run_sweep(design, seed=6)
     assert one.csv_lines() != other.csv_lines()
 
 
@@ -299,8 +297,8 @@ def test_run_sweep_auto_bandwidth_layout():
         amplitude_grid=(15.0,),
         replications=25,
     )
-    res = run_sweep(design, seed=3, threads=2)
-    same = run_sweep(design, seed=3, threads=1)
+    res = run_sweep(design, seed=3)
+    same = run_sweep(design, seed=3)
     assert res.csv_lines() == same.csv_lines()
     # per procedure: one summary cell with NaN gamma + one fraction per gamma
     assert len(res.cells) == 2 * (1 + 3)
@@ -331,7 +329,3 @@ def test_run_sweep_estimated_moments_close_to_closed_form():
     # same noise stream, near-identical moments: decisions mostly agree
     assert p_est == pytest.approx(p_ref, abs=0.1)
 
-
-def test_run_sweep_rejects_bad_threads():
-    with pytest.raises(ValueError):
-        run_sweep(_tiny_design(), seed=0, threads=0)

@@ -15,6 +15,7 @@ from stem1d import (
     gaussian_kernel,
     stem_detect,
 )
+from stem1d.errors import DegenerateSequenceError
 
 
 def _seq(values, dt=1.0, margin=0):
@@ -116,6 +117,16 @@ def test_stem_detect_excludes_boundary_bumps():
     res = stem_detect(raw, kernel, moments)
     assert np.all(res.report.rejected.indices >= kernel.half_support_samples)
     np.testing.assert_array_equal(res.report.rejected.indices, [100])
+
+
+def test_stem_detect_rejects_series_without_testable_samples():
+    kernel = gaussian_kernel(10.0, 1.0)  # 30-sample half support
+    moments = closed_form_moments(GaussianAcvfParams(sigma=1.0), 10.0)
+    with pytest.raises(DegenerateSequenceError):
+        stem_detect(_spike_train([30], n=60), kernel, moments)
+    # one sample clears both margins: it is the only candidate
+    res = stem_detect(_spike_train([30], n=61), kernel, moments)
+    assert res.report.num_candidates == 1
 
 
 def test_auto_bandwidth_prefers_more_rejections():

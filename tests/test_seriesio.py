@@ -17,7 +17,7 @@ from stem1d import (
     TruncatedGaussianShape,
     preset_design,
 )
-from stem1d.errors import ConfigurationError
+from stem1d.errors import ConfigurationError, InputFileError
 from stem1d.seriesio import (
     design_from_json_dict,
     design_to_json_dict,
@@ -69,6 +69,17 @@ def test_series_rejects_empty_and_parses_comments(tmp_path):
     seq = read_series(mixed)
     np.testing.assert_array_equal(seq.values, [3.0, 4.0])
     assert (seq.dt, seq.t0) == (2.0, 1.5)
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "1e999"])
+def test_series_rejects_non_finite_lines(tmp_path, bad):
+    path = tmp_path / "series.csv"
+    path.write_text(f"# dt=1.0\n1.0\n\n{bad}\n2.0\n")
+    with pytest.raises(InputFileError) as info:
+        read_series(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert "line 4" in message
 
 
 def test_moments_json_roundtrip(tmp_path):
