@@ -40,6 +40,9 @@ MOMENTS = {
     "unit": NoiseMoments(1.0, 0.5, 0.75),
     "gamma3": NoiseMoments(0.0939, 0.0052, 0.00087),
     "wide": NoiseMoments(2.5, 0.02, 0.0009),
+    # Delta = sigma2 * lambda4 - lambda2^2 is about 1e-7, so a1 and a2
+    # are about 3e3 and both ndtr terms jump within a narrow band at u = 0.
+    "near_degenerate": NoiseMoments(1.0, 1.0, 1.0000001),
 }
 
 # (moments, v) -> palm_quantile(PalmParams(moments), v).hex()
@@ -58,6 +61,9 @@ QUANTILES = {
     ("wide", 0.05): "0x1.a75ac0f081e6cp+1",
     ("wide", 1e-6): "0x1.018630926fef4p+3",
     ("wide", 1e-300): "0x1.d5dd15a79a184p+5",
+    ("near_degenerate", 0.999): "0x1.6e709aa498cfap-5",
+    ("near_degenerate", 0.05): "0x1.394fc47976df0p+1",
+    ("near_degenerate", 1e-300): "0x1.295a910138b90p+5",
 }
 
 # (moments, domain length, alpha, convention) -> supremum_threshold(...).hex()
