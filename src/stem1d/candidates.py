@@ -65,16 +65,40 @@ class CandidateSet:
         return self.locations.size
 
     def with_pvalues(self, pvalues: np.ndarray) -> "CandidateSet":
-        return CandidateSet(self.indices, self.locations, self.heights, pvalues)
+        pvalues = np.array(pvalues, dtype=np.float64)
+        if pvalues.shape != self.locations.shape:
+            raise ValueError("pvalues must match the other fields")
+        if np.any(pvalues <= 0.0) or np.any(pvalues >= 1.0):
+            raise ValueError("pvalues must lie strictly inside (0, 1)")
+        return CandidateSet._canonical(
+            self.indices, self.locations, self.heights, pvalues
+        )
 
     def select(self, mask: np.ndarray) -> "CandidateSet":
         mask = np.asarray(mask, dtype=bool)
-        return CandidateSet(
+        return CandidateSet._canonical(
             self.indices[mask],
             self.locations[mask],
             self.heights[mask],
             None if self.pvalues is None else self.pvalues[mask],
         )
+
+    @classmethod
+    def _canonical(cls, indices, locations, heights, pvalues) -> "CandidateSet":
+        """A set from fields that are already canonical: sorted, distinct,
+        finite, of equal length and dtype.  Subsets of a valid set are,
+        so ``select`` and ``with_pvalues`` skip the sort and the checks."""
+        out = object.__new__(cls)
+        for name, arr in (
+            ("indices", indices),
+            ("locations", locations),
+            ("heights", heights),
+            ("pvalues", pvalues),
+        ):
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
 
     @classmethod
     def empty(cls) -> "CandidateSet":

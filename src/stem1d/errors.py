@@ -5,6 +5,8 @@ I/O problems and unreadable input files with 3, and numeric/degenerate-input
 failures with 4.
 """
 
+import math
+
 
 class ConfigurationError(ValueError):
     """Inconsistent or invalid configuration (bad flags, mismatched grids)."""
@@ -19,7 +21,24 @@ class BandwidthTooSmallError(ConfigurationError):
 
 
 class InputFileError(ValueError):
-    """A data file holds a line that is not a finite number."""
+    """An input file is malformed: a value that is not a finite number, a
+    bad header value, or JSON that does not parse or does not fit."""
+
+
+def finite_number(text: str, path, lineno: int, name: str = "") -> float:
+    """``text`` as a float; :class:`InputFileError` naming ``path`` and
+    ``lineno`` (and the header key ``name``, if given) when ``text`` is
+    not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        key = f"{name}=" if name else ""
+        raise InputFileError(
+            f"{path}, line {lineno}: {key}{text!r} is not a finite number"
+        )
+    return value
 
 
 class NumericFailureError(ValueError):

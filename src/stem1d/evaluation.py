@@ -103,6 +103,13 @@ class TrialOutcome:
         return float(np.count_nonzero(flags)) / flags.size
 
 
+def _count_within(sorted_locs: np.ndarray, los: np.ndarray, his: np.ndarray):
+    """Entries of ``sorted_locs`` inside each closed interval [lo, hi]."""
+    return sorted_locs.searchsorted(his, side="right") - sorted_locs.searchsorted(
+        los, side="left"
+    )
+
+
 def score_trial(
     report: DetectionReport,
     candidates: CandidateSet,
@@ -125,20 +132,14 @@ def score_trial(
     n_signal = int(np.count_nonzero(in_signal))
     n_transition = int(np.count_nonzero(in_smoothed & ~in_signal))
     n_null_core = int(np.count_nonzero(~in_smoothed))
-    detected = np.zeros(len(regions.peak_supports), dtype=bool)
-    locmax = np.zeros(len(regions.peak_supports), dtype=np.int64)
-    for j, (lo, hi) in enumerate(regions.peak_supports):
-        detected[j] = bool(np.any((locs >= lo) & (locs <= hi)))
-        locmax[j] = int(
-            np.count_nonzero(
-                (candidates.locations >= lo) & (candidates.locations <= hi)
-            )
-        )
+    los, his = regions.support_edges
+    n_rejected = _count_within(locs, los, his)
+    locmax = _count_within(candidates.locations, los, his)
     return TrialOutcome(
         rejected_in_signal=n_signal,
         rejected_in_transition=n_transition,
         rejected_in_null_core=n_null_core,
-        detected_flags=detected,
+        detected_flags=n_rejected > 0,
         locmax_per_peak=locmax,
     )
 

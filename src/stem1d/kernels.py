@@ -19,7 +19,9 @@ from .errors import (
     BandwidthTooSmallError,
     DegenerateSequenceError,
     GridMismatchError,
+    InputFileError,
     NoQualifyingPeaksError,
+    finite_number,
 )
 from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
 
@@ -198,23 +200,41 @@ def save_kernel_csv(kernel: Kernel, path, extra_header: tuple[str, ...] = ()) ->
 
 
 def load_kernel_csv(path) -> Kernel:
-    """Read a template kernel written by :func:`save_kernel_csv`."""
+    """Read a template kernel written by :func:`save_kernel_csv`.
+
+    A weight or header value that does not parse, a missing header or no
+    weights, and weights that do not form a valid kernel all raise
+    :class:`InputFileError` naming the file (and the line, where one is
+    at fault).
+    """
     dt = None
     center = None
     weights: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 for token in line[1:].split():
                     if token.startswith("dt="):
-                        dt = float(token[3:])
+                        dt = finite_number(token[3:], path, lineno, "dt")
                     elif token.startswith("center="):
-                        center = int(token[7:])
+                        try:
+                            center = int(token[7:])
+                        except ValueError:
+                            raise InputFileError(
+                                f"{path}, line {lineno}: center={token[7:]!r} "
+                                "is not an integer"
+                            ) from None
                 continue
-            weights.append(float(line))
+            weights.append(finite_number(line, path, lineno))
     if dt is None or center is None or not weights:
-        raise ValueError(f"{path}: not a valid template file")
-    return Kernel(np.asarray(weights), dt, center, 0.0, KernelFamily.TEMPLATE)
+        raise InputFileError(
+            f"{path}: not a valid template file (needs a '# dt=... center=...' "
+            "header and at least one weight)"
+        )
+    try:
+        return Kernel(np.asarray(weights), dt, center, 0.0, KernelFamily.TEMPLATE)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from exc

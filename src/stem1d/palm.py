@@ -17,7 +17,7 @@ the global null and conservative where signal is present.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,17 +57,33 @@ def bisect_decreasing(f, target: float, lo: float, hi: float) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class PalmParams:
-    """Precomputed coefficients of the peak-height survivor function."""
+    """Coefficients of the peak-height survivor function, computed once.
+
+    With ``Delta = sigma2 * lambda4 - lambda2^2`` the survivor function is
+    ``ndtr(-a1 u) + c1 phi(u / sigma) ndtr(a2 u)``, where
+
+    - ``sigma = sqrt(sigma2)`` and ``delta = Delta``;
+    - ``a1 = sqrt(lambda4 / Delta)``;
+    - ``a2 = sqrt(lambda2^2 / (Delta sigma2))``;
+    - ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.
+    """
 
     moments: NoiseMoments
+    sigma: float = field(init=False, repr=False, compare=False)
+    delta: float = field(init=False, repr=False, compare=False)
+    a1: float = field(init=False, repr=False, compare=False)
+    a2: float = field(init=False, repr=False, compare=False)
+    c1: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def delta(self) -> float:
-        return self.moments.delta
-
-    @property
-    def sigma(self) -> float:
-        return self.moments.sigma
+    def __post_init__(self):
+        m = self.moments
+        delta = m.delta
+        c1 = math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
+        object.__setattr__(self, "sigma", m.sigma)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "a1", math.sqrt(m.lambda4 / delta))
+        object.__setattr__(self, "a2", math.sqrt(m.lambda2**2 / (delta * m.sigma2)))
+        object.__setattr__(self, "c1", c1)
 
 
 def _phi(x):
@@ -78,17 +94,18 @@ def palm_survival(params: PalmParams, u):
     """P(height of a random local maximum > u); vectorized over ``u``.
 
     Evaluated in complementary form throughout, so there is no
-    cancellation in the upper tail.
+    cancellation in the upper tail.  A float ``u`` takes a scalar path
+    with the same formula and the same numpy ufuncs, so it returns the
+    same bits as the array path, without the cost of a 0-d array.
     """
+    a1, a2, c1, sigma = params.a1, params.a2, params.c1, params.sigma
+    if isinstance(u, float):
+        if not math.isfinite(u):
+            raise ValueError("u must be finite")
+        return float(ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u))
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
-    m = params.moments
-    delta = m.delta
-    sigma = m.sigma
-    a1 = math.sqrt(m.lambda4 / delta)
-    a2 = math.sqrt(m.lambda2**2 / (delta * m.sigma2))
-    c1 = math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
     out = ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
     if out.ndim == 0:
         return float(out)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict
 
-from .errors import ConfigurationError, InputFileError
+from .errors import ConfigurationError, InputFileError, finite_number
 from .grid import SampledSequence
 from .kernels import KernelFamily
 from .multitest import Procedure
@@ -34,8 +34,9 @@ DESIGN_SCHEMA = 1
 def read_series(path, dt: float | None = None, t0: float | None = None) -> SampledSequence:
     """Read a series file; flag values must agree with any header values.
 
-    Every data line must hold one finite number; any other line raises
-    :class:`InputFileError` naming the file and the line number.
+    Every data line must hold one finite number, and a header ``dt`` or
+    ``t0`` must be a finite number (``dt`` a positive one).  Anything else
+    raises :class:`InputFileError` naming the file and the line number.
     """
     header_dt = None
     header_t0 = None
@@ -48,10 +49,17 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
             if line.startswith("#"):
                 for token in line[1:].split():
                     if token.startswith("dt="):
-                        header_dt = float(token[3:])
+                        header_dt = finite_number(token[3:], path, lineno, "dt")
+                        if header_dt <= 0:
+                            raise InputFileError(
+                                f"{path}, line {lineno}: dt={header_dt!r} "
+                                "must be positive"
+                            )
                     elif token.startswith("t0="):
-                        header_t0 = float(token[3:])
+                        header_t0 = finite_number(token[3:], path, lineno, "t0")
                 continue
+            # finite_number's check, inlined: a call per line costs a few
+            # percent of reading a 10^6-line series
             try:
                 value = float(line)
             except ValueError:
@@ -102,8 +110,27 @@ def write_moments_json(
 
 
 def read_moments_json(path) -> NoiseMoments:
+    """Read moments written by :func:`write_moments_json`.
+
+    JSON that does not parse, or that does not hold three valid moments,
+    raises :class:`InputFileError` naming the file (and the line, for a
+    parse error).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return NoiseMoments.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputFileError(
+                f"{path}, line {exc.lineno}: malformed JSON: {exc.msg}"
+            ) from exc
+    if not isinstance(data, dict):
+        raise InputFileError(
+            f"{path}: expected a JSON object with sigma2, lambda2 and lambda4"
+        )
+    try:
+        return NoiseMoments.from_json_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

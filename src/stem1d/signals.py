@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -290,6 +291,14 @@ class Region(enum.Enum):
     NULL_CORE = "null_core"
 
 
+def _edge_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
+    los = np.array([lo for lo, _ in intervals], dtype=np.float64)
+    his = np.array([hi for _, hi in intervals], dtype=np.float64)
+    los.setflags(write=False)
+    his.setflags(write=False)
+    return los, his
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalUnion:
     """A finite union of closed intervals, stored sorted and merged."""
@@ -313,13 +322,17 @@ class IntervalUnion:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of the intervals, as sorted arrays."""
+        return _edge_arrays(self.intervals)
+
     def contains(self, t) -> np.ndarray:
         """Vectorized closed-interval membership."""
         t = np.asarray(t, dtype=np.float64)
         if not self.intervals:
             return np.zeros(t.shape, dtype=bool)
-        los = np.array([lo for lo, _ in self.intervals])
-        his = np.array([hi for _, hi in self.intervals])
+        los, his = self._edges
         pos = np.searchsorted(los, t, side="right") - 1
         valid = pos >= 0
         result = np.zeros(t.shape, dtype=bool)
@@ -350,6 +363,11 @@ class RegionSet:
     signal: IntervalUnion
     smoothed_signal: IntervalUnion
     peak_supports: tuple[tuple[float, float], ...]
+
+    @cached_property
+    def support_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of ``peak_supports``, in peak order."""
+        return _edge_arrays(self.peak_supports)
 
     @property
     def signal_measure(self) -> float:

@@ -180,6 +180,56 @@ def test_detect_unreadable_input_exits_3(tmp_path, capsys, bad):
     assert str(series) in err and "line 3" in err
 
 
+def _detect_exit(tmp_path, series=None, moments=None, template=None):
+    """Exit code of ``detect`` on the given files; valid ones fill the gaps."""
+    if series is None:
+        series = tmp_path / "series.csv"
+        _write_spike_series(series, [200], height=2.0)
+    if moments is None:
+        moments = tmp_path / "moments.json"
+        write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 1.0), moments)
+    argv = ["detect", "--input", str(series), "--moments", str(moments)]
+    if template is None:
+        argv += ["--gamma", "1"]
+    else:
+        argv += ["--kernel", "template", "--template-file", str(template)]
+    return main(argv + ["--alpha", "0.05"])
+
+
+def test_detect_bad_series_header_exits_3(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("# dt=abc\n0.0\n1.0\n0.0\n")
+    assert _detect_exit(tmp_path, series=series) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "line 1" in err and "dt='abc'" in err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("# dt=1.0 center=1\n0.5\nnan\n0.5\n", 3),
+        ("# dt=1.0 center=1\n0.5\nabc\n0.5\n", 3),
+        ("# dt=abc center=1\n0.5\n1.0\n0.5\n", 1),
+        ("# dt=1.0 center=x\n0.5\n1.0\n0.5\n", 1),
+    ],
+    ids=["nan-weight", "text-weight", "bad-dt", "bad-center"],
+)
+def test_detect_bad_template_file_exits_3(tmp_path, capsys, text, line):
+    template = tmp_path / "template.csv"
+    template.write_text(text)
+    assert _detect_exit(tmp_path, template=template) == 3
+    err = capsys.readouterr().err
+    assert str(template) in err and f"line {line}" in err
+
+
+def test_detect_truncated_moments_json_exits_3(tmp_path, capsys):
+    moments = tmp_path / "moments.json"
+    moments.write_text('{\n  "sigma2": 1.0,\n  "lambda2": ')
+    assert _detect_exit(tmp_path, moments=moments) == 3
+    err = capsys.readouterr().err
+    assert str(moments) in err and "line 3" in err and "malformed JSON" in err
+
+
 def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
     series = tmp_path / "series.csv"
     _write_spike_series(series, [7], n=15)

@@ -107,6 +107,59 @@ def test_score_trial_converts_pointwise_reports_to_height_rule():
     np.testing.assert_array_equal(outcome.detected_flags, [True, False])
 
 
+def _per_support_count(locations, supports):
+    """Reference count of ``locations`` in each closed support, one by one."""
+    return np.array(
+        [np.count_nonzero((locations >= lo) & (locations <= hi)) for lo, hi in supports],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("threshold", ["random", "inf", "-inf"])
+@pytest.mark.parametrize("seed", range(8))
+def test_score_trial_matches_per_support_count(seed, threshold):
+    rng = np.random.default_rng(seed)
+    shape = TruncatedGaussianShape(b=2.0, c=2.0)  # support half-width 4
+    # seed 0 has no peaks at all; the others have overlapping supports
+    # listed in random (not sorted) order
+    centers = rng.uniform(-40.0, 40.0, size=seed % 6)
+    spec = SignalSpec(
+        peaks=tuple(PeakSpec(shape=shape, amplitude=1.0, center=c) for c in centers),
+        domain_length=100.0,
+    )
+    regions = compute_regions(spec, gaussian_kernel(2.0, 1.0))
+    edges = np.array(regions.peak_supports).ravel()
+    # random locations plus every support edge and its two float neighbours
+    locations = np.unique(
+        np.concatenate(
+            [
+                rng.uniform(-50.0, 50.0, size=40),
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+            ]
+        )
+    )
+    heights = rng.normal(size=locations.size)
+    cands = CandidateSet(np.arange(locations.size), locations, heights)
+    cut = {"random": rng.normal(), "inf": math.inf, "-inf": -math.inf}[threshold]
+    report = height_rule_report(cands, cut, 0.05, Procedure.SUPREMUM)
+    outcome = score_trial(report, cands, regions)
+    rejected = locations[heights > cut]
+    want_detected = _per_support_count(rejected, regions.peak_supports) > 0
+    want_locmax = _per_support_count(locations, regions.peak_supports)
+    assert outcome.detected_flags.dtype == bool
+    assert outcome.locmax_per_peak.dtype == np.int64
+    np.testing.assert_array_equal(outcome.detected_flags, want_detected)
+    np.testing.assert_array_equal(outcome.locmax_per_peak, want_locmax)
+    assert outcome.total_rejections == rejected.size
+    if threshold == "inf":
+        assert not outcome.detected_flags.any()
+    if seed == 0:
+        assert outcome.detected_flags.shape == (0,)
+        assert math.isnan(outcome.detected_fraction)
+
+
 def test_smoothed_peak_height_gaussian_closed_form():
     # Gaussian bump smoothed by a Gaussian kernel has height
     # a / sqrt(2 pi (b^2 + gamma^2)) when truncation is negligible

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stem1d import (
     CandidateSet,
@@ -101,6 +103,36 @@ def test_bonferroni_never_beats_bh():
         bh = benjamini_hochberg(cands, 0.05, PARAMS)
         assert bon.num_rejected <= bh.num_rejected
         assert set(bon.rejected.indices) <= set(bh.rejected.indices)
+
+
+def _cands_with_pvalues(pvalues):
+    """Candidates carrying ``pvalues``, with placeholder heights (the
+    corrections read only the p-values)."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    n = p.size
+    return CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), np.zeros(n), p)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+# p-value lists strictly inside (0, 1), from 1e-12 up, with many small
+# values so both procedures reject something in most examples
+# (test_bonferroni_never_beats_bh already checks BH against Bonferroni)
+PVALUES = st.lists(
+    st.floats(0.0, 12.0).map(lambda d: 10.0 ** -d).filter(lambda p: p < 1.0),
+    min_size=1,
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(PVALUES, st.floats(0.001, 0.5), st.floats(1.0, 2.0))
+def test_rejected_set_grows_with_alpha(p, alpha, factor):
+    cands = _cands_with_pvalues(p)
+    for procedure in (Procedure.BONFERRONI, Procedure.BH):
+        small = run_procedure(cands, alpha, PARAMS, procedure)
+        large = run_procedure(cands, min(alpha * factor, 0.999), PARAMS, procedure)
+        assert set(small.rejected.indices) <= set(large.rejected.indices)
 
 
 def test_order_invariance():

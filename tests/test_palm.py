@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stem1d import (
@@ -67,6 +69,66 @@ def test_quantile_inverts_survival():
     for bad in (0.0, -0.1, 1.0000001):
         with pytest.raises(ValueError):
             palm_quantile(params, bad)
+
+
+# Property tests run a fixed example sequence, so the suite stays
+# deterministic.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@st.composite
+def moments(draw):
+    """Moments with sigma2 and lambda2 over six decades, and
+    Delta = sigma2 * lambda4 - lambda2^2 a fraction ``eps`` of lambda2^2,
+    from 1e-9 (nearly degenerate) to 1e2."""
+    sigma2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    lambda2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    eps = 10.0 ** draw(st.floats(-9.0, 2.0))
+    return NoiseMoments(sigma2, lambda2, lambda2**2 / sigma2 * (1.0 + eps))
+
+
+@PROPERTY
+@given(moments(), st.floats(-60.0, 60.0))
+def test_survival_scalar_path_matches_array_path_bitwise(m, z):
+    params = PalmParams(m)
+    u = z * params.sigma
+    scalar = palm_survival(params, u)
+    assert isinstance(scalar, float)
+    assert scalar.hex() == float(palm_survival(params, np.array([u]))[0]).hex()
+    assert scalar.hex() == palm_survival(params, np.array(u)).hex()
+
+
+@PROPERTY
+@given(moments(), st.floats(0.0, 300.0))
+def test_survival_inverts_quantile(m, decades):
+    v = 10.0 ** -decades
+    assume(v < 1.0)
+    params = PalmParams(m)
+    assert palm_survival(params, palm_quantile(params, v)) == pytest.approx(
+        v, rel=1e-9
+    )
+
+
+@PROPERTY
+@given(moments(), st.floats(0.0, 300.0), st.floats(1e-6, 1.0))
+def test_quantile_strictly_decreasing(m, decades, gap):
+    v_low = 10.0 ** -decades
+    v_high = v_low * (1.0 + gap)
+    assume(v_high < 1.0)
+    params = PalmParams(m)
+    assert palm_quantile(params, v_low) > palm_quantile(params, v_high)
+
+
+@PROPERTY
+@given(moments(), st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30))
+def test_pvalues_inside_unit_interval_and_fall_with_height(m, z):
+    params = PalmParams(m)
+    heights = np.unique(np.asarray(z)) * params.sigma
+    n = heights.size
+    cands = CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights)
+    p = candidate_pvalues(cands, params).pvalues
+    assert np.all((p > 0.0) & (p < 1.0))
+    assert np.all(np.diff(p) <= 0.0)
 
 
 def test_scale_equivariance():
@@ -150,5 +212,18 @@ def test_candidate_set_validation():
     np.testing.assert_array_equal(cands.heights, [10.0, 20.0, 30.0])
     picked = cands.select(cands.heights > 15.0)
     assert picked.count == 2
+    np.testing.assert_array_equal(picked.locations, [2.0, 3.0])
+    assert picked.pvalues is None
+    assert not picked.locations.flags.writeable
     with pytest.raises(ValueError):
         cands.with_pvalues(np.array([0.5, 1.0, 0.5]))
+    with pytest.raises(ValueError):
+        cands.with_pvalues(np.array([0.5, 0.5]))
+    given_p = np.array([0.1, 0.2, 0.3])
+    attached = cands.with_pvalues(given_p)
+    np.testing.assert_array_equal(attached.pvalues, given_p)
+    assert not attached.pvalues.flags.writeable
+    assert given_p.flags.writeable  # the caller's array is copied, not frozen
+    sub = attached.select(np.array([True, False, True]))
+    np.testing.assert_array_equal(sub.indices, [1, 3])
+    np.testing.assert_array_equal(sub.pvalues, [0.1, 0.3])

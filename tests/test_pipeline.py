@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stem1d import (
     GaussianAcvfParams,
@@ -106,6 +108,31 @@ def test_stem_detect_scale_equivariance():
     np.testing.assert_array_equal(a.report.rejected.indices, b.report.rejected.indices)
     np.testing.assert_allclose(
         a.candidates.pvalues, b.candidates.pvalues, rtol=1e-9
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.floats(-1e4, 1e4), st.sampled_from([Procedure.BONFERRONI, Procedure.BH]))
+def test_stem_detect_invariant_to_time_shift(t0, procedure):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(400) * 0.05
+    values[[100, 250]] += 1.0
+    kernel = gaussian_kernel(3.0, 0.5)
+    moments = closed_form_moments(GaussianAcvfParams(sigma=0.05), 3.0)
+    base = stem_detect(SampledSequence(values, dt=0.5), kernel, moments, procedure)
+    shifted = stem_detect(
+        SampledSequence(values, dt=0.5, t0=t0), kernel, moments, procedure
+    )
+    for field in ("indices", "heights", "pvalues"):
+        np.testing.assert_array_equal(
+            getattr(shifted.candidates, field), getattr(base.candidates, field)
+        )
+    np.testing.assert_array_equal(
+        shifted.report.rejected.indices, base.report.rejected.indices
+    )
+    assert shifted.report.height_threshold == base.report.height_threshold
+    np.testing.assert_allclose(
+        shifted.candidates.locations, base.candidates.locations + t0, atol=1e-9
     )
 
 
