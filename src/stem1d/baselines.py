@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError
 from .grid import SQRT_2PI, SampledSequence
-from .multitest import DetectionReport, Procedure, step_up_count
+from .multitest import DetectionReport, Procedure, check_alpha, step_up_count
 from .noise import NoiseMoments
 from .palm import bisect_decreasing, clip_pvalues
 
@@ -116,8 +116,7 @@ def supremum_threshold(
     convention: str = "paper",
 ) -> float:
     """Smallest height u whose excursion bound is at most alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if not (domain_length > 0):
         raise ValueError("domain_length must be positive")
     sigma = moments.sigma

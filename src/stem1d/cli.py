@@ -31,7 +31,7 @@ from .kernels import (
     quartic_kernel,
     save_kernel_csv,
 )
-from .multitest import Procedure
+from .multitest import Procedure, check_alpha
 from .noise import estimate_moments
 from .pipeline import stem_detect
 from .seriesio import (
@@ -123,6 +123,7 @@ def _write_lines(path, lines) -> None:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    check_alpha(args.alpha)
     series = read_series(args.input, dt=args.dt)
     kernel = _build_kernel(args, series.dt)
     if args.moments is not None:

@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from .candidates import CandidateSet
 from .grid import SampledSequence
 from .kernels import Kernel, KernelFamily, convolve, gaussian_kernel, quartic_kernel
-from .multitest import DetectionReport, Procedure, run_procedure
+from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import (
     GaussianAcvfParams,
     NoiseMoments,
@@ -265,8 +265,7 @@ class SimulationDesign:
             raise ValueError("amplitude_grid values must be positive")
         if not self.procedures:
             raise ValueError("procedures must be non-empty")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if self.moments_mode not in ("closed_form", "estimated"):

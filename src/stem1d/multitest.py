@@ -15,7 +15,14 @@ from typing import Callable
 import numpy as np
 
 from .candidates import CandidateSet
+from .errors import ConfigurationError
 from .palm import PalmParams, palm_quantile
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ConfigurationError` unless 0 < alpha < 1 (NaN fails)."""
+    if not (0.0 < alpha < 1.0):
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 class Procedure(enum.Enum):
@@ -47,8 +54,7 @@ class DetectionReport:
     step_index: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if self.num_candidates < 0:
             raise ValueError("num_candidates must be non-negative")
         if len(self.rejected) > self.num_candidates:
@@ -216,8 +222,7 @@ def asymptotic_thresholds(
     unit length.  The expected candidate count per unit length is their
     sum: each true peak contributes one maximum.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if not (peak_rate > 0) or not (maxima_density > 0):
         raise ValueError("peak_rate and maxima_density must be positive")
     bh_arg = alpha * peak_rate / (peak_rate + maxima_density * (1.0 - alpha))

@@ -9,7 +9,7 @@ from .candidates import CandidateSet
 from .errors import DegenerateSequenceError
 from .grid import SampledSequence, strict_local_maxima
 from .kernels import Kernel, convolve
-from .multitest import DetectionReport, Procedure, run_procedure
+from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import NoiseMoments
 from .palm import PalmParams, candidate_pvalues
 
@@ -55,18 +55,19 @@ def stem_detect(
     ``moments`` must describe the noise *after* smoothing by ``kernel``.
     The smoothed sequence's boundary margin (half the kernel support) is
     excluded from the candidate search; a series with no sample outside
-    that margin raises :class:`DegenerateSequenceError`.
+    that margin raises :class:`DegenerateSequenceError`.  An ``alpha``
+    outside (0, 1) raises :class:`ConfigurationError` before any work.
     """
+    check_alpha(alpha)
     smoothed = convolve(raw, kernel)
     if smoothed.interior.size == 0:
         raise DegenerateSequenceError(
             f"no testable sample: {smoothed.values.size} samples, "
             f"boundary margin {smoothed.margin} at each end"
         )
-    candidates = candidate_pvalues(
-        find_local_maxima(smoothed), PalmParams(moments)
-    )
-    report = run_procedure(candidates, alpha, PalmParams(moments), procedure)
+    params = PalmParams(moments)
+    candidates = candidate_pvalues(find_local_maxima(smoothed), params)
+    report = run_procedure(candidates, alpha, params, procedure)
     return StemResult(report=report, smoothed=smoothed, candidates=candidates)
 
 

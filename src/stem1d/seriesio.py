@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
+
 from .errors import ConfigurationError, InputFileError, finite_number
 from .grid import SampledSequence
 from .kernels import KernelFamily
@@ -36,10 +38,46 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
 
     Every data line must hold one finite number, and a header ``dt`` or
     ``t0`` must be a finite number (``dt`` a positive one).  Anything else
-    raises :class:`InputFileError` naming the file and the line number.
+    raises :class:`InputFileError` naming the file and the line number, as
+    does a file with no data line.
+
+    The leading block of blank and comment lines is read here; when the
+    rest is one column of finite numbers, ``np.loadtxt`` parses it in one
+    C-level pass.  Any other file (a comment after the data starts, a
+    bad value, a token ``float`` accepts but numpy does not, such as
+    ``1_0``) goes through :func:`_read_series_lines`, which defines the
+    format and its error messages; both give the same values bit for bit.
     """
-    header_dt = None
-    header_t0 = None
+    header_dt = header_t0 = None
+    skip = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                break
+            skip += 1
+            header_dt, header_t0 = _header_values(
+                line, path, skip, header_dt, header_t0
+            )
+        else:
+            return _read_series_lines(path, dt, t0)
+    # the path, not the open file: numpy reads a path in chunks, but
+    # iterates a file object line by line in Python
+    try:
+        table = np.loadtxt(
+            path, dtype=np.float64, comments=None, skiprows=skip, ndmin=2,
+            encoding="utf-8",
+        )
+    except ValueError:
+        return _read_series_lines(path, dt, t0)
+    if table.shape[0] == 0 or table.shape[1] != 1 or not np.isfinite(table).all():
+        return _read_series_lines(path, dt, t0)
+    return _sequence(path, table[:, 0], header_dt, header_t0, dt, t0)
+
+
+def _read_series_lines(path, dt: float | None, t0: float | None) -> SampledSequence:
+    """:func:`read_series`, one line at a time."""
+    header_dt = header_t0 = None
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -47,16 +85,9 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("dt="):
-                        header_dt = finite_number(token[3:], path, lineno, "dt")
-                        if header_dt <= 0:
-                            raise InputFileError(
-                                f"{path}, line {lineno}: dt={header_dt!r} "
-                                "must be positive"
-                            )
-                    elif token.startswith("t0="):
-                        header_t0 = finite_number(token[3:], path, lineno, "t0")
+                header_dt, header_t0 = _header_values(
+                    line, path, lineno, header_dt, header_t0
+                )
                 continue
             # finite_number's check, inlined: a call per line costs a few
             # percent of reading a 10^6-line series
@@ -70,7 +101,27 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
                 )
             values.append(value)
     if not values:
-        raise ConfigurationError(f"{path}: no data lines")
+        raise InputFileError(f"{path}: no data lines")
+    return _sequence(path, values, header_dt, header_t0, dt, t0)
+
+
+def _header_values(line: str, path, lineno: int, header_dt, header_t0):
+    """``(header_dt, header_t0)`` updated by the ``dt=``/``t0=`` tokens of
+    the stripped comment or blank ``line``."""
+    for token in line[1:].split():
+        if token.startswith("dt="):
+            header_dt = finite_number(token[3:], path, lineno, "dt")
+            if header_dt <= 0:
+                raise InputFileError(
+                    f"{path}, line {lineno}: dt={header_dt!r} must be positive"
+                )
+        elif token.startswith("t0="):
+            header_t0 = finite_number(token[3:], path, lineno, "t0")
+    return header_dt, header_t0
+
+
+def _sequence(path, values, header_dt, header_t0, dt, t0) -> SampledSequence:
+    """The series from its parsed values, flags and header values."""
     if dt is not None and header_dt is not None and not _close(dt, header_dt):
         raise ConfigurationError(
             f"{path}: dt flag {dt} conflicts with header dt {header_dt}"

@@ -247,6 +247,30 @@ def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
     assert "candidates:" not in captured.out
 
 
+def test_detect_series_without_data_lines_exits_3(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("# dt=1.0\n# a comment\n\n")
+    assert _detect_exit(tmp_path, series=series) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "no data lines" in err
+
+
+@pytest.mark.parametrize("procedure", ["bonferroni", "bh"])
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+def test_detect_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha, procedure):
+    # the input file does not exist: alpha is checked before it is read
+    code = main(
+        [
+            "detect", "--input", str(tmp_path / "missing.csv"), "--gamma", "1",
+            "--moments", str(tmp_path / "missing.json"),
+            "--procedure", procedure, f"--alpha={alpha}",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
+
+
 def _write_training(path, dt=1.0):
     values = np.zeros(400)
     profile = 3.0 * (1.0 - np.abs(np.arange(-5, 6)) / 5.0)

@@ -17,7 +17,7 @@ from stem1d import (
     gaussian_kernel,
     stem_detect,
 )
-from stem1d.errors import DegenerateSequenceError
+from stem1d.errors import ConfigurationError, DegenerateSequenceError
 
 
 def _seq(values, dt=1.0, margin=0):
@@ -154,6 +154,16 @@ def test_stem_detect_rejects_series_without_testable_samples():
     # one sample clears both margins: it is the only candidate
     res = stem_detect(_spike_train([30], n=61), kernel, moments)
     assert res.report.num_candidates == 1
+
+
+@pytest.mark.parametrize("procedure", [Procedure.BONFERRONI, Procedure.BH])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_stem_detect_rejects_alpha_outside_unit_interval(alpha, procedure):
+    # a series too short for the kernel: the alpha check must come first
+    kernel = gaussian_kernel(10.0, 1.0)
+    moments = closed_form_moments(GaussianAcvfParams(sigma=1.0), 10.0)
+    with pytest.raises(ConfigurationError, match=r"^alpha must lie in \(0, 1\), got "):
+        stem_detect(_spike_train([7], n=15), kernel, moments, procedure, alpha)
 
 
 def test_auto_bandwidth_prefers_more_rejections():

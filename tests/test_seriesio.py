@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stem1d import (
     GaussianAcvfParams,
@@ -17,6 +19,7 @@ from stem1d import (
     TruncatedGaussianShape,
     preset_design,
 )
+from stem1d import seriesio
 from stem1d.errors import ConfigurationError, InputFileError
 from stem1d.seriesio import (
     design_from_json_dict,
@@ -62,7 +65,7 @@ def test_series_flag_header_interplay(tmp_path):
 def test_series_rejects_empty_and_parses_comments(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("# dt=1.0\n# a comment\n\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputFileError):
         read_series(empty)
     mixed = tmp_path / "mixed.csv"
     mixed.write_text("# note\n# dt=2.0 t0=1.5\n3.0\n\n4.0\n")
@@ -80,6 +83,107 @@ def test_series_rejects_non_finite_lines(tmp_path, bad):
     message = str(info.value)
     assert str(path) in message
     assert "line 4" in message
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n", "# dt=1.0\n#\n\x0c\n"])
+def test_series_without_data_lines_names_the_file(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(InputFileError, match="no data lines") as info:
+        read_series(path)
+    assert str(path) in str(info.value)
+
+
+def test_clean_series_takes_the_bulk_parse(tmp_path, monkeypatch):
+    # every feature here is one numpy parses as float() does, so the
+    # per-line reader must not run
+    def per_line(*args):
+        raise AssertionError("per-line reader called")
+
+    monkeypatch.setattr(seriesio, "_read_series_lines", per_line)
+    path = tmp_path / "series.csv"
+    path.write_bytes(
+        b"# note\r\n\r\n  \t\r\n# dt=0.5 t0=-2\r\n"
+        b" +.5\t\r\n5.\r\n\r\n-0.0\r\n4.9e-324\r1e-400\n\x0c-7\x0c\n1.5e+300"
+    )
+    seq = read_series(path)
+    expected = np.array([0.5, 5.0, -0.0, 5e-324, 0.0, -7.0, 1.5e300])
+    assert seq.values.tobytes() == expected.tobytes()
+    assert (seq.dt, seq.t0) == (0.5, -2.0)
+
+
+# Padding str.strip() removes; a text file ends lines only at \n, \r
+# and \r\n, so \x0c, \x85 and \u2028 stay inside their line.
+_PAD = st.text(alphabet=" \t\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=3)
+_HEADER_LINES = ("", "#", "# note", "# dt=0.5", "# dt=0.5 t0=-3.25", "# a\r# dt=0.5")
+_SPECIAL_VALUES = ("+.5", "5.", "-0.0", "4.9e-324", "1e-400", "-7", "1E5")
+# lines the bulk parse must hand to the per-line reader: a comment after
+# the data starts, tokens float() accepts and numpy does not, and lines
+# that are errors either way
+_OTHER_LINES = (
+    "# dt=0.5 t0=2", "#", "1_0", "\u0661\u0662", "\uff11", "1.0 2.0", "1.0\t2",
+    "nan", "inf", "-Infinity", "1e999", "abc", "\ufeff1.0", "1.0,", "0x1p3",
+    "\x00", "\u200b",
+)
+
+
+@st.composite
+def _value(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    fmt = draw(st.sampled_from(("repr", "%.17g", "%.3e", "int", "special")))
+    if fmt == "repr":
+        return repr(x)
+    if fmt == "int":
+        return str(int(x))
+    if fmt == "special":
+        return draw(st.sampled_from(_SPECIAL_VALUES))
+    return fmt % x
+
+
+@st.composite
+def _series_text(draw):
+    lines = draw(st.lists(st.sampled_from(_HEADER_LINES), max_size=4))
+    kinds = ("value",) * 8 + ("blank", "other")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "value":
+            lines.append(draw(_PAD) + draw(_value()) + draw(_PAD))
+        elif kind == "blank":
+            lines.append(draw(_PAD))
+        else:
+            lines.append(draw(st.sampled_from(_OTHER_LINES)))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(("\n", "\r\n", "\r")))
+    if draw(st.booleans()):
+        text = text[:-1]
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+def _outcome(read, path):
+    try:
+        seq = read(path)
+    except ValueError as exc:  # InputFileError and ConfigurationError
+        return type(exc), str(exc)
+    return seq.values.tobytes(), seq.dt, seq.t0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_series_text())
+@example("# a\r# dt=0.5\n1.0\n2.0\n")
+@example("\ufeff# dt=0.5\n1.0\n")
+@example("# dt=0.5\n1.0\n# dt=0.5\n2.0\n")
+@example("# dt=0.5\n1_0\n\u0661\u0662\n")
+@example("# dt=0.5\n1.0\n1.0 2.0\n")
+@example("1.0 2.0")
+@example("# dt=0.5\n1.0 2.0\n3.0 4.0\n")
+def test_bulk_parse_matches_per_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "bulk.csv"
+    path.write_bytes(text.encode("utf-8"))
+    bulk = _outcome(lambda p: read_series(p, dt=0.5), path)
+    per_line = _outcome(lambda p: seriesio._read_series_lines(p, 0.5, None), path)
+    assert bulk == per_line
 
 
 def test_moments_json_roundtrip(tmp_path):
