@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -41,68 +44,117 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
     raises :class:`InputFileError` naming the file and the line number, as
     does a file with no data line.
 
-    The leading block of blank and comment lines is read here; when the
-    rest is one column of finite numbers, ``np.loadtxt`` parses it in one
-    C-level pass.  Any other file (a comment after the data starts, a
-    bad value, a token ``float`` accepts but numpy does not, such as
-    ``1_0``) goes through :func:`_read_series_lines`, which defines the
-    format and its error messages; both give the same values bit for bit.
+    The file is opened once here.  A regular file that numpy will not take
+    for a compressed one, with no ``#`` after its data starts, is then
+    reopened by path and parsed in one C-level pass
+    (:func:`_read_series_bulk`).  Any other input (a pipe, a comment after
+    the data starts, a bad value, a token ``float`` accepts but numpy does
+    not, such as ``1_0``) goes through :func:`_read_series_lines` on the
+    handle already open; it defines the format and its error messages, and
+    both give the same values bit for bit.
+    """
+    # newline="": lines end where they do in the default mode, but keep
+    # their bytes, so the bulk parse can count the header's
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        source = _bulk_source(fh, path)
+        parsed = None if source is None else _read_series_bulk(fh, path, source)
+        if parsed is None:
+            parsed = _read_series_lines(fh, path)
+    return _sequence(path, *parsed, dt, t0)
+
+
+# suffixes np.loadtxt takes to mean a compressed file, whatever it holds
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _bulk_source(fh, path) -> str | None:
+    """The path ``np.loadtxt`` may reopen ``fh``'s file by, or ``None``.
+
+    A pipe or other stream cannot be read a second time, and numpy opens
+    a path with a compressed suffix through a decompressor.  The path is
+    made absolute so numpy cannot take it for a URL.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str) or name.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    return os.path.abspath(name)
+
+
+def _read_series_bulk(fh, path, source: str):
+    """``(values, header_dt, header_t0)`` from one ``np.loadtxt`` pass, or
+    ``None`` with ``fh`` rewound when only the per-line reader applies.
+
+    The leading block of blank and comment lines is read from ``fh``; the
+    rest must be one column of finite numbers, with no ``#`` in it.
     """
     header_dt = header_t0 = None
-    skip = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                break
-            skip += 1
-            header_dt, header_t0 = _header_values(
-                line, path, skip, header_dt, header_t0
-            )
-        else:
-            return _read_series_lines(path, dt, t0)
-    # the path, not the open file: numpy reads a path in chunks, but
-    # iterates a file object line by line in Python
+    skip = header_bytes = 0
+    for raw in fh:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        skip += 1
+        header_bytes += len(raw.encode("utf-8"))
+        header_dt, header_t0 = _header_values(line, path, skip, header_dt, header_t0)
+    else:  # no data line
+        fh.seek(0)
+        return None
+    # a comment after the data starts would fail np.loadtxt only when it
+    # got there; find one first, without decoding the file
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        if data.find(b"#", header_bytes) != -1:
+            fh.seek(0)
+            return None
+    # the path, not fh: numpy reads a path in chunks, but iterates a file
+    # object line by line in Python
     try:
         table = np.loadtxt(
-            path, dtype=np.float64, comments=None, skiprows=skip, ndmin=2,
+            source, dtype=np.float64, comments=None, skiprows=skip, ndmin=2,
             encoding="utf-8",
         )
     except ValueError:
-        return _read_series_lines(path, dt, t0)
-    if table.shape[0] == 0 or table.shape[1] != 1 or not np.isfinite(table).all():
-        return _read_series_lines(path, dt, t0)
-    return _sequence(path, table[:, 0], header_dt, header_t0, dt, t0)
+        table = None
+    if (
+        table is None
+        or table.shape[0] == 0
+        or table.shape[1] != 1
+        or not np.isfinite(table).all()
+    ):
+        fh.seek(0)
+        return None
+    return table[:, 0], header_dt, header_t0
 
 
-def _read_series_lines(path, dt: float | None, t0: float | None) -> SampledSequence:
-    """:func:`read_series`, one line at a time."""
+def _read_series_lines(fh, path):
+    """``(values, header_dt, header_t0)`` from the open series file ``fh``,
+    one line at a time."""
     header_dt = header_t0 = None
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header_dt, header_t0 = _header_values(
-                    line, path, lineno, header_dt, header_t0
-                )
-                continue
-            # finite_number's check, inlined: a call per line costs a few
-            # percent of reading a 10^6-line series
-            try:
-                value = float(line)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise InputFileError(
-                    f"{path}, line {lineno}: {line!r} is not a finite number"
-                )
-            values.append(value)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            header_dt, header_t0 = _header_values(
+                line, path, lineno, header_dt, header_t0
+            )
+            continue
+        # finite_number's check, inlined: a call per line costs a few
+        # percent of reading a 10^6-line series
+        try:
+            value = float(line)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InputFileError(
+                f"{path}, line {lineno}: {line!r} is not a finite number"
+            )
+        values.append(value)
     if not values:
         raise InputFileError(f"{path}: no data lines")
-    return _sequence(path, values, header_dt, header_t0, dt, t0)
+    return values, header_dt, header_t0
 
 
 def _header_values(line: str, path, lineno: int, header_dt, header_t0):
@@ -294,8 +346,6 @@ def design_from_json_dict(data: dict) -> SimulationDesign:
             rice_convention=str(data.get("rice_convention", "paper")),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
         raise ConfigurationError(f"invalid design file: {exc}") from exc
 
 

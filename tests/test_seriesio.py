@@ -1,6 +1,8 @@
 """Series, moments and design file formats."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -103,13 +105,23 @@ def test_clean_series_takes_the_bulk_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(seriesio, "_read_series_lines", per_line)
     path = tmp_path / "series.csv"
     path.write_bytes(
-        b"# note\r\n\r\n  \t\r\n# dt=0.5 t0=-2\r\n"
+        b"# note \xc3\xa9\xc3\xa9\xc3\xa9\r\n\r\n  \t\r\n# dt=0.5 t0=-2\r\n#\r\n"
         b" +.5\t\r\n5.\r\n\r\n-0.0\r\n4.9e-324\r1e-400\n\x0c-7\x0c\n1.5e+300"
     )
     seq = read_series(path)
     expected = np.array([0.5, 5.0, -0.0, 5e-324, 0.0, -7.0, 1.5e300])
     assert seq.values.tobytes() == expected.tobytes()
     assert (seq.dt, seq.t0) == (0.5, -2.0)
+
+
+def test_comment_after_the_data_skips_the_bulk_parse(tmp_path, monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(seriesio.np, "loadtxt", loadtxt)
+    path = tmp_path / "series.csv"
+    path.write_text("# dt=0.5\n1.0\n2.0\n# marker dt=0.5\n3.0\n")
+    assert read_series(path).values.tolist() == [1.0, 2.0, 3.0]
 
 
 # Padding str.strip() removes; a text file ends lines only at \n, \r
@@ -182,8 +194,64 @@ def test_bulk_parse_matches_per_line_reader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "bulk.csv"
     path.write_bytes(text.encode("utf-8"))
     bulk = _outcome(lambda p: read_series(p, dt=0.5), path)
-    per_line = _outcome(lambda p: seriesio._read_series_lines(p, 0.5, None), path)
+    per_line = _outcome(_read_per_line, path)
     assert bulk == per_line
+
+
+def _read_per_line(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        parsed = seriesio._read_series_lines(fh, path)
+    return seriesio._sequence(path, *parsed, 0.5, None)
+
+
+def _long_series_text(n):
+    values = np.random.default_rng(3).standard_normal(n)
+    return "# note\n# dt=0.25 t0=1.0\n" + "".join(f"{v!r}\n" for v in values.tolist())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_series_from_a_pipe_matches_the_file(tmp_path):
+    # far more than one read buffer, so a reader that reopened the pipe
+    # would lose the start of the data
+    text = _long_series_text(5000)
+    regular = tmp_path / "series.csv"
+    regular.write_text(text)
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        piped = read_series(fifo)
+    finally:
+        writer.join()
+    expected = read_series(regular)
+    assert piped.values.tobytes() == expected.values.tobytes()
+    assert (piped.dt, piped.t0) == (expected.dt, expected.t0) == (0.25, 1.0)
+
+
+def test_bulk_parse_reopens_by_absolute_path(tmp_path, monkeypatch):
+    # numpy would take a relative name such as "s3://b/x.csv" for a URL
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.csv").write_text("# dt=1\n1.0\n")
+    with open("series.csv", encoding="utf-8") as fh:
+        source = seriesio._bulk_source(fh, "series.csv")
+    assert source == str(tmp_path / "series.csv")
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_series_with_a_compressed_suffix(tmp_path, suffix):
+    # numpy would open these names through a decompressor
+    text = _long_series_text(50)
+    plain = tmp_path / "series.csv"
+    plain.write_text(text)
+    named = tmp_path / f"series{suffix}"
+    named.write_text(text)
+    assert read_series(named).values.tobytes() == read_series(plain).values.tobytes()
 
 
 def test_moments_json_roundtrip(tmp_path):
@@ -286,3 +354,6 @@ def test_design_json_defaults_and_errors():
     del missing["dt"]
     with pytest.raises(ConfigurationError):
         design_from_json_dict(missing)
+    with pytest.raises(ConfigurationError) as info:
+        design_from_json_dict({**minimal, "alpha": 1.5})
+    assert str(info.value) == "invalid design file: alpha must lie in (0, 1), got 1.5"
