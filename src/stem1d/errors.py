@@ -6,6 +6,7 @@ failures with 4.
 """
 
 import math
+from contextlib import contextmanager
 
 
 class ConfigurationError(ValueError):
@@ -39,6 +40,19 @@ def finite_number(text: str, path, lineno: int, name: str = "") -> float:
             f"{path}, line {lineno}: {key}{text!r} is not a finite number"
         )
     return value
+
+
+@contextmanager
+def utf8_text(path):
+    """Raise :class:`InputFileError` naming ``path`` for text read inside
+    the block that is not valid UTF-8, instead of a bare
+    ``UnicodeDecodeError`` (a ``ValueError`` the CLI would report as a
+    bad flag)."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start : exc.start + 1].hex()
+        raise InputFileError(f"{path}: not UTF-8 text (byte 0x{byte})") from exc
 
 
 class NumericFailureError(ValueError):

@@ -454,19 +454,27 @@ class _Smoothed:
         return pointwise_pvalues(self.smoothed, self.band.moments)
 
 
-def _candidate_rule(view: _Smoothed, proc: Procedure, alpha: float):
-    return run_procedure(view.cands, alpha, view.band.palm, proc)
+def _candidate_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
+    cands = [view.cands for view in views]
+    return run_procedure(cands, alpha, [view.band.palm for view in views], proc)
 
 
-def _pointwise_rule(view: _Smoothed, proc: Procedure, alpha: float):
-    return pointwise_correct(view.samples, alpha, proc, view.band.moments)
+def _pointwise_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
+    return [
+        pointwise_correct(view.samples, alpha, proc, view.band.moments)
+        for view in views
+    ]
 
 
-def _supremum_rule(view: _Smoothed, proc: Procedure, alpha: float):
-    return height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
+def _supremum_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
+    return [
+        height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
+        for view in views
+    ]
 
 
-# Procedure -> rule giving its report on one smoothed realization.
+# Procedure -> rule giving its reports on a list of smoothed realizations,
+# one report per realization.
 _RULES = {
     Procedure.BONFERRONI: _candidate_rule,
     Procedure.BH: _candidate_rule,
@@ -526,20 +534,24 @@ def _trial(
         name: np.empty(shape) for name in ("fwer", "fdr", "power", "chosen_gamma")
     }
     record["locmax_per_peak"] = np.empty(shape[:2])
-    for a, amp in enumerate(design.amplitude_grid):
-        views = [
-            _Smoothed(band, z.with_values(amp * band.smoothed_mu.values + z.values))
-            for band, z in zip(bands, smoothed_noise)
-        ]
-        for p, proc in enumerate(design.procedures):
-            reports = [_RULES[proc](view, proc, design.alpha) for view in views]
+    # every amplitude's views, amplitude-major, so each rule runs once
+    views = [
+        _Smoothed(band, z.with_values(amp * band.smoothed_mu.values + z.values))
+        for amp in design.amplitude_grid
+        for band, z in zip(bands, smoothed_noise)
+    ]
+    for p, proc in enumerate(design.procedures):
+        all_reports = _RULES[proc](views, proc, design.alpha)
+        for a in range(len(design.amplitude_grid)):
+            row = slice(a * len(bands), (a + 1) * len(bands))
+            reports, row_views = all_reports[row], views[row]
             if design.auto_bandwidth:
                 counts = [report.num_rejected for report in reports]
                 scored = [most_rejections(counts, design.gamma_grid)]
             else:
                 scored = range(len(bands))
             for c, k in enumerate(scored):
-                outcome = score_trial(reports[k], views[k].cands, bands[k].regions)
+                outcome = score_trial(reports[k], row_views[k].cands, bands[k].regions)
                 locmax = outcome.locmax_per_peak
                 record["fwer"][c, a, p] = outcome.false_rejections > 0
                 record["fdr"][c, a, p] = outcome.false_discovery_proportion

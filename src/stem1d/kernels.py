@@ -22,6 +22,7 @@ from .errors import (
     InputFileError,
     NoQualifyingPeaksError,
     finite_number,
+    utf8_text,
 )
 from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
 
@@ -210,7 +211,7 @@ def load_kernel_csv(path) -> Kernel:
     dt = None
     center = None
     weights: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

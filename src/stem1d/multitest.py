@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,23 +131,7 @@ def bonferroni(
     candidates: CandidateSet, alpha: float, params: PalmParams
 ) -> DetectionReport:
     """Reject candidates with p < alpha / m, m being the candidate count."""
-    p = _require_pvalues(candidates)
-    m = candidates.count
-    if m == 0:
-        cutoff = 1.0
-        threshold = float("-inf")
-    else:
-        cutoff = alpha / m
-        threshold = palm_quantile(params, cutoff)
-    rejected = candidates.select(p < cutoff)
-    return DetectionReport(
-        procedure=Procedure.BONFERRONI,
-        alpha=alpha,
-        rejected=rejected,
-        pvalue_cutoff=cutoff,
-        height_threshold=threshold,
-        num_candidates=m,
-    )
+    return run_procedure(candidates, alpha, params, Procedure.BONFERRONI)
 
 
 def benjamini_hochberg(
@@ -159,43 +143,65 @@ def benjamini_hochberg(
     i * alpha / m; the cutoff is k * alpha / m and everything strictly
     below it is rejected (so ties at the cutoff are never rejected).
     """
+    return run_procedure(candidates, alpha, params, Procedure.BH)
+
+
+def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure):
+    """``(pvalue_cutoff, k)`` of one candidate set: a cutoff of 1 with no
+    candidates, and of 0 when a step-up rejects nothing (k = 0)."""
     p = _require_pvalues(candidates)
     m = candidates.count
     if m == 0:
-        cutoff = 1.0
-        threshold = float("-inf")
-        k = 0
-    else:
-        k = step_up_count(p, alpha)
-        if k == 0:
-            cutoff = 0.0
-            threshold = float("inf")
-        else:
-            cutoff = k * alpha / m
-            threshold = palm_quantile(params, cutoff)
-    rejected = candidates.select(p < cutoff)
-    return DetectionReport(
-        procedure=Procedure.BH,
-        alpha=alpha,
-        rejected=rejected,
-        pvalue_cutoff=cutoff,
-        height_threshold=threshold,
-        num_candidates=m,
-        step_index=k,
-    )
+        return 1.0, 0
+    if procedure is Procedure.BONFERRONI:
+        return alpha / m, 0
+    k = step_up_count(p, alpha)
+    return (k * alpha / m if k else 0.0), k
 
 
 def run_procedure(
-    candidates: CandidateSet,
+    candidates: CandidateSet | Sequence[CandidateSet],
     alpha: float,
-    params: PalmParams,
+    params: PalmParams | Sequence[PalmParams],
     procedure: Procedure,
-) -> DetectionReport:
-    if procedure is Procedure.BONFERRONI:
-        return bonferroni(candidates, alpha, params)
-    if procedure is Procedure.BH:
-        return benjamini_hochberg(candidates, alpha, params)
-    raise ValueError(f"{procedure} is not a candidate-level procedure")
+) -> DetectionReport | list[DetectionReport]:
+    """Bonferroni or BH on a candidate set, as a :class:`DetectionReport`.
+
+    ``candidates`` may also be a list of candidate sets, with ``params``
+    a list of the same length; the result is then one report per set,
+    each equal to the single-set call's.  The height thresholds of all
+    the sets are solved in one batched :func:`palm_quantile` call.
+    """
+    if procedure not in (Procedure.BONFERRONI, Procedure.BH):
+        raise ValueError(f"{procedure} is not a candidate-level procedure")
+    if isinstance(candidates, CandidateSet):
+        cutoff, k = _cutoff(candidates, alpha, procedure)
+        threshold = palm_quantile(params, cutoff) if cutoff > 0.0 else float("inf")
+        return _report(candidates, alpha, procedure, cutoff, k, threshold)
+    if len(candidates) != len(params):
+        raise ValueError("candidates and params lists must align")
+    cuts = [_cutoff(c, alpha, procedure) for c in candidates]
+    solve = [i for i, (cutoff, _) in enumerate(cuts) if cutoff > 0.0]
+    thresholds = np.full(len(cuts), np.inf)
+    thresholds[solve] = palm_quantile(
+        [params[i] for i in solve], [cuts[i][0] for i in solve]
+    )
+    return [
+        _report(c, alpha, procedure, cutoff, k, threshold)
+        for c, (cutoff, k), threshold in zip(candidates, cuts, thresholds.tolist())
+    ]
+
+
+def _report(candidates, alpha, procedure, cutoff, k, threshold) -> DetectionReport:
+    return DetectionReport(
+        procedure=procedure,
+        alpha=alpha,
+        rejected=candidates.select(candidates.pvalues < cutoff),
+        pvalue_cutoff=cutoff,
+        height_threshold=threshold,
+        num_candidates=candidates.count,
+        step_index=k,
+    )
 
 
 @dataclass(frozen=True)

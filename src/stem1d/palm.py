@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,21 +38,37 @@ def clip_pvalues(p) -> np.ndarray:
     return np.clip(p, _P_FLOOR, _P_CEIL)
 
 
-def bisect_decreasing(f, target: float, lo: float, hi: float) -> tuple[float, float]:
+def bisect_decreasing(f, target, lo, hi):
     """Bisect a bracket of a decreasing ``f`` towards ``f(u) = target``.
 
     A midpoint with ``f > target`` becomes the new ``lo``, any other the
     new ``hi``.  Stops when the midpoint equals an end, or after 200
     steps, and returns the final ``(lo, hi)``.
+
+    Given arrays, each entry is a bracket of its own under the same rule:
+    ``f`` maps an array of midpoints to values, one per entry, and an
+    entry whose midpoint equals an end keeps its pair from then on, so
+    it ends where a float call on it would.
     """
+    if not isinstance(lo, np.ndarray):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if f(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+    lo, hi = lo.copy(), hi.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        run = (mid != lo) & (mid != hi)
+        if not np.count_nonzero(run):
             break
-        if f(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        up = run & (f(mid) > target)
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=run ^ up)
     return lo, hi
 
 
@@ -86,6 +103,19 @@ class PalmParams:
         object.__setattr__(self, "c1", c1)
 
 
+class _Stacked(NamedTuple):
+    """The coefficients of several :class:`PalmParams`, one array entry each."""
+
+    sigma: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    c1: np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[PalmParams]) -> "_Stacked":
+        return cls(*(np.array([getattr(p, f) for p in params]) for f in cls._fields))
+
+
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
@@ -97,6 +127,12 @@ def palm_survival(params: PalmParams, u):
     cancellation in the upper tail.  A float ``u`` takes a scalar path
     with the same formula and the same numpy ufuncs, so it returns the
     same bits as the array path, without the cost of a 0-d array.
+
+    ``params`` may also hold arrays of coefficients, one entry per entry
+    of ``u`` (as :func:`palm_quantile` passes for a batch); the array
+    path then evaluates every entry with its own coefficients, by the
+    same ufuncs in the same order, so each entry has the bits of a call
+    with its own :class:`PalmParams`.
     """
     a1, a2, c1, sigma = params.a1, params.a2, params.c1, params.sigma
     if isinstance(u, float):
@@ -104,7 +140,7 @@ def palm_survival(params: PalmParams, u):
             raise ValueError("u must be finite")
         return float(ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u))
     u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("u must be finite")
     out = ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
     if out.ndim == 0:
@@ -112,14 +148,24 @@ def palm_survival(params: PalmParams, u):
     return out
 
 
-def palm_quantile(params: PalmParams, v: float) -> float:
+def palm_quantile(params, v):
     """Height u with ``palm_survival(u) = v`` for v in (0, 1].
 
     ``v = 1`` returns ``-inf`` (every height exceeds the threshold).
     Solved by bisection on an expanding bracket; the survivor function
     is continuous and strictly decreasing, so this is unconditionally
     convergent.
+
+    ``v`` may also be a 1-D array, with ``params`` a sequence of
+    :class:`PalmParams`, one per entry.  Each entry then runs the float
+    call's bracket expansion and bisection, stopping on its own, while
+    every step evaluates the survivor function for all entries in one
+    array pass; the result is an array holding, entry by entry, the bits
+    of the float call.  Any entry outside (0, 1] raises the float call's
+    error.
     """
+    if np.ndim(v):
+        return _quantiles(params, np.asarray(v, dtype=np.float64))
     if not (0.0 < v <= 1.0):
         raise ValueError(f"v must lie in (0, 1], got {v!r}")
     if v == 1.0:
@@ -137,6 +183,34 @@ def palm_quantile(params: PalmParams, v: float) -> float:
         lo *= 2.0
     lo, hi = bisect_decreasing(lambda u: palm_survival(params, u), v, lo, hi)
     return 0.5 * (lo + hi)
+
+
+def _quantiles(params, v: np.ndarray) -> np.ndarray:
+    """:func:`palm_quantile` of the 1-D array ``v``, the entries in step."""
+    bad = ~((0.0 < v) & (v <= 1.0))
+    if bad.any():
+        raise ValueError(f"v must lie in (0, 1], got {float(v[bad][0])!r}")
+    if v.ndim != 1 or len(params) != v.size:
+        raise ValueError("v must be 1-D, with one PalmParams per entry")
+    out = np.full(v.shape, -np.inf)
+    solve = v < 1.0
+    coef = _Stacked.of([p for p, s in zip(params, solve) if s])
+    target = v[solve]
+    hi = 10.0 * coef.sigma
+    for _ in range(200):
+        done = palm_survival(coef, hi) < target
+        if done.all():
+            break
+        hi = np.where(done, hi, hi * 2.0)
+    lo = -10.0 * coef.sigma
+    for _ in range(200):
+        done = palm_survival(coef, lo) > target
+        if done.all():
+            break
+        lo = np.where(done, lo, lo * 2.0)
+    lo, hi = bisect_decreasing(lambda u: palm_survival(coef, u), target, lo, hi)
+    out[solve] = 0.5 * (lo + hi)
+    return out
 
 
 def expected_maxima_density(moments: NoiseMoments) -> float:

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, InputFileError, finite_number
+from .errors import ConfigurationError, InputFileError, finite_number, utf8_text
 from .grid import SampledSequence
 from .kernels import KernelFamily
 from .multitest import Procedure
@@ -55,7 +55,7 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
     """
     # newline="": lines end where they do in the default mode, but keep
     # their bytes, so the bulk parse can count the header's
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
         source = _bulk_source(fh, path)
         parsed = None if source is None else _read_series_bulk(fh, path, source)
         if parsed is None:
@@ -219,7 +219,7 @@ def read_moments_json(path) -> NoiseMoments:
     raises :class:`InputFileError` naming the file (and the line, for a
     parse error).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -350,5 +350,5 @@ def design_from_json_dict(data: dict) -> SimulationDesign:
 
 
 def read_design_json(path) -> SimulationDesign:
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         return design_from_json_dict(json.load(fh))

@@ -230,6 +230,33 @@ def test_detect_truncated_moments_json_exits_3(tmp_path, capsys):
     assert str(moments) in err and "line 3" in err and "malformed JSON" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"# dt=1.0\n0.5\n\xff\n0.5\n",
+        b"# dt=1.0\n" + b"0.5\n" * 5000 + b"\xff\n",
+        b"# dt=1.0\n" + b"0.5\n" * 5000 + b"# note\n\xff\n",
+    ],
+    ids=["short", "bulk-parse", "per-line"],
+)
+def test_detect_non_utf8_series_exits_3(tmp_path, capsys, data):
+    # a byte past the first read chunk reaches the bulk parse, or, after
+    # a mid-recording comment, the per-line reader
+    series = tmp_path / "series.csv"
+    series.write_bytes(data)
+    assert _detect_exit(tmp_path, series=series) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "not UTF-8 text (byte 0xff)" in err
+
+
+def test_detect_non_utf8_moments_json_exits_3(tmp_path, capsys):
+    moments = tmp_path / "moments.json"
+    moments.write_bytes(b'{"sigma2": 1.0, "lambda2": 0.5, "lambda4": \xff}')
+    assert _detect_exit(tmp_path, moments=moments) == 3
+    err = capsys.readouterr().err
+    assert str(moments) in err and "not UTF-8 text (byte 0xff)" in err
+
+
 def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
     series = tmp_path / "series.csv"
     _write_spike_series(series, [7], n=15)

@@ -9,6 +9,7 @@ when it moves the result by one ulp.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from stem1d import (
@@ -91,6 +92,14 @@ def test_palm_quantile_bits():
         for name, v in QUANTILES
     }
     assert got == QUANTILES
+
+
+def test_palm_quantile_batched_bits():
+    # every entry in one mixed batch: each keeps its float call's bits
+    keys = list(QUANTILES)
+    params = [PalmParams(MOMENTS[name]) for name, _ in keys]
+    got = palm_quantile(params, np.array([v for _, v in keys]))
+    assert {key: u.hex() for key, u in zip(keys, got.tolist())} == QUANTILES
 
 
 def test_supremum_threshold_bits():

@@ -113,7 +113,7 @@ def _cands_with_pvalues(pvalues):
     return CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), np.zeros(n), p)
 
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 # p-value lists strictly inside (0, 1), from 1e-12 up, with many small
 # values so both procedures reject something in most examples
@@ -216,3 +216,35 @@ def test_missing_pvalues_rejected():
     naked = CandidateSet(np.array([0]), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         bonferroni(naked, 0.05, PARAMS)
+
+
+WIDE = PalmParams(closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0))
+
+
+def _assert_same_report(got, want):
+    assert got.procedure is want.procedure
+    assert got.alpha == want.alpha
+    assert float.hex(got.pvalue_cutoff) == float.hex(want.pvalue_cutoff)
+    assert float.hex(got.height_threshold) == float.hex(want.height_threshold)
+    assert got.num_candidates == want.num_candidates
+    assert got.step_index == want.step_index
+    for name in ("indices", "locations", "heights", "pvalues"):
+        np.testing.assert_array_equal(
+            getattr(got.rejected, name), getattr(want.rejected, name)
+        )
+
+
+@PROPERTY
+@given(st.lists(PVALUES, max_size=6), st.floats(0.001, 0.5))
+def test_list_call_matches_single_set_calls(pvalue_lists, alpha):
+    # every list also holds an empty set (m = 0) and one on which BH
+    # rejects nothing (k = 0), and alternates two sets of moments
+    cands = [_cands_with_pvalues(p) for p in pvalue_lists]
+    cands += [CandidateSet.empty(), _cands_with_pvalues([0.5, 0.8, 0.9])]
+    params = [(PARAMS, WIDE)[i % 2] for i in range(len(cands))]
+    for procedure in (Procedure.BONFERRONI, Procedure.BH):
+        reports = run_procedure(cands, alpha, params, procedure)
+        assert len(reports) == len(cands)
+        for c, p, report in zip(cands, params, reports):
+            _assert_same_report(report, run_procedure(c, alpha, p, procedure))
+    assert reports[-1].step_index == 0 and reports[-2].num_candidates == 0

@@ -71,9 +71,7 @@ def test_quantile_inverts_survival():
             palm_quantile(params, bad)
 
 
-# Property tests run a fixed example sequence, so the suite stays
-# deterministic.
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 
 @st.composite
@@ -107,6 +105,33 @@ def test_survival_inverts_quantile(m, decades):
     assert palm_survival(params, palm_quantile(params, v)) == pytest.approx(
         v, rel=1e-9
     )
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(moments(), st.floats(0.0, 300.0, exclude_min=True)), max_size=20
+    )
+)
+def test_batched_quantile_matches_float_calls_bitwise(entries):
+    # levels v in [1e-300, 1), then exactly 1, which must give -inf
+    params = [PalmParams(m) for m, _ in entries] + [_params()]
+    v = [10.0 ** -decades for _, decades in entries] + [1.0]
+    got = palm_quantile(params, np.array(v))
+    assert got.shape == (len(v),)
+    assert got[-1] == -math.inf
+    for p, level, u in zip(params, v, got.tolist()):
+        assert u.hex() == palm_quantile(p, level).hex()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
+def test_batched_quantile_rejects_levels_as_float_call(bad):
+    params = _params()
+    with pytest.raises(ValueError) as single:
+        palm_quantile(params, bad)
+    with pytest.raises(ValueError) as batched:
+        palm_quantile([params, _params(gamma=3.0), params], np.array([0.5, bad, 0.1]))
+    assert str(batched.value) == str(single.value)
 
 
 @PROPERTY

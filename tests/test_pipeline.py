@@ -111,7 +111,7 @@ def test_stem_detect_scale_equivariance():
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(st.floats(-1e4, 1e4), st.sampled_from([Procedure.BONFERRONI, Procedure.BH]))
 def test_stem_detect_invariant_to_time_shift(t0, procedure):
     rng = np.random.default_rng(5)

@@ -181,7 +181,7 @@ def _outcome(read, path):
     return seq.values.tobytes(), seq.dt, seq.t0
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(_series_text())
 @example("# a\r# dt=0.5\n1.0\n2.0\n")
 @example("\ufeff# dt=0.5\n1.0\n")
