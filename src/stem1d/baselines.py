@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError
 from .grid import SQRT_2PI, SampledSequence
-from .multitest import DetectionReport, Procedure, check_alpha, step_up_count
+from .multitest import DetectionReport, Procedure, _cutoff, _report, check_alpha
 from .noise import NoiseMoments
 from .palm import bisect_decreasing, clip_pvalues
 
@@ -45,6 +45,12 @@ def _gaussian_quantile(moments: NoiseMoments, cutoff: float) -> float:
     return -moments.sigma * float(ndtri(cutoff))
 
 
+_POINTWISE_RULES = {
+    Procedure.POINTWISE_BONFERRONI: Procedure.BONFERRONI,
+    Procedure.POINTWISE_BH: Procedure.BH,
+}
+
+
 def pointwise_correct(
     samples: CandidateSet,
     alpha: float,
@@ -53,36 +59,18 @@ def pointwise_correct(
 ) -> DetectionReport:
     """Correct the per-sample p-values over the number of samples.
 
+    The cutoff is the one Bonferroni or BH takes on candidate p-values.
     The rejected entries are samples, not peaks.  The report's height
     threshold is the sample value equivalent to the realized cutoff,
     which lets peak-level scoring treat the method as a height rule.
     """
     if samples.pvalues is None:
         raise ValueError("samples carry no p-values")
-    p = samples.pvalues
-    m = samples.count
-    k = 0
-    if procedure is Procedure.POINTWISE_BONFERRONI:
-        cutoff = alpha / m if m > 0 else 1.0
-    elif procedure is Procedure.POINTWISE_BH:
-        if m == 0:
-            cutoff = 1.0
-        else:
-            k = step_up_count(p, alpha)
-            cutoff = k * alpha / m if k > 0 else 0.0
-    else:
+    if procedure not in _POINTWISE_RULES:
         raise ValueError(f"{procedure} is not a pointwise procedure")
-    threshold = _gaussian_quantile(moments, cutoff) if m > 0 else float("-inf")
-    rejected = samples.select(p < cutoff)
-    return DetectionReport(
-        procedure=procedure,
-        alpha=alpha,
-        rejected=rejected,
-        pvalue_cutoff=cutoff,
-        height_threshold=threshold,
-        num_candidates=m,
-        step_index=k,
-    )
+    cutoff, k = _cutoff(samples, alpha, _POINTWISE_RULES[procedure])
+    threshold = _gaussian_quantile(moments, cutoff)
+    return _report(samples, alpha, procedure, cutoff, k, threshold)
 
 
 def excursion_bound(

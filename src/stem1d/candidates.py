@@ -38,7 +38,7 @@ class CandidateSet:
             pvalues = np.asarray(pvalues, dtype=np.float64)
             if pvalues.shape != locations.shape:
                 raise ValueError("pvalues must match the other fields")
-            if np.any(pvalues <= 0.0) or np.any(pvalues >= 1.0):
+            if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
                 raise ValueError("pvalues must lie strictly inside (0, 1)")
         order = np.argsort(locations, kind="stable")
         indices = indices[order]
@@ -68,7 +68,7 @@ class CandidateSet:
         pvalues = np.array(pvalues, dtype=np.float64)
         if pvalues.shape != self.locations.shape:
             raise ValueError("pvalues must match the other fields")
-        if np.any(pvalues <= 0.0) or np.any(pvalues >= 1.0):
+        if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
             raise ValueError("pvalues must lie strictly inside (0, 1)")
         return CandidateSet._canonical(
             self.indices, self.locations, self.heights, pvalues

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .candidates import CandidateSet
-from .grid import SampledSequence
+from .grid import SampledSequence, nearly_equal
 from .kernels import Kernel, KernelFamily, convolve, gaussian_kernel, quartic_kernel
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import (
@@ -257,6 +257,13 @@ class SimulationDesign:
         self.validate()
 
     def validate(self) -> None:
+        lengths = ("dt", "kernel_trunc")
+        if self.moments_mode == "estimated":
+            lengths += ("moments_length",)
+        for name in lengths:
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.gamma_grid:
             raise ValueError("gamma_grid must be non-empty")
         if any(g < self.dt for g in self.gamma_grid):
@@ -329,9 +336,9 @@ class SweepResult:
         for cell in self.cells:
             if cell.procedure != procedure or metric not in cell.metrics:
                 continue
-            if gamma is not None and not _float_match(cell.gamma, gamma):
+            if gamma is not None and not nearly_equal(cell.gamma, gamma):
                 continue
-            if amplitude is not None and not _float_match(cell.amplitude, amplitude):
+            if amplitude is not None and not nearly_equal(cell.amplitude, amplitude):
                 continue
             return cell.metrics[metric]
         raise KeyError(
@@ -368,10 +375,6 @@ class SweepResult:
                 f"{row['metric']},{value},{se},{row['replications']}"
             )
         return lines
-
-
-def _float_match(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def _proportion_stats(flags: np.ndarray) -> tuple[float, float]:

@@ -10,6 +10,11 @@ import numpy as np
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def nearly_equal(a: float, b: float) -> bool:
+    """``a`` and ``b`` agree to within 1e-9, relative above magnitude 1."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
 def strict_local_maxima(v: np.ndarray) -> np.ndarray:
     """Indices i with v[i] above both neighbours; plateaus never qualify."""
     return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1

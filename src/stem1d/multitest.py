@@ -113,12 +113,6 @@ def _json_float(x: float):
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
-def _require_pvalues(candidates: CandidateSet) -> np.ndarray:
-    if candidates.pvalues is None:
-        raise ValueError("candidates carry no p-values")
-    return candidates.pvalues
-
-
 def step_up_count(p: np.ndarray, alpha: float) -> int:
     """Largest i with the i-th smallest p-value below i * alpha / m; 0 if none."""
     m = p.size
@@ -149,7 +143,9 @@ def benjamini_hochberg(
 def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure):
     """``(pvalue_cutoff, k)`` of one candidate set: a cutoff of 1 with no
     candidates, and of 0 when a step-up rejects nothing (k = 0)."""
-    p = _require_pvalues(candidates)
+    p = candidates.pvalues
+    if p is None:
+        raise ValueError("candidates carry no p-values")
     m = candidates.count
     if m == 0:
         return 1.0, 0
@@ -168,16 +164,15 @@ def run_procedure(
     """Bonferroni or BH on a candidate set, as a :class:`DetectionReport`.
 
     ``candidates`` may also be a list of candidate sets, with ``params``
-    a list of the same length; the result is then one report per set,
-    each equal to the single-set call's.  The height thresholds of all
+    a list of the same length; the result is then one report per set.
+    A single set is run as a list of one.  The height thresholds of all
     the sets are solved in one batched :func:`palm_quantile` call.
     """
     if procedure not in (Procedure.BONFERRONI, Procedure.BH):
         raise ValueError(f"{procedure} is not a candidate-level procedure")
-    if isinstance(candidates, CandidateSet):
-        cutoff, k = _cutoff(candidates, alpha, procedure)
-        threshold = palm_quantile(params, cutoff) if cutoff > 0.0 else float("inf")
-        return _report(candidates, alpha, procedure, cutoff, k, threshold)
+    single = isinstance(candidates, CandidateSet)
+    if single:
+        candidates, params = [candidates], [params]
     if len(candidates) != len(params):
         raise ValueError("candidates and params lists must align")
     cuts = [_cutoff(c, alpha, procedure) for c in candidates]
@@ -186,10 +181,11 @@ def run_procedure(
     thresholds[solve] = palm_quantile(
         [params[i] for i in solve], [cuts[i][0] for i in solve]
     )
-    return [
+    reports = [
         _report(c, alpha, procedure, cutoff, k, threshold)
         for c, (cutoff, k), threshold in zip(candidates, cuts, thresholds.tolist())
     ]
+    return reports[0] if single else reports
 
 
 def _report(candidates, alpha, procedure, cutoff, k, threshold) -> DetectionReport:

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigurationError, InputFileError, finite_number, utf8_text
-from .grid import SampledSequence
+from .grid import SampledSequence, nearly_equal
 from .kernels import KernelFamily
 from .multitest import Procedure
 from .noise import GaussianAcvfParams, NoiseMoments
@@ -174,11 +174,11 @@ def _header_values(line: str, path, lineno: int, header_dt, header_t0):
 
 def _sequence(path, values, header_dt, header_t0, dt, t0) -> SampledSequence:
     """The series from its parsed values, flags and header values."""
-    if dt is not None and header_dt is not None and not _close(dt, header_dt):
+    if dt is not None and header_dt is not None and not nearly_equal(dt, header_dt):
         raise ConfigurationError(
             f"{path}: dt flag {dt} conflicts with header dt {header_dt}"
         )
-    if t0 is not None and header_t0 is not None and not _close(t0, header_t0):
+    if t0 is not None and header_t0 is not None and not nearly_equal(t0, header_t0):
         raise ConfigurationError(
             f"{path}: t0 flag {t0} conflicts with header t0 {header_t0}"
         )
@@ -195,10 +195,6 @@ def write_series(seq: SampledSequence, path, extra_header: tuple[str, ...] = ())
     lines.extend(repr(float(v)) for v in seq.values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def write_moments_json(

@@ -472,3 +472,34 @@ def test_simulate_flag_errors(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dt", float("nan")),
+        ("dt", 0.0),
+        ("dt", float("inf")),
+        ("kernel_trunc", -1.0),
+        ("kernel_trunc", float("inf")),
+        ("moments_length", float("nan")),
+        ("moments_length", -5.0),
+        ("moments_length", float("inf")),
+    ],
+)
+def test_simulate_design_bad_length_exits_2(tmp_path, capsys, field, value):
+    # caught when the design is read, before any replication runs
+    path = _tiny_design_json(tmp_path)
+    design = json.loads(path.read_text())
+    design[field] = value
+    if field == "moments_length":
+        design["moments_mode"] = "estimated"
+    path.write_text(json.dumps(design))
+    code = main(
+        ["simulate", "--design", str(path), "--seed", "1",
+         "--output", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"invalid design file: {field} must be positive and finite" in err
+    assert not (tmp_path / "x.csv").exists()

@@ -19,6 +19,7 @@ from stem1d import (
     bonferroni,
     closed_form_moments,
     expected_maxima_density,
+    palm_quantile,
     palm_survival,
 )
 from stem1d.multitest import run_procedure
@@ -29,15 +30,10 @@ PARAMS = PalmParams(closed_form_moments(GaussianAcvfParams(1.0), 1.0))
 def _cands(pvalues):
     p = np.asarray(pvalues, dtype=np.float64)
     n = p.size
-    # heights consistent with the p-values so threshold checks line up
-    heights = np.array([_height_for(v) for v in p])
+    # heights consistent with the p-values so threshold checks line up,
+    # solved in one batch
+    heights = palm_quantile([PARAMS] * n, p)
     return CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights, p)
-
-
-def _height_for(p):
-    from stem1d import palm_quantile
-
-    return palm_quantile(PARAMS, p)
 
 
 def _bh_brute_force(p, alpha):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -107,21 +107,61 @@ def test_survival_inverts_quantile(m, decades):
     )
 
 
+def _scalar_quantile(params, v):
+    """Reference solve, one level at a time with Python floats: a bracket
+    expanded by doubling from +-10 sigma, then bisection until the
+    midpoint equals an end."""
+    if v == 1.0:
+        return float("-inf")
+    sigma = params.sigma
+    hi = 10.0 * sigma
+    for _ in range(200):
+        if palm_survival(params, hi) < v:
+            break
+        hi *= 2.0
+    lo = -10.0 * sigma
+    for _ in range(200):
+        if palm_survival(params, lo) > v:
+            break
+        lo *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if palm_survival(params, mid) > v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @PROPERTY
 @given(
     st.lists(
         st.tuples(moments(), st.floats(0.0, 300.0, exclude_min=True)), max_size=20
     )
 )
+# levels just below 1, where the lower end of the starting bracket
+# decides the last bits; random draws rarely come this close
+@example(
+    [
+        (NoiseMoments(1.0, 0.5, 0.75), 1e-3),
+        (NoiseMoments(0.0939, 0.0052, 0.00087), 1e-4),
+        (NoiseMoments(2.5, 0.02, 0.0009), 1e-6),
+    ]
+)
 def test_batched_quantile_matches_float_calls_bitwise(entries):
-    # levels v in [1e-300, 1), then exactly 1, which must give -inf
+    # levels v in [1e-300, 1), then exactly 1, which must give -inf; the
+    # batch and each float call must both land on the reference's bits
     params = [PalmParams(m) for m, _ in entries] + [_params()]
     v = [10.0 ** -decades for _, decades in entries] + [1.0]
     got = palm_quantile(params, np.array(v))
     assert got.shape == (len(v),)
     assert got[-1] == -math.inf
     for p, level, u in zip(params, v, got.tolist()):
-        assert u.hex() == palm_quantile(p, level).hex()
+        want = _scalar_quantile(p, level).hex()
+        assert u.hex() == want
+        assert palm_quantile(p, level).hex() == want
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
@@ -221,6 +261,19 @@ def test_candidate_pvalues_clamped_and_attached():
     assert out.pvalues[0] < 1.0
     empty = candidate_pvalues(CandidateSet.empty(), params)
     assert len(empty) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0, -0.5, 2.0])
+def test_candidate_set_rejects_pvalues_outside_unit_interval(bad):
+    # NaN included: both constructors must refuse it, not carry it into
+    # a correction that would silently reject nothing
+    fields = (np.arange(2), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    message = r"pvalues must lie strictly inside \(0, 1\)"
+    for p in (np.array([0.5, bad]), np.array([bad, bad])):
+        with pytest.raises(ValueError, match=message):
+            CandidateSet(*fields, p)
+        with pytest.raises(ValueError, match=message):
+            CandidateSet(*fields).with_pvalues(p)
 
 
 def test_candidate_set_validation():
