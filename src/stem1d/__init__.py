@@ -14,9 +14,7 @@ from .kernels import (
     convolve,
     estimate_template,
     gaussian_kernel,
-    load_kernel_csv,
     quartic_kernel,
-    save_kernel_csv,
 )
 from .signals import (
     CauchyShape,
@@ -86,6 +84,7 @@ from .evaluation import (
     snr_general,
     theoretical_power,
 )
+from .seriesio import load_kernel_csv, save_kernel_csv
 from . import errors
 
 __version__ = "0.1.0"

@@ -16,28 +16,24 @@ input files, 4 for numeric failures on degenerate data.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigurationError, InputFileError, NumericFailureError
 from .evaluation import PRESET_NAMES, preset_design, run_sweep
-from .kernels import (
-    convolve,
-    estimate_template,
-    gaussian_kernel,
-    load_kernel_csv,
-    quartic_kernel,
-    save_kernel_csv,
-)
+from .kernels import convolve, estimate_template, gaussian_kernel, quartic_kernel
 from .multitest import Procedure, check_alpha
 from .noise import estimate_moments
 from .pipeline import stem_detect
 from .seriesio import (
+    load_kernel_csv,
     read_design_json,
     read_moments_json,
     read_series,
+    save_kernel_csv,
+    write_json,
+    write_lines,
     write_moments_json,
 )
 
@@ -113,11 +109,6 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--template-file", help="template kernel CSV")
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # detect
 
@@ -137,13 +128,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.report_json:
         payload = report.to_json_dict()
         payload["provenance"] = _provenance_dict("detect", args)
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.report_json, payload)
     if args.peaks_csv:
-        lines = list(_provenance_lines("detect", args))
-        lines.extend(report.rejected_csv_lines())
-        _write_lines(args.peaks_csv, lines)
+        lines = [*_provenance_lines("detect", args), *report.rejected_csv_lines()]
+        write_lines(args.peaks_csv, lines)
     print(f"candidates: {report.num_candidates}")
     print(f"rejected: {report.num_rejected}")
     print(f"pvalue_cutoff: {report.pvalue_cutoff!r}")
@@ -197,14 +185,12 @@ def _figure_files(result, tag: str):
         "locmax": ("locmax_per_peak",),
         "bandwidth_hist": ("chosen_fraction", "chosen_gamma_mean"),
     }
-    header = "gamma,amplitude,procedure,metric,value,se,replications"
+    header, *lines = result.csv_lines()
+    rows = result.to_rows()
     for label, metrics in groups.items():
-        lines = [header]
-        for line, row in zip(result.csv_lines()[1:], result.to_rows()):
-            if row["metric"] in metrics:
-                lines.append(line)
-        if len(lines) > 1:
-            yield f"{tag}_{label}.csv", lines
+        body = [line for line, row in zip(lines, rows) if row["metric"] in metrics]
+        if body:
+            yield f"{tag}_{label}.csv", [header, *body]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -223,8 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         design = design.with_options(**overrides)
     result = run_sweep(design, seed=args.seed)
     prov = _provenance_lines("simulate", args)
-    lines = list(prov) + result.csv_lines()
-    _write_lines(args.output, lines)
+    write_lines(args.output, [*prov, *result.csv_lines()])
     print(f"design: {design.name}")
     print(f"replications: {design.replications}")
     print(f"cells: {len(result.cells)}")
@@ -234,7 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tag = _FIGURE_TAGS.get(design.name, design.name)
         for filename, body in _figure_files(result, tag):
             path = outdir / filename
-            _write_lines(path, list(prov) + body)
+            write_lines(path, [*prov, *body])
             print(f"wrote: {path}")
     return 0
 

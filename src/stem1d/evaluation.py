@@ -27,6 +27,7 @@ from .grid import SampledSequence, nearly_equal
 from .kernels import Kernel, KernelFamily, convolve, gaussian_kernel, quartic_kernel
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import (
+    MIN_INTERIOR_SAMPLES,
     GaussianAcvfParams,
     NoiseMoments,
     closed_form_moments,
@@ -288,6 +289,15 @@ class SimulationDesign:
             raise ValueError("moments_reps must be positive")
         if self.kernel_family is KernelFamily.TEMPLATE:
             raise ValueError("sweeps support gaussian and quartic kernels only")
+        if self.moments_mode == "estimated":
+            gamma = max(self.gamma_grid)
+            margin = self.build_kernel(gamma).half_support_samples
+            if self.calibration_samples - 2 * margin < MIN_INTERIOR_SAMPLES:
+                raise ValueError(
+                    f"moments_length must leave at least {MIN_INTERIOR_SAMPLES} "
+                    f"calibration samples inside the margins of the gamma={gamma} "
+                    f"kernel, got {self.moments_length!r}"
+                )
         if self.auto_bandwidth:
             allowed = (Procedure.BONFERRONI, Procedure.BH)
             if any(p not in allowed for p in self.procedures):
@@ -296,6 +306,11 @@ class SimulationDesign:
                 )
         if self.rice_convention not in ("paper", "classical"):
             raise ValueError(f"unknown rice_convention {self.rice_convention!r}")
+
+    @property
+    def calibration_samples(self) -> int:
+        """Samples in each calibration run of estimated moments."""
+        return int(round(self.moments_length / self.dt)) + 1
 
     def build_kernel(self, gamma: float) -> Kernel:
         if self.kernel_family is KernelFamily.GAUSSIAN:
@@ -401,7 +416,7 @@ def _cell_moments(
 ) -> NoiseMoments:
     if design.moments_mode == "closed_form":
         return closed_form_moments(design.noise, gamma)
-    n = int(round(design.moments_length / design.dt)) + 1
+    n = design.calibration_samples
     acc = np.zeros(3)
     for rep in range(design.moments_reps):
         raw = generate_noise(

@@ -4,7 +4,8 @@ Kernels are stored as sampled weight arrays with unit discrete action
 (sum of weights times dt equals 1) so that convolution approximates the
 continuous integral ``(w * y)(t)``.  Template kernels estimated from
 training data are instead normalized to a maximum weight of 1 and may
-contain negative lobes.
+contain negative lobes.  This module holds the maths only: template
+files are read and written by :mod:`stem1d.seriesio`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ from .errors import (
     BandwidthTooSmallError,
     DegenerateSequenceError,
     GridMismatchError,
-    InputFileError,
     NoQualifyingPeaksError,
-    finite_number,
-    utf8_text,
 )
 from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
 
@@ -189,53 +187,3 @@ def estimate_template(
     template = template / top
     center = int(np.argmax(template))
     return Kernel(template, training.dt, center, 0.0, KernelFamily.TEMPLATE)
-
-
-def save_kernel_csv(kernel: Kernel, path, extra_header: tuple[str, ...] = ()) -> None:
-    """One weight per line, with a ``# dt=<value> center=<index>`` header."""
-    lines = list(extra_header)
-    lines.append(f"# dt={kernel.dt!r} center={kernel.center_index}")
-    lines.extend(repr(float(w)) for w in kernel.weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_kernel_csv(path) -> Kernel:
-    """Read a template kernel written by :func:`save_kernel_csv`.
-
-    A weight or header value that does not parse, a missing header or no
-    weights, and weights that do not form a valid kernel all raise
-    :class:`InputFileError` naming the file (and the line, where one is
-    at fault).
-    """
-    dt = None
-    center = None
-    weights: list[float] = []
-    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("dt="):
-                        dt = finite_number(token[3:], path, lineno, "dt")
-                    elif token.startswith("center="):
-                        try:
-                            center = int(token[7:])
-                        except ValueError:
-                            raise InputFileError(
-                                f"{path}, line {lineno}: center={token[7:]!r} "
-                                "is not an integer"
-                            ) from None
-                continue
-            weights.append(finite_number(line, path, lineno))
-    if dt is None or center is None or not weights:
-        raise InputFileError(
-            f"{path}: not a valid template file (needs a '# dt=... center=...' "
-            "header and at least one weight)"
-        )
-    try:
-        return Kernel(np.asarray(weights), dt, center, 0.0, KernelFamily.TEMPLATE)
-    except ValueError as exc:
-        raise InputFileError(f"{path}: {exc}") from exc

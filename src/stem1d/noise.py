@@ -18,6 +18,8 @@ from .errors import DegenerateSequenceError
 from .grid import SQRT_2PI, SampledSequence
 
 _SQRT_PI = math.sqrt(math.pi)
+# fewest samples estimate_moments takes from inside a sequence's margins
+MIN_INTERIOR_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,9 @@ def estimate_moments(seq: SampledSequence, zero_mean: bool = False) -> NoiseMome
     correlated sequences, so skip it when the mean is known to be zero.
     """
     v = seq.interior
-    if v.size < 10:
+    if v.size < MIN_INTERIOR_SAMPLES:
         raise DegenerateSequenceError(
-            f"need at least 10 interior samples, got {v.size}"
+            f"need at least {MIN_INTERIOR_SAMPLES} interior samples, got {v.size}"
         )
     d1 = np.diff(v)
     d2 = np.diff(v, n=2)

@@ -1,32 +1,34 @@
-"""File formats: value-per-line series CSV, moments JSON, design JSON.
+"""File formats: one reader and one writer for each kind of file.
 
-Series files hold one value per line.  Comment lines start with ``#``;
-a comment of the form ``# dt=<value>`` (and optionally ``t0=<value>``)
-records the grid.  All writers accept extra comment lines so callers can
-prepend provenance.
+Series and template CSV files hold one number per line.  In ``#`` comment
+lines the tokens ``dt=``, ``t0=`` and ``center=`` give the grid and a
+template's lag-zero index; each is checked where it appears.  Moments and
+design files hold one JSON object.  Every output is written by
+:func:`write_lines` or :func:`write_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
 import mmap
 import os
 import stat
-from dataclasses import asdict
+import types
+import typing
 
 import numpy as np
 
 from .errors import ConfigurationError, InputFileError, finite_number, utf8_text
 from .grid import SampledSequence, nearly_equal
-from .kernels import KernelFamily
-from .multitest import Procedure
+from .kernels import Kernel, KernelFamily
 from .noise import GaussianAcvfParams, NoiseMoments
 from .signals import (
     CauchyShape,
     EpanechnikovShape,
     LaplaceShape,
-    PeakSpec,
     SignalSpec,
     TriangularShape,
     TruncatedGaussianShape,
@@ -39,18 +41,18 @@ DESIGN_SCHEMA = 1
 def read_series(path, dt: float | None = None, t0: float | None = None) -> SampledSequence:
     """Read a series file; flag values must agree with any header values.
 
-    Every data line must hold one finite number, and a header ``dt`` or
-    ``t0`` must be a finite number (``dt`` a positive one).  Anything else
-    raises :class:`InputFileError` naming the file and the line number, as
-    does a file with no data line.
+    Every data line must hold one finite number, a header ``dt`` or ``t0``
+    a finite number (``dt`` a positive one), and a header ``center`` an
+    integer.  Anything else raises :class:`InputFileError` naming the file
+    and the line number, as does a file with no data line.
 
     The file is opened once here.  A regular file that numpy will not take
     for a compressed one, with no ``#`` after its data starts, is then
     reopened by path and parsed in one C-level pass
     (:func:`_read_series_bulk`).  Any other input (a pipe, a comment after
     the data starts, a bad value, a token ``float`` accepts but numpy does
-    not, such as ``1_0``) goes through :func:`_read_series_lines` on the
-    handle already open; it defines the format and its error messages, and
+    not, such as ``1_0``) goes through :func:`_read_lines` on the handle
+    already open; it defines the format and its error messages, and
     both give the same values bit for bit.
     """
     # newline="": lines end where they do in the default mode, but keep
@@ -59,7 +61,7 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
         source = _bulk_source(fh, path)
         parsed = None if source is None else _read_series_bulk(fh, path, source)
         if parsed is None:
-            parsed = _read_series_lines(fh, path)
+            parsed = _read_lines(fh, path)
     return _sequence(path, *parsed, dt, t0)
 
 
@@ -83,13 +85,13 @@ def _bulk_source(fh, path) -> str | None:
 
 
 def _read_series_bulk(fh, path, source: str):
-    """``(values, header_dt, header_t0)`` from one ``np.loadtxt`` pass, or
-    ``None`` with ``fh`` rewound when only the per-line reader applies.
+    """``(values, header)`` from one ``np.loadtxt`` pass, or ``None`` with
+    ``fh`` rewound when only the per-line reader applies.
 
     The leading block of blank and comment lines is read from ``fh``; the
     rest must be one column of finite numbers, with no ``#`` in it.
     """
-    header_dt = header_t0 = None
+    header: dict = {}
     skip = header_bytes = 0
     for raw in fh:
         line = raw.strip()
@@ -97,7 +99,7 @@ def _read_series_bulk(fh, path, source: str):
             break
         skip += 1
         header_bytes += len(raw.encode("utf-8"))
-        header_dt, header_t0 = _header_values(line, path, skip, header_dt, header_t0)
+        _header_values(line, path, skip, header)
     else:  # no data line
         fh.seek(0)
         return None
@@ -124,22 +126,20 @@ def _read_series_bulk(fh, path, source: str):
     ):
         fh.seek(0)
         return None
-    return table[:, 0], header_dt, header_t0
+    return table[:, 0], header
 
 
-def _read_series_lines(fh, path):
-    """``(values, header_dt, header_t0)`` from the open series file ``fh``,
-    one line at a time."""
-    header_dt = header_t0 = None
+def _read_lines(fh, path):
+    """``(values, header)`` from the open value-per-line file ``fh``, one
+    line at a time; ``header`` maps each header key found to its value."""
+    header: dict = {}
     values: list[float] = []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            header_dt, header_t0 = _header_values(
-                line, path, lineno, header_dt, header_t0
-            )
+            _header_values(line, path, lineno, header)
             continue
         # finite_number's check, inlined: a call per line costs a few
         # percent of reading a 10^6-line series
@@ -154,47 +154,89 @@ def _read_series_lines(fh, path):
         values.append(value)
     if not values:
         raise InputFileError(f"{path}: no data lines")
-    return values, header_dt, header_t0
+    return values, header
 
 
-def _header_values(line: str, path, lineno: int, header_dt, header_t0):
-    """``(header_dt, header_t0)`` updated by the ``dt=``/``t0=`` tokens of
-    the stripped comment or blank ``line``."""
+def _header_values(line: str, path, lineno: int, header: dict) -> None:
+    """Record in ``header`` the ``dt=``, ``t0=`` and ``center=`` tokens of
+    the stripped comment or blank ``line``, each checked here."""
     for token in line[1:].split():
         if token.startswith("dt="):
-            header_dt = finite_number(token[3:], path, lineno, "dt")
-            if header_dt <= 0:
+            header["dt"] = finite_number(token[3:], path, lineno, "dt")
+            if header["dt"] <= 0:
                 raise InputFileError(
-                    f"{path}, line {lineno}: dt={header_dt!r} must be positive"
+                    f"{path}, line {lineno}: dt={header['dt']!r} must be positive"
                 )
         elif token.startswith("t0="):
-            header_t0 = finite_number(token[3:], path, lineno, "t0")
-    return header_dt, header_t0
+            header["t0"] = finite_number(token[3:], path, lineno, "t0")
+        elif token.startswith("center="):
+            try:
+                header["center"] = int(token[7:])
+            except ValueError:
+                raise InputFileError(
+                    f"{path}, line {lineno}: center={token[7:]!r} is not an integer"
+                ) from None
 
 
-def _sequence(path, values, header_dt, header_t0, dt, t0) -> SampledSequence:
-    """The series from its parsed values, flags and header values."""
-    if dt is not None and header_dt is not None and not nearly_equal(dt, header_dt):
-        raise ConfigurationError(
-            f"{path}: dt flag {dt} conflicts with header dt {header_dt}"
-        )
-    if t0 is not None and header_t0 is not None and not nearly_equal(t0, header_t0):
-        raise ConfigurationError(
-            f"{path}: t0 flag {t0} conflicts with header t0 {header_t0}"
-        )
-    final_dt = dt if dt is not None else header_dt
-    final_t0 = t0 if t0 is not None else header_t0
-    if final_dt is None:
+def _sequence(path, values, header: dict, dt, t0) -> SampledSequence:
+    """The series from its parsed values, header values and flags."""
+    grid = {"t0": 0.0, **header}
+    for key, flag in (("dt", dt), ("t0", t0)):
+        if flag is None:
+            continue
+        if key in header and not nearly_equal(flag, header[key]):
+            raise ConfigurationError(
+                f"{path}: {key} flag {flag} conflicts with header {key} {header[key]}"
+            )
+        grid[key] = flag
+    if "dt" not in grid:
         raise ConfigurationError(f"{path}: dt not given by flag or header")
-    return SampledSequence(values, final_dt, final_t0 if final_t0 is not None else 0.0)
+    return SampledSequence(values, grid["dt"], grid["t0"])
+
+
+def load_kernel_csv(path) -> Kernel:
+    """Read a template kernel written by :func:`save_kernel_csv`.
+
+    The file is a series file (see :func:`read_series`, here always read
+    one line at a time) of kernel weights whose header also gives
+    ``center=<index>``.  A bad line or header value, a missing ``dt=`` or
+    ``center=``, no weights, and weights that do not form a valid kernel
+    all raise :class:`InputFileError` naming the file (and the line, where
+    one is at fault).
+    """
+    with utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        weights, header = _read_lines(fh, path)
+    if "dt" not in header or "center" not in header:
+        raise InputFileError(f"{path}: a template needs dt= and center= in its header")
+    dt, center = header["dt"], header["center"]
+    try:
+        return Kernel(np.asarray(weights), dt, center, 0.0, KernelFamily.TEMPLATE)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path``, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_series(seq: SampledSequence, path, extra_header: tuple[str, ...] = ()) -> None:
-    lines = list(extra_header)
-    lines.append(f"# dt={seq.dt!r} t0={seq.t0!r}")
-    lines.extend(repr(float(v)) for v in seq.values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"# dt={seq.dt!r} t0={seq.t0!r}"
+    write_lines(path, [*extra_header, header, *map(repr, seq.values.tolist())])
+
+
+def save_kernel_csv(kernel: Kernel, path, extra_header: tuple[str, ...] = ()) -> None:
+    """One weight per line, with a ``# dt=<value> center=<index>`` header."""
+    header = f"# dt={kernel.dt!r} center={kernel.center_index}"
+    write_lines(path, [*extra_header, header, *map(repr, kernel.weights.tolist())])
 
 
 def write_moments_json(
@@ -203,18 +245,13 @@ def write_moments_json(
     payload = moments.to_json_dict()
     if provenance:
         payload["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
-def read_moments_json(path) -> NoiseMoments:
-    """Read moments written by :func:`write_moments_json`.
-
-    JSON that does not parse, or that does not hold three valid moments,
-    raises :class:`InputFileError` naming the file (and the line, for a
-    parse error).
-    """
+def _read_json_object(path, expected: str) -> dict:
+    """The JSON object in ``path``.  JSON that does not parse, or is not an
+    object, raises :class:`InputFileError` naming the file (and the line,
+    for a parse error); ``expected`` says what the object should hold."""
     with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -223,9 +260,17 @@ def read_moments_json(path) -> NoiseMoments:
                 f"{path}, line {exc.lineno}: malformed JSON: {exc.msg}"
             ) from exc
     if not isinstance(data, dict):
-        raise InputFileError(
-            f"{path}: expected a JSON object with sigma2, lambda2 and lambda4"
-        )
+        raise InputFileError(f"{path}: expected a JSON object {expected}")
+    return data
+
+
+def read_moments_json(path) -> NoiseMoments:
+    """Read moments written by :func:`write_moments_json`.
+
+    A file that is not a JSON object, or that does not hold three valid
+    moments, raises :class:`InputFileError` naming the file.
+    """
+    data = _read_json_object(path, "with sigma2, lambda2 and lambda4")
     try:
         return NoiseMoments.from_json_dict(data)
     except (TypeError, ValueError) as exc:
@@ -233,118 +278,99 @@ def read_moments_json(path) -> NoiseMoments:
 
 
 # ---------------------------------------------------------------------------
-# design files
+# design files: the keys are the fields of SimulationDesign and of the
+# dataclasses in it, but the signal's fields sit at the top level and a
+# peak shape's class is named by "kind"
 
-_SHAPE_BUILDERS = {
-    "truncated_gaussian": lambda d: TruncatedGaussianShape(
-        b=float(d["b"]), c=float(d.get("c", 3.0))
-    ),
-    "epanechnikov": lambda d: EpanechnikovShape(halfwidth=float(d["halfwidth"])),
-    "triangular": lambda d: TriangularShape(halfwidth=float(d["halfwidth"])),
-    "laplace": lambda d: LaplaceShape(b=float(d["b"]), c=float(d.get("c", 3.0))),
-    "cauchy": lambda d: CauchyShape(b=float(d["b"]), c=float(d.get("c", 3.0))),
+_SHAPE_KINDS = {
+    "truncated_gaussian": TruncatedGaussianShape,
+    "epanechnikov": EpanechnikovShape,
+    "triangular": TriangularShape,
+    "laplace": LaplaceShape,
+    "cauchy": CauchyShape,
+}
+# what an absent key means where the dataclass has no default
+_FORMAT_DEFAULTS = {
+    SimulationDesign: {"name": "design", "noise": {}},
+    SignalSpec: {"peaks": []},
+    GaussianAcvfParams: {"sigma": 1.0},
 }
 
 
-def _shape_to_dict(shape) -> dict:
-    kinds = {
-        TruncatedGaussianShape: "truncated_gaussian",
-        EpanechnikovShape: "epanechnikov",
-        TriangularShape: "triangular",
-        LaplaceShape: "laplace",
-        CauchyShape: "cauchy",
-    }
-    kind = kinds.get(type(shape))
-    if kind is None:
-        raise ConfigurationError(
-            f"shape {type(shape).__name__} is not expressible in a design file"
-        )
-    return {"kind": kind, **asdict(shape)}
-
-
 def design_to_json_dict(design: SimulationDesign) -> dict:
-    return {
-        "schema": DESIGN_SCHEMA,
-        "name": design.name,
-        "domain_length": design.signal.domain_length,
-        "dt": design.dt,
-        "noise": {"sigma": design.noise.sigma, "nu": design.noise.nu},
-        "peaks": [
-            {
-                "shape": _shape_to_dict(peak.shape),
-                "amplitude": peak.amplitude,
-                "center": peak.center,
-            }
-            for peak in design.signal.peaks
-        ],
-        "kernel_family": design.kernel_family.value,
-        "kernel_trunc": design.kernel_trunc,
-        "gamma_grid": list(design.gamma_grid),
-        "amplitude_grid": list(design.amplitude_grid),
-        "procedures": [p.value for p in design.procedures],
-        "alpha": design.alpha,
-        "replications": design.replications,
-        "moments_mode": design.moments_mode,
-        "moments_length": design.moments_length,
-        "moments_reps": design.moments_reps,
-        "auto_bandwidth": design.auto_bandwidth,
-        "rice_convention": design.rice_convention,
-    }
+    data = _to_json(SimulationDesign, design)
+    signal = data.pop("signal")
+    return {"schema": DESIGN_SCHEMA, **data, **signal}
 
 
 def design_from_json_dict(data: dict) -> SimulationDesign:
+    """The design a design file's JSON object describes; an unknown or
+    missing key, a value of the wrong JSON type, or a design that
+    :class:`SimulationDesign` rejects raises :class:`ConfigurationError`."""
     try:
-        schema = data.get("schema")
+        data = dict(data)
+        schema = data.pop("schema", None)
         if schema != DESIGN_SCHEMA:
             raise ConfigurationError(
                 f"unsupported design schema {schema!r} (expected {DESIGN_SCHEMA})"
             )
-        peaks = []
-        for entry in data.get("peaks", []):
-            shape_dict = dict(entry["shape"])
-            kind = shape_dict.pop("kind")
-            builder = _SHAPE_BUILDERS.get(kind)
-            if builder is None:
-                raise ConfigurationError(f"unknown peak shape kind {kind!r}")
-            peaks.append(
-                PeakSpec(
-                    shape=builder(shape_dict),
-                    amplitude=float(entry["amplitude"]),
-                    center=float(entry["center"]),
-                )
-            )
-        signal = SignalSpec(
-            peaks=tuple(peaks), domain_length=float(data["domain_length"])
-        )
-        noise = data.get("noise", {})
-        return SimulationDesign(
-            name=str(data.get("name", "design")),
-            signal=signal,
-            dt=float(data["dt"]),
-            noise=GaussianAcvfParams(
-                sigma=float(noise.get("sigma", 1.0)), nu=float(noise.get("nu", 0.0))
-            ),
-            kernel_family=KernelFamily(data["kernel_family"]),
-            gamma_grid=tuple(float(g) for g in data["gamma_grid"]),
-            amplitude_grid=tuple(
-                float(a) for a in data.get("amplitude_grid", [1.0])
-            ),
-            kernel_trunc=float(data.get("kernel_trunc", 3.0)),
-            procedures=tuple(
-                Procedure(p) for p in data.get("procedures", ["bonferroni", "bh"])
-            ),
-            alpha=float(data.get("alpha", 0.05)),
-            replications=int(data.get("replications", 1000)),
-            moments_mode=str(data.get("moments_mode", "closed_form")),
-            moments_length=float(data.get("moments_length", 1000.0)),
-            moments_reps=int(data.get("moments_reps", 1)),
-            auto_bandwidth=bool(data.get("auto_bandwidth", False)),
-            rice_convention=str(data.get("rice_convention", "paper")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        keys = typing.get_type_hints(SignalSpec)
+        signal = _from_json(SignalSpec, {k: data.pop(k) for k in keys if k in data}, "")
+        return _from_json(SimulationDesign, data, "", signal=signal)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid design file: {exc}") from exc
 
 
 def read_design_json(path) -> SimulationDesign:
-    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
-        return design_from_json_dict(json.load(fh))
+    return design_from_json_dict(_read_json_object(path, "describing a design"))
+
+
+def _to_json(tp, value):
+    """``value``, of the field type ``tp``, as :func:`_from_json` reads it."""
+    if typing.get_origin(tp) is tuple:
+        return [_to_json(typing.get_args(tp)[0], item) for item in value]
+    if not dataclasses.is_dataclass(value):
+        return value.value if isinstance(value, enum.Enum) else value
+    hints = typing.get_type_hints(type(value))
+    data = {name: _to_json(hints[name], getattr(value, name)) for name in hints}
+    if isinstance(tp, types.UnionType):  # a peak shape
+        kinds = [kind for kind, cls in _SHAPE_KINDS.items() if cls is type(value)]
+        if not kinds:
+            raise ConfigurationError(
+                f"shape {type(value).__name__} is not expressible in a design file"
+            )
+        data = {"kind": kinds[0], **data}
+    return data
+
+
+def _from_json(tp, value, key: str, **built):
+    """The design file's ``value`` at ``key`` as the field type ``tp``;
+    ``built`` holds fields of a dataclass ``tp`` that are read elsewhere."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        value = _expect(list, value, key)
+        return tuple(_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if not (dataclasses.is_dataclass(tp) or isinstance(tp, types.UnionType)):
+        return tp(_expect(str if issubclass(tp, enum.Enum) else tp, value, key))
+    data = dict(_expect(dict, value, key))
+    prefix = f"{key}." if key else ""
+    if isinstance(tp, types.UnionType):  # a peak shape
+        kind = data.pop("kind", None)
+        if kind not in _SHAPE_KINDS:
+            raise ConfigurationError(f"unknown peak shape kind {kind!r}")
+        tp = _SHAPE_KINDS[kind]
+    data = {**_FORMAT_DEFAULTS.get(tp, {}), **data}
+    hints = typing.get_type_hints(tp)
+    unknown = sorted(data.keys() - (hints.keys() - built.keys()))
+    if unknown:
+        raise ConfigurationError(f"unknown key {prefix + unknown[0]!r}")
+    for name, item in data.items():
+        built[name] = _from_json(hints[name], item, prefix + name)
+    return tp(**built)
+
+
+def _expect(tp, value, key: str):
+    """``value``, if its JSON type suits ``tp``; a bool is no number."""
+    if type(value) not in ((int, float) if tp is float else (tp,)):
+        raise ConfigurationError(f"{key} must be {tp.__name__}, got {value!r}")
+    return value

@@ -13,9 +13,15 @@ from stem1d import (
     closed_form_moments,
     generate_noise,
     load_kernel_csv,
+    preset_design,
 )
 from stem1d.cli import main
-from stem1d.seriesio import read_moments_json, write_moments_json, write_series
+from stem1d.seriesio import (
+    design_to_json_dict,
+    read_moments_json,
+    write_moments_json,
+    write_series,
+)
 
 
 def _write_spike_series(path, positions, n=400, dt=1.0, height=1.0):
@@ -211,8 +217,9 @@ def test_detect_bad_series_header_exits_3(tmp_path, capsys):
         ("# dt=1.0 center=1\n0.5\nabc\n0.5\n", 3),
         ("# dt=abc center=1\n0.5\n1.0\n0.5\n", 1),
         ("# dt=1.0 center=x\n0.5\n1.0\n0.5\n", 1),
+        ("# dt=-1 center=1\n0.5\n1.0\n0.5\n", 1),
     ],
-    ids=["nan-weight", "text-weight", "bad-dt", "bad-center"],
+    ids=["nan-weight", "text-weight", "bad-dt", "bad-center", "negative-dt"],
 )
 def test_detect_bad_template_file_exits_3(tmp_path, capsys, text, line):
     template = tmp_path / "template.csv"
@@ -503,3 +510,73 @@ def test_simulate_design_bad_length_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert f"invalid design file: {field} must be positive and finite" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("length,code", [(3.0, 2), (26.0, 2), (27.0, 0)])
+def test_simulate_design_short_moments_length_exits_2(tmp_path, capsys, length, code):
+    # the gamma=3 kernel has a margin of 9 samples at each end, and the
+    # moments need 10 samples inside them: 28 samples, a length of 27
+    path = _tiny_design_json(tmp_path)
+    design = json.loads(path.read_text())
+    design.update(moments_mode="estimated", moments_length=length)
+    path.write_text(json.dumps(design))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "invalid design file: moments_length must leave at least 10" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [('{"schema": 1,', "line 1: malformed JSON"), ("[1, 2]", "expected a JSON object")],
+    ids=["truncated", "not-an-object"],
+)
+def test_simulate_malformed_design_json_exits_3(tmp_path, capsys, text, message):
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{path}" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "patch,key",
+    [
+        ({"auto_bandwidth": "false"}, "auto_bandwidth"),
+        ({"replication": 50}, "'replication'"),
+        ({"replications": 2.7}, "replications"),
+        ({"replications": True}, "replications"),
+        ({"noise": {"sigma": 1.0, "mu": 0.5}}, "'noise.mu'"),
+        ({"gamma_grid": [2.0, "3"]}, "gamma_grid[1]"),
+        ({"signal": {"domain_length": 200.0}}, "'signal'"),
+    ],
+)
+def test_simulate_design_wrong_type_or_unknown_key_exits_2(
+    tmp_path, capsys, patch, key
+):
+    path = _tiny_design_json(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **patch}))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid design file: " in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sim31", "sim32", "sim34", "sim35"])
+def test_simulate_preset_as_design_file(tmp_path, name):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(design_to_json_dict(preset_design(name))))
+    data = []
+    for source in (["--preset", name], ["--design", str(design)]):
+        out = tmp_path / f"{source[0][2:]}.csv"
+        argv = ["simulate", *source, "--replications", "2", "--seed", "7"]
+        assert main(argv + ["--output", str(out)]) == 0
+        data.append([line for line in out.read_text().splitlines() if line[:1] != "#"])
+    assert len(data[0]) > 1 and data[0] == data[1]

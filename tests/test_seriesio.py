@@ -102,7 +102,7 @@ def test_clean_series_takes_the_bulk_parse(tmp_path, monkeypatch):
     def per_line(*args):
         raise AssertionError("per-line reader called")
 
-    monkeypatch.setattr(seriesio, "_read_series_lines", per_line)
+    monkeypatch.setattr(seriesio, "_read_lines", per_line)
     path = tmp_path / "series.csv"
     path.write_bytes(
         b"# note \xc3\xa9\xc3\xa9\xc3\xa9\r\n\r\n  \t\r\n# dt=0.5 t0=-2\r\n#\r\n"
@@ -200,7 +200,7 @@ def test_bulk_parse_matches_per_line_reader(tmp_path_factory, text):
 
 def _read_per_line(path):
     with open(path, "r", encoding="utf-8") as fh:
-        parsed = seriesio._read_series_lines(fh, path)
+        parsed = seriesio._read_lines(fh, path)
     return seriesio._sequence(path, *parsed, 0.5, None)
 
 
@@ -311,6 +311,7 @@ def test_preset_designs_serialize():
         design = preset_design(name)
         back = design_from_json_dict(design_to_json_dict(design))
         assert design_to_json_dict(back) == design_to_json_dict(design)
+        assert back == design
 
 
 def test_design_json_defaults_and_errors():
@@ -332,6 +333,10 @@ def test_design_json_defaults_and_errors():
     assert design.alpha == 0.05
     assert design.procedures == (Procedure.BONFERRONI, Procedure.BH)
     assert design.amplitude_grid == (1.0,)
+    assert design.noise == GaussianAcvfParams(sigma=1.0, nu=0.0)
+    # a JSON integer is a number, so a real-valued field takes it
+    dt = design_from_json_dict({**minimal, "dt": 1}).dt
+    assert dt == 1.0 and type(dt) is float
 
     with pytest.raises(ConfigurationError):
         design_from_json_dict({**minimal, "schema": 2})
