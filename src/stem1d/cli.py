@@ -22,7 +22,13 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigurationError, InputFileError, NumericFailureError
 from .evaluation import PRESET_NAMES, preset_design, run_sweep
-from .kernels import convolve, estimate_template, gaussian_kernel, quartic_kernel
+from .kernels import (
+    convolve,
+    estimate_template,
+    gaussian_kernel,
+    quartic_kernel,
+    same_grid,
+)
 from .multitest import Procedure, check_alpha
 from .noise import estimate_moments
 from .pipeline import stem_detect
@@ -85,7 +91,7 @@ def _build_kernel(args: argparse.Namespace, dt: float):
     if args.template_file is None:
         raise ConfigurationError("--template-file is required for the template kernel")
     kernel = load_kernel_csv(args.template_file)
-    if abs(kernel.dt - dt) > 1e-9 * max(1.0, dt):
+    if not same_grid(kernel.dt, dt):
         raise ConfigurationError(
             f"template dt {kernel.dt} does not match series dt {dt}"
         )

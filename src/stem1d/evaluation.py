@@ -24,7 +24,14 @@ from scipy.special import ndtr
 
 from .candidates import CandidateSet
 from .grid import SampledSequence, nearly_equal
-from .kernels import Kernel, KernelFamily, convolve, gaussian_kernel, quartic_kernel
+from .kernels import (
+    Kernel,
+    KernelFamily,
+    convolve,
+    convolve_rows,
+    gaussian_kernel,
+    quartic_kernel,
+)
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import (
     MIN_INTERIOR_SAMPLES,
@@ -33,6 +40,7 @@ from .noise import (
     closed_form_moments,
     estimate_moments,
     generate_noise,
+    noise_rows,
 )
 from .palm import PalmParams, candidate_pvalues
 from .pipeline import find_local_maxima, most_rejections
@@ -59,6 +67,9 @@ from .signals import (
 # substreams of the master seed.
 _TRIAL_STREAM = 0
 _CALIBRATION_STREAM = 1
+# calibration runs drawn, smoothed and reduced together; small, so the
+# block's arrays stay a few hundred KiB
+_CALIBRATION_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +427,21 @@ def _cell_moments(
 ) -> NoiseMoments:
     if design.moments_mode == "closed_form":
         return closed_form_moments(design.noise, gamma)
-    n = design.calibration_samples
+    reps = design.moments_reps
     acc = np.zeros(3)
-    for rep in range(design.moments_reps):
-        raw = generate_noise(
-            design.noise,
-            0.0,
-            n,
-            design.dt,
-            seed=(seed, _CALIBRATION_STREAM, kernel_index, rep),
+    for start in range(0, reps, _CALIBRATION_BLOCK):
+        seeds = [
+            (seed, _CALIBRATION_STREAM, kernel_index, rep)
+            for rep in range(start, min(start + _CALIBRATION_BLOCK, reps))
+        ]
+        raw = noise_rows(design.noise, 0.0, design.calibration_samples, design.dt, seeds)
+        smoothed = convolve_rows(raw, kernel, design.dt)
+        block = estimate_moments(
+            smoothed, zero_mean=True, dt=design.dt, margin=kernel.half_support_samples
         )
-        m = estimate_moments(convolve(raw, kernel), zero_mean=True)
-        acc += (m.sigma2, m.lambda2, m.lambda4)
-    acc /= design.moments_reps
+        for m in block:  # in run order, so the bits do not depend on the block size
+            acc += m
+    acc /= reps
     return NoiseMoments(*acc)
 
 

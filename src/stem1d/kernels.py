@@ -140,20 +140,34 @@ def quartic_kernel(gamma: float, dt: float) -> Kernel:
     return Kernel(weights, dt, m, gamma, KernelFamily.QUARTIC)
 
 
+def same_grid(dt: float, other_dt: float) -> bool:
+    """Whether a kernel sampled at ``dt`` applies on a grid of ``other_dt``."""
+    return math.isclose(dt, other_dt, rel_tol=1e-12, abs_tol=0.0)
+
+
 def convolve(seq: SampledSequence, kernel: Kernel) -> SampledSequence:
     """Discrete approximation of ``(w * y)(t)`` on the sequence's grid.
 
     The input is implicitly zero padded, so a margin of half the kernel
     support is added to the output's validity margin.
     """
-    if not math.isclose(seq.dt, kernel.dt, rel_tol=1e-12, abs_tol=0.0):
+    if not same_grid(seq.dt, kernel.dt):
         raise GridMismatchError(
             f"sequence dt {seq.dt} does not match kernel dt {kernel.dt}"
         )
-    full = np.convolve(seq.values, kernel.weights)
-    c = kernel.center_index
-    out = full[c:c + seq.values.size] * seq.dt
+    out = convolve_rows(seq.values, kernel, seq.dt)
     return seq.with_values(out, margin=seq.margin + kernel.half_support_samples)
+
+
+def convolve_rows(values: np.ndarray, kernel: Kernel, dt: float) -> np.ndarray:
+    """The values of :func:`convolve` for each row of ``values`` (a 1-D
+    array is one row), every row sampled at ``dt``."""
+    if values.ndim == 1:
+        full = np.convolve(values, kernel.weights)
+    else:
+        full = np.stack([np.convolve(row, kernel.weights) for row in values])
+    c = kernel.center_index
+    return full[..., c:c + values.shape[-1]] * dt
 
 
 def estimate_template(

@@ -136,6 +136,18 @@ def generate_noise(
     stationary.  The same seed always reproduces the same output, and
     ``sigma`` enters as a pure scale factor.
     """
+    return SampledSequence(noise_rows(params, gamma, length, dt, [seed])[0], dt)
+
+
+def noise_rows(
+    params: GaussianAcvfParams,
+    gamma: float,
+    length: int,
+    dt: float,
+    seeds,
+) -> np.ndarray:
+    """The values of :func:`generate_noise` for each of ``seeds``, one row
+    per seed, each row drawn from its own generator."""
     if not (gamma >= 0):
         raise ValueError("gamma must be non-negative")
     length = int(length)
@@ -143,19 +155,23 @@ def generate_noise(
         raise ValueError("length must be positive")
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    rng = np.random.default_rng(seed)
     xi = math.hypot(gamma, params.nu)
-    if xi == 0.0:
-        values = params.sigma * rng.standard_normal(length)
-        return SampledSequence(values, dt)
-    taps = smoothing_taps(xi, dt)
-    if length < taps.size:
+    taps = smoothing_taps(xi, dt) if xi > 0.0 else None
+    if taps is not None and length < taps.size:
         raise ValueError(
             f"length {length} is shorter than the smoothing filter ({taps.size} taps)"
         )
-    driving = rng.standard_normal(length + taps.size - 1)
-    values = params.sigma * math.sqrt(dt) * np.convolve(driving, taps, mode="valid")
-    return SampledSequence(values, dt)
+    scale = params.sigma * math.sqrt(dt)
+    out = np.empty((len(seeds), length))
+    for row, seed in zip(out, seeds):
+        rng = np.random.default_rng(seed)
+        if taps is None:
+            rng.standard_normal(out=row)
+            row *= params.sigma
+        else:
+            driving = rng.standard_normal(length + taps.size - 1)
+            np.multiply(scale, np.convolve(driving, taps, mode="valid"), out=row)
+    return out
 
 
 def model_acvf(params: GaussianAcvfParams, gamma: float, lag) -> np.ndarray:
@@ -168,35 +184,63 @@ def model_acvf(params: GaussianAcvfParams, gamma: float, lag) -> np.ndarray:
     return variance * np.exp(-(lag**2) / (4.0 * xi**2))
 
 
-def estimate_moments(seq: SampledSequence, zero_mean: bool = False) -> NoiseMoments:
-    """Empirical moments from a calibration sequence.
+def estimate_moments(
+    runs: SampledSequence | np.ndarray,
+    zero_mean: bool = False,
+    dt: float | None = None,
+    margin: int = 0,
+) -> NoiseMoments | np.ndarray:
+    """Empirical moments from calibration runs.
 
-    Uses the sample variance of the interior values and of their first
-    and second forward differences, scaled by dt^2 and dt^4.  The margins
-    are excluded; at least 10 interior samples are required.
+    ``runs`` is one calibration sequence, or a 2-D array holding one run
+    per row, every run sampled at ``dt`` with ``margin`` distorted
+    samples at each end.  A sequence gives its :class:`NoiseMoments`; a
+    block gives one (sigma2, lambda2, lambda4) row per run.
+
+    Uses the sample variance of each run's interior values and of their
+    first and second forward differences, scaled by dt^2 and dt^4.  The
+    margins are excluded; at least 10 interior samples are required.  A
+    run that is not finite or whose moments are not valid
+    :class:`NoiseMoments` raises :class:`DegenerateSequenceError`.
 
     With ``zero_mean=True`` the sample mean is not subtracted.  Centering
     costs about 2*(correlation length)/n in relative bias on strongly
     correlated sequences, so skip it when the mean is known to be zero.
     """
-    v = seq.interior
-    if v.size < MIN_INTERIOR_SAMPLES:
+    if isinstance(runs, SampledSequence):
+        row = estimate_moments(runs.values[np.newaxis], zero_mean, runs.dt, runs.margin)
+        return NoiseMoments(*row[0].tolist())
+    n = runs.shape[1]
+    if n - 2 * margin < MIN_INTERIOR_SAMPLES:
         raise DegenerateSequenceError(
-            f"need at least {MIN_INTERIOR_SAMPLES} interior samples, got {v.size}"
+            f"need at least {MIN_INTERIOR_SAMPLES} interior samples, "
+            f"got {max(n - 2 * margin, 0)}"
         )
-    d1 = np.diff(v)
-    d2 = np.diff(v, n=2)
+    _check_runs(np.isfinite(runs).all(axis=1), "values must be finite")
+    v = runs[:, margin:n - margin]
+    d1 = np.diff(v, axis=1)
+    d2 = np.diff(d1, axis=1)
     if zero_mean:
-        sigma2 = float(np.mean(v * v))
-        lambda2 = float(np.mean(d1 * d1)) / seq.dt**2
-        lambda4 = float(np.mean(d2 * d2)) / seq.dt**4
+        moments = np.stack([np.mean(x * x, axis=1) for x in (v, d1, d2)], axis=1)
     else:
-        sigma2 = float(np.var(v, ddof=1))
-        lambda2 = float(np.var(d1, ddof=1)) / seq.dt**2
-        lambda4 = float(np.var(d2, ddof=1)) / seq.dt**4
-    if not (sigma2 > 0 and lambda2 > 0 and lambda4 > 0):
-        raise DegenerateSequenceError("sequence carries no usable variation")
-    try:
-        return NoiseMoments(sigma2, lambda2, lambda4)
-    except ValueError as exc:
-        raise DegenerateSequenceError(str(exc)) from exc
+        moments = np.stack([np.var(x, axis=1, ddof=1) for x in (v, d1, d2)], axis=1)
+    moments[:, 1] /= dt**2
+    moments[:, 2] /= dt**4
+    _check_runs(
+        ((moments > 0) & np.isfinite(moments)).all(axis=1),
+        "sequence carries no usable variation",
+    )
+    sigma2, lambda2, lambda4 = moments.T
+    _check_runs(
+        sigma2 * lambda4 - lambda2**2 > 0,
+        "moments are incompatible: sigma2 * lambda4 must exceed lambda2^2",
+    )
+    return moments
+
+
+def _check_runs(ok: np.ndarray, message: str) -> None:
+    """Raise :class:`DegenerateSequenceError` for the first run not ``ok``,
+    naming it when the block holds more than one."""
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        raise DegenerateSequenceError(message if ok.size == 1 else f"run {bad}: {message}")

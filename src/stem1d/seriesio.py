@@ -322,7 +322,14 @@ def design_from_json_dict(data: dict) -> SimulationDesign:
 
 
 def read_design_json(path) -> SimulationDesign:
-    return design_from_json_dict(_read_json_object(path, "describing a design"))
+    """The design in ``path``.  A file that is not a JSON object raises
+    :class:`InputFileError`; an object that is not a valid design raises
+    :class:`ConfigurationError`; both name the file."""
+    data = _read_json_object(path, "describing a design")
+    try:
+        return design_from_json_dict(data)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _to_json(tp, value):
@@ -364,9 +371,23 @@ def _from_json(tp, value, key: str, **built):
     unknown = sorted(data.keys() - (hints.keys() - built.keys()))
     if unknown:
         raise ConfigurationError(f"unknown key {prefix + unknown[0]!r}")
+    missing = [
+        f.name
+        for f in dataclasses.fields(tp)
+        if f.name not in data.keys() | built.keys()
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigurationError(f"missing key {prefix + missing[0]!r}")
     for name, item in data.items():
         built[name] = _from_json(hints[name], item, prefix + name)
-    return tp(**built)
+    try:
+        return tp(**built)
+    except ValueError as exc:  # a value the dataclass rejects
+        if not key:
+            raise
+        raise ConfigurationError(f"{key}: {exc}") from exc
 
 
 def _expect(tp, value, key: str):

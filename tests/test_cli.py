@@ -229,6 +229,16 @@ def test_detect_bad_template_file_exits_3(tmp_path, capsys, text, line):
     assert str(template) in err and f"line {line}" in err
 
 
+def test_detect_template_dt_off_by_a_hair_exits_2(tmp_path, capsys):
+    # within 1e-9 of the series dt but not within convolve's 1e-12: the
+    # CLI's own check rejects it, with the CLI's message
+    template = tmp_path / "template.csv"
+    template.write_text("# dt=1.0000000001 center=1\n0.5\n1.0\n0.5\n")
+    assert _detect_exit(tmp_path, template=template) == 2
+    err = capsys.readouterr().err
+    assert "template dt 1.0000000001 does not match series dt 1.0" in err
+
+
 def test_detect_truncated_moments_json_exits_3(tmp_path, capsys):
     moments = tmp_path / "moments.json"
     moments.write_text('{\n  "sigma2": 1.0,\n  "lambda2": ')
@@ -566,6 +576,28 @@ def test_simulate_design_wrong_type_or_unknown_key_exits_2(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "invalid design file: " in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        ({"replication": 5}, "unknown key 'replication'"),
+        ({"noise": {"sigma": -1.0}}, "noise: sigma must be positive"),
+        ({"alpha": 1.5}, "alpha must lie in (0, 1)"),
+        ({"peaks": [{"shape": {"kind": "laplace", "b": 2.0}, "amplitude": 1.0}]},
+         "missing key 'peaks[0].center'"),
+    ],
+    ids=["unknown-key", "bad-noise", "bad-alpha", "missing-key"],
+)
+def test_simulate_design_content_error_names_file(tmp_path, capsys, patch, message):
+    path = _tiny_design_json(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **patch}))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: invalid design file: {message}" in err
     assert not out.exists()
 
 

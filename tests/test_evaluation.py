@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stem1d import (
@@ -12,12 +14,16 @@ from stem1d import (
     KernelFamily,
     PeakSpec,
     Procedure,
+    SampledSequence,
     SignalSpec,
     SimulationDesign,
     TruncatedGaussianShape,
     closed_form_moments,
     compute_regions,
+    convolve,
+    estimate_moments,
     gaussian_kernel,
+    generate_noise,
     height_rule_report,
     optimal_bandwidth,
     preset_design,
@@ -29,7 +35,13 @@ from stem1d import (
     synthesize_signal,
     theoretical_power,
 )
-from stem1d.evaluation import PRESET_NAMES
+from stem1d.errors import DegenerateSequenceError
+from stem1d.evaluation import (
+    _CALIBRATION_BLOCK,
+    _CALIBRATION_STREAM,
+    PRESET_NAMES,
+    _cell_moments,
+)
 
 
 def _toy_regions():
@@ -382,3 +394,90 @@ def test_run_sweep_estimated_moments_close_to_closed_form():
     # same noise stream, near-identical moments: decisions mostly agree
     assert p_est == pytest.approx(p_ref, abs=0.1)
 
+
+# ---------------------------------------------------------------------------
+# estimated moments: the block calibration against one run at a time
+
+
+def _per_run_moments(design, kernel, kernel_index, seed):
+    """Reference calibration: each run through the sequence-level calls,
+    summed in run order."""
+    acc = np.zeros(3)
+    for rep in range(design.moments_reps):
+        raw = generate_noise(
+            design.noise,
+            0.0,
+            design.calibration_samples,
+            design.dt,
+            seed=(seed, _CALIBRATION_STREAM, kernel_index, rep),
+        )
+        m = estimate_moments(convolve(raw, kernel), zero_mean=True)
+        acc += (m.sigma2, m.lambda2, m.lambda4)
+    acc /= design.moments_reps
+    return tuple(acc.tolist())
+
+
+@pytest.mark.parametrize(
+    "reps", [1, _CALIBRATION_BLOCK, _CALIBRATION_BLOCK + 1, 2 * _CALIBRATION_BLOCK + 3]
+)
+@pytest.mark.parametrize("family", [KernelFamily.GAUSSIAN, KernelFamily.QUARTIC])
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("nu", [0.0, 1.5])
+@settings(max_examples=4)
+@given(
+    seed=st.integers(0, 2**32),
+    gamma=st.floats(1.0, 4.0),
+    length=st.floats(60.0, 300.0),
+)
+def test_block_calibration_matches_per_run_bits(nu, dt, family, reps, seed, gamma, length):
+    design = _tiny_design(
+        noise=GaussianAcvfParams(sigma=1.3, nu=nu),
+        dt=dt,
+        kernel_family=family,
+        gamma_grid=(gamma,),
+        moments_mode="estimated",
+        moments_length=length,
+        moments_reps=reps,
+    )
+    kernel = design.build_kernel(gamma)
+    try:
+        want = _per_run_moments(design, kernel, 3, seed)
+    except DegenerateSequenceError:  # a short, smooth run can fail delta > 0
+        with pytest.raises(DegenerateSequenceError):
+            _cell_moments(design, kernel, 3, seed, gamma)
+        return
+    got = _cell_moments(design, kernel, 3, seed, gamma)
+    assert (got.sigma2, got.lambda2, got.lambda4) == want
+
+
+@pytest.mark.parametrize("zero_mean", [False, True])
+def test_block_moments_match_each_sequence(zero_mean):
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((5, 300)).cumsum(axis=1) + 2.0
+    rows = estimate_moments(block, zero_mean=zero_mean, dt=0.5, margin=7)
+    assert rows.shape == (5, 3)
+    for values, row in zip(block, rows):
+        m = estimate_moments(SampledSequence(values, dt=0.5, margin=7), zero_mean)
+        assert (m.sigma2, m.lambda2, m.lambda4) == tuple(row.tolist())
+
+
+def test_degenerate_calibration_run_raises():
+    block = np.random.default_rng(6).standard_normal((4, 50))
+    block[2] = 1.0  # constant: zero derivative variance
+    with pytest.raises(DegenerateSequenceError, match="run 2"):
+        estimate_moments(block, zero_mean=True, dt=1.0, margin=0)
+    block[2, 10] = np.inf
+    with pytest.raises(DegenerateSequenceError, match="run 2: values must be finite"):
+        estimate_moments(block, dt=1.0, margin=0)
+    with pytest.raises(DegenerateSequenceError, match="interior samples"):
+        estimate_moments(block[:, :29], dt=1.0, margin=10)
+    # noise so small that every square underflows to zero
+    design = _tiny_design(
+        noise=GaussianAcvfParams(sigma=1e-200),
+        gamma_grid=(2.0,),
+        moments_mode="estimated",
+        moments_length=100.0,
+        moments_reps=_CALIBRATION_BLOCK + 1,
+    )
+    with pytest.raises(DegenerateSequenceError):
+        _cell_moments(design, design.build_kernel(2.0), 0, 1, 2.0)

@@ -1,10 +1,11 @@
-"""Golden outputs: the sweep CSVs and root-finder results, bit for bit.
+"""Golden outputs, bit for bit: sweep CSVs, root finders, moment estimates.
 
 The digests are sha256 of ``"\\n".join(csv_lines())`` for a preset at a
 small replication count and seed 7; the same values gate the benchmark
-(``bench/reference.json``).  The root-finder values are ``float.hex()``
-strings, so a change in the bisection steps or the bracket shows up even
-when it moves the result by one ulp.
+(``bench/reference.json``).  The root-finder and moment values are
+``float.hex()`` strings, so a change in the bisection steps, the bracket
+or the order of a reduction shows up even when it moves the result by
+one ulp.
 """
 
 import hashlib
@@ -13,8 +14,13 @@ import numpy as np
 import pytest
 
 from stem1d import (
+    GaussianAcvfParams,
     NoiseMoments,
     PalmParams,
+    convolve,
+    estimate_moments,
+    gaussian_kernel,
+    generate_noise,
     palm_quantile,
     preset_design,
     run_sweep,
@@ -110,3 +116,21 @@ def test_supremum_threshold_bits():
         for name, length, alpha, conv in SUPREMUM
     }
     assert got == SUPREMUM
+
+
+# zero_mean -> estimate_moments(...) as (sigma2, lambda2, lambda4) hex, on
+# smoothed seeded noise with a nonzero mean and a 12-sample margin at dt=0.5
+ESTIMATED_MOMENTS = {
+    False: ("0x1.35458589c3719p-3", "0x1.271955523cb0cp-6", "0x1.9fb4cb77be3f3p-8"),
+    True: ("0x1.a67f6f4f502d7p-3", "0x1.27008b4efe1bep-6", "0x1.9f91071a5b1edp-8"),
+}
+
+
+@pytest.mark.parametrize("zero_mean", sorted(ESTIMATED_MOMENTS))
+def test_estimate_moments_bits(zero_mean):
+    raw = generate_noise(GaussianAcvfParams(1.5, 0.0), 0.0, 3000, 0.5, seed=41)
+    seq = convolve(raw.with_values(raw.values + 0.25), gaussian_kernel(2.0, 0.5))
+    assert seq.margin == 12
+    m = estimate_moments(seq, zero_mean=zero_mean)
+    got = (m.sigma2.hex(), m.lambda2.hex(), m.lambda4.hex())
+    assert got == ESTIMATED_MOMENTS[zero_mean]
