@@ -1,22 +1,32 @@
-"""Golden outputs, bit for bit: sweep CSVs, root finders, moment estimates.
+"""Golden outputs, bit for bit: sweep CSVs, root finders, moment estimates,
+preset designs and peak-shape densities.
 
 The digests are sha256 of ``"\\n".join(csv_lines())`` for a preset at a
 small replication count and seed 7; the same values gate the benchmark
 (``bench/reference.json``).  The root-finder and moment values are
 ``float.hex()`` strings, so a change in the bisection steps, the bracket
 or the order of a reduction shows up even when it moves the result by
-one ulp.
+one ulp.  The sweeps sample the peak shapes only at integer offsets, so
+the densities are also compared, at and next to their support edges,
+with reference copies of their formulas.
 """
 
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
 
 from stem1d import (
+    CauchyShape,
+    EpanechnikovShape,
     GaussianAcvfParams,
+    LaplaceShape,
     NoiseMoments,
     PalmParams,
+    TriangularShape,
+    TruncatedGaussianShape,
     convolve,
     estimate_moments,
     gaussian_kernel,
@@ -26,6 +36,8 @@ from stem1d import (
     run_sweep,
     supremum_threshold,
 )
+from stem1d.evaluation import _cell_moments
+from stem1d.seriesio import design_to_json_dict
 
 SWEEP_DIGESTS = {
     ("sim31", 4): "dc4541ae65b852144f6b9e0d1d33f0f91c8376cc2f4de9aeeebb86fc018b114b",
@@ -134,3 +146,108 @@ def test_estimate_moments_bits(zero_mean):
     m = estimate_moments(seq, zero_mean=zero_mean)
     got = (m.sigma2.hex(), m.lambda2.hex(), m.lambda4.hex())
     assert got == ESTIMATED_MOMENTS[zero_mean]
+
+
+# sigma2, lambda2, lambda4 hex of _cell_moments for sim32's gamma=18 band
+# (kernel index 2, seed 7): 500 calibration runs in 16 blocks, so the
+# order in which the blocks are summed shows up in the last bits
+SIM32_BAND_MOMENTS = ("0x1.49229b6004133p-5", "0x1.81b56f5f2debep-12", "0x1.71f26bd8a735fp-17")
+
+
+def test_estimated_cell_moments_bits():
+    design = preset_design("sim32")
+    m = _cell_moments(design, design.build_kernel(18.0), 2, 7, 18.0)
+    assert (m.sigma2.hex(), m.lambda2.hex(), m.lambda4.hex()) == SIM32_BAND_MOMENTS
+
+
+# preset -> sha256 of json.dumps(design_to_json_dict(preset), sort_keys=True)
+PRESET_DIGESTS = {
+    "sim31": "c77d7e1b6ef74edb0f9fe166a1029bdc3c2c482c72173d29ff67c3d0c0b1aec1",
+    "sim32": "de1307bcf93edfe1e12f87c8b417d2d1367595db84b2df4aef029250128028a1",
+    "sim34": "36b0b49ea4ea13f64ce9bec2a198a699f5608b335148f2e90e51b1be6cbd19fa",
+    "sim35": "5fda54d85259a87bba74e1b3d1a4bf2cf0ccbb27ceb69c4e1bb3cdb5a341eb93",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_design_digest(name):
+    text = json.dumps(design_to_json_dict(preset_design(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_DIGESTS[name]
+
+
+# Reference densities: the formulas of the shape classes, each applied
+# the way the shape applies it, kept here so a rewrite of the classes is
+# checked against them bit for bit.
+
+
+def _ref_truncated_gaussian(b, c, t):
+    inside = np.abs(t) <= b * c
+    out = np.zeros_like(t)
+    out[inside] = np.exp(-0.5 * (t[inside] / b) ** 2) / (b * math.sqrt(2.0 * math.pi))
+    return out
+
+
+def _ref_epanechnikov(h, t):
+    u = t / h
+    inside = np.abs(u) <= 1.0
+    out = np.zeros_like(t)
+    out[inside] = 0.75 * (1.0 - u[inside] ** 2) / h
+    return out
+
+
+def _ref_triangular(h, t):
+    u = np.abs(t) / h
+    return np.where(u <= 1.0, (1.0 - u) / h, 0.0)
+
+
+def _ref_laplace(b, c, t):
+    inside = np.abs(t) <= b * c
+    out = np.zeros_like(t)
+    out[inside] = np.exp(-np.abs(t[inside]) / b) / (2.0 * b)
+    return out
+
+
+def _ref_cauchy(b, c, t):
+    inside = np.abs(t) <= b * c
+    out = np.zeros_like(t)
+    out[inside] = 1.0 / (math.pi * b * (1.0 + (t[inside] / b) ** 2))
+    return out
+
+
+# sim32's five shapes first, then other scales, including ones whose
+# b * c is not exact in binary
+SHAPES = [
+    (EpanechnikovShape(halfwidth=13.6), lambda t: _ref_epanechnikov(13.6, t)),
+    (TriangularShape(halfwidth=15.8), lambda t: _ref_triangular(15.8, t)),
+    (TruncatedGaussianShape(b=6.8, c=4.5), lambda t: _ref_truncated_gaussian(6.8, 4.5, t)),
+    (LaplaceShape(b=5.8, c=6.0), lambda t: _ref_laplace(5.8, 6.0, t)),
+    (CauchyShape(b=5.25, c=4.8), lambda t: _ref_cauchy(5.25, 4.8, t)),
+    (TruncatedGaussianShape(b=3.0), lambda t: _ref_truncated_gaussian(3.0, 3.0, t)),
+    (TruncatedGaussianShape(b=0.7, c=1.3), lambda t: _ref_truncated_gaussian(0.7, 1.3, t)),
+    (LaplaceShape(b=0.1, c=7.3), lambda t: _ref_laplace(0.1, 7.3, t)),
+    (CauchyShape(b=2.0), lambda t: _ref_cauchy(2.0, 3.0, t)),
+    (CauchyShape(b=0.3, c=0.7), lambda t: _ref_cauchy(0.3, 0.7, t)),
+    (EpanechnikovShape(halfwidth=0.3), lambda t: _ref_epanechnikov(0.3, t)),
+    (TriangularShape(halfwidth=7.0), lambda t: _ref_triangular(7.0, t)),
+    (TriangularShape(halfwidth=0.1), lambda t: _ref_triangular(0.1, t)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(SHAPES)))
+def test_shape_density_bits(index):
+    shape, reference = SHAPES[index]
+    h = shape.half_support
+    edges = np.array([-h, h])
+    t = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [0.0, -0.0],
+            np.arange(-math.ceil(h) - 1, math.ceil(h) + 2, dtype=np.float64),
+            np.random.default_rng(index).uniform(-1.5 * h, 1.5 * h, 2000),
+        ]
+    )
+    got = shape.density(t)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference(t).tobytes()
