@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .candidates import CandidateSet
-from .errors import ThresholdInfeasibleError
+from .errors import ThresholdInfeasibleError, positive_finite
 from .grid import SQRT_2PI, SampledSequence
 from .multitest import DetectionReport, Procedure, _cutoff, _report, check_alpha
 from .noise import NoiseMoments
@@ -105,8 +105,7 @@ def supremum_threshold(
 ) -> float:
     """Smallest height u whose excursion bound is at most alpha."""
     check_alpha(alpha)
-    if not (domain_length > 0):
-        raise ValueError("domain_length must be positive")
+    positive_finite("domain_length", domain_length)
     sigma = moments.sigma
 
     def bound(u):

@@ -42,6 +42,14 @@ def finite_number(text: str, path, lineno: int, name: str = "") -> float:
     return value
 
 
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is
+    positive and finite (NaN and the infinities fail)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def utf8_text(path):
     """Raise :class:`InputFileError` naming ``path`` for text read inside

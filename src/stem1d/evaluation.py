@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .candidates import CandidateSet
+from .errors import positive_finite
 from .grid import SampledSequence, nearly_equal
 from .kernels import (
     Kernel,
@@ -189,8 +190,8 @@ def snr(amplitude: float, sigma: float, b: float, nu: float, gamma: float) -> fl
     Closed form for Gaussian-correlated noise of scale ``nu`` smoothed by
     a Gaussian kernel of bandwidth ``gamma`` (truncation ignored).
     """
-    if not (b > 0 and sigma > 0):
-        raise ValueError("b and sigma must be positive")
+    positive_finite("b", b)
+    positive_finite("sigma", sigma)
     if gamma < 0 or nu < 0:
         raise ValueError("gamma and nu must be non-negative")
     ratio = (gamma**2 + nu**2) / (gamma**2 + b**2) ** 2
@@ -199,8 +200,7 @@ def snr(amplitude: float, sigma: float, b: float, nu: float, gamma: float) -> fl
 
 def optimal_bandwidth(b: float, nu: float = 0.0) -> float:
     """Bandwidth maximizing :func:`snr`; 0 when the noise is too coarse."""
-    if not (b > 0):
-        raise ValueError("b must be positive")
+    positive_finite("b", b)
     if nu < 0:
         raise ValueError("nu must be non-negative")
     if nu < b / math.sqrt(2.0):
@@ -215,8 +215,7 @@ def snr_general(kernel: Kernel, peak: PeakSpec, sigma: float) -> float:
     noise standard deviation is sigma * sqrt(integral of the squared
     kernel).
     """
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    positive_finite("sigma", sigma)
     numerator = smoothed_peak_height(peak, kernel)
     denom = sigma * math.sqrt(float(np.sum(kernel.weights**2)) * kernel.dt)
     return numerator / denom
@@ -273,15 +272,15 @@ class SimulationDesign:
         if self.moments_mode == "estimated":
             lengths += ("moments_length",)
         for name in lengths:
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not self.gamma_grid:
-            raise ValueError("gamma_grid must be non-empty")
+            positive_finite(name, getattr(self, name))
+        for name in ("gamma_grid", "amplitude_grid"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            for i, value in enumerate(values):
+                positive_finite(f"{name}[{i}]", value)
         if any(g < self.dt for g in self.gamma_grid):
             raise ValueError("every bandwidth must be at least the grid spacing")
-        if not self.amplitude_grid or any(a <= 0 for a in self.amplitude_grid):
-            raise ValueError("amplitude_grid values must be positive")
         if not self.procedures:
             raise ValueError("procedures must be non-empty")
         check_alpha(self.alpha)
@@ -300,9 +299,16 @@ class SimulationDesign:
             raise ValueError("moments_reps must be positive")
         if self.kernel_family is KernelFamily.TEMPLATE:
             raise ValueError("sweeps support gaussian and quartic kernels only")
+        # the widest kernel has the widest margins
+        gamma = max(self.gamma_grid)
+        margin = self.build_kernel(gamma).half_support_samples
+        samples = int(round(self.signal.domain_length / self.dt)) + 1
+        if samples <= 2 * margin:
+            raise ValueError(
+                f"gamma_grid: the gamma={gamma} kernel's margins of {margin} "
+                f"samples leave no sample of the {samples}-sample signal grid"
+            )
         if self.moments_mode == "estimated":
-            gamma = max(self.gamma_grid)
-            margin = self.build_kernel(gamma).half_support_samples
             if self.calibration_samples - 2 * margin < MIN_INTERIOR_SAMPLES:
                 raise ValueError(
                     f"moments_length must leave at least {MIN_INTERIOR_SAMPLES} "
@@ -693,42 +699,32 @@ def preset_design(name: str) -> SimulationDesign:
         procedures.
     sim35: sim31 signal with per-trial automatic bandwidth selection.
     """
-    if name == "sim31":
-        return SimulationDesign(
-            name="sim31",
-            signal=_sim31_signal(),
-            dt=1.0,
-            noise=GaussianAcvfParams(sigma=1.0, nu=0.0),
-            kernel_family=KernelFamily.GAUSSIAN,
-            gamma_grid=tuple(float(g) for g in range(1, 11)),
-            amplitude_grid=(9.0, 12.0, 15.0),
-            procedures=(Procedure.BONFERRONI, Procedure.BH),
-            replications=10000,
-        )
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}")
+    sim31 = SimulationDesign(
+        name="sim31",
+        signal=_sim31_signal(),
+        dt=1.0,
+        noise=GaussianAcvfParams(sigma=1.0, nu=0.0),
+        kernel_family=KernelFamily.GAUSSIAN,
+        gamma_grid=tuple(float(g) for g in range(1, 11)),
+        amplitude_grid=(9.0, 12.0, 15.0),
+        replications=10000,
+    )
     if name == "sim32":
-        return SimulationDesign(
+        return sim31.with_options(
             name="sim32",
             signal=_sim32_signal(),
-            dt=1.0,
-            noise=GaussianAcvfParams(sigma=1.0, nu=0.0),
             kernel_family=KernelFamily.QUARTIC,
             gamma_grid=(6.0, 12.0, 18.0, 24.0, 30.0, 40.0),
             amplitude_grid=(1.0,),
-            procedures=(Procedure.BONFERRONI, Procedure.BH),
-            replications=10000,
             moments_mode="estimated",
-            moments_length=1000.0,
             moments_reps=500,
         )
     if name == "sim34":
-        return SimulationDesign(
+        return sim31.with_options(
             name="sim34",
-            signal=_sim31_signal(),
-            dt=1.0,
-            noise=GaussianAcvfParams(sigma=1.0, nu=0.0),
-            kernel_family=KernelFamily.GAUSSIAN,
             gamma_grid=tuple(float(g) for g in range(1, 9)),
-            amplitude_grid=(9.0, 12.0, 15.0),
             procedures=(
                 Procedure.BONFERRONI,
                 Procedure.BH,
@@ -736,22 +732,14 @@ def preset_design(name: str) -> SimulationDesign:
                 Procedure.POINTWISE_BH,
                 Procedure.SUPREMUM,
             ),
-            replications=10000,
         )
     if name == "sim35":
-        return SimulationDesign(
+        return sim31.with_options(
             name="sim35",
-            signal=_sim31_signal(),
-            dt=1.0,
-            noise=GaussianAcvfParams(sigma=1.0, nu=0.0),
-            kernel_family=KernelFamily.GAUSSIAN,
             gamma_grid=tuple(1.5 + 0.5 * i for i in range(10)),
-            amplitude_grid=(9.0, 12.0, 15.0),
-            procedures=(Procedure.BONFERRONI, Procedure.BH),
-            replications=10000,
             auto_bandwidth=True,
         )
-    raise ValueError(f"unknown preset {name!r}")
+    return sim31
 
 
 PRESET_NAMES = ("sim31", "sim32", "sim34", "sim35")

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import positive_finite
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -41,16 +43,15 @@ class SampledSequence:
             raise ValueError("values must be a non-empty 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not (float(self.dt) > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not np.isfinite(self.t0):
+        dt = positive_finite("dt", self.dt)
+        if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
         if int(self.margin) < 0:
             raise ValueError("margin must be non-negative")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "margin", int(self.margin))
 

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSequenceError,
     GridMismatchError,
     NoQualifyingPeaksError,
+    positive_finite,
 )
 from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
 
@@ -52,14 +53,13 @@ class Kernel:
             raise ValueError("weights must be a non-empty 1-D array")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if not (float(self.dt) > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        dt = positive_finite("dt", self.dt)
         if not 0 <= int(self.center_index) < weights.size:
             raise ValueError("center_index out of range")
         if self.family in (KernelFamily.GAUSSIAN, KernelFamily.QUARTIC):
             if np.any(weights < 0):
                 raise ValueError("analytic kernel weights must be non-negative")
-            action = weights.sum() * float(self.dt)
+            action = weights.sum() * dt
             if abs(action - 1.0) > 1e-6:
                 raise ValueError(f"kernel action {action} deviates from 1")
             if not _unimodal(weights):
@@ -67,7 +67,7 @@ class Kernel:
         weights = weights.copy()
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "center_index", int(self.center_index))
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
@@ -104,20 +104,23 @@ def _unimodal(w: np.ndarray) -> bool:
     return True
 
 
+def _check_bandwidth(gamma: float, dt: float) -> None:
+    positive_finite("gamma", gamma)
+    positive_finite("dt", dt)
+    if gamma < dt:
+        raise BandwidthTooSmallError(
+            f"bandwidth {gamma} is below the grid spacing {dt}"
+        )
+
+
 def gaussian_kernel(gamma: float, dt: float, trunc: float = 3.0) -> Kernel:
     """Sampled Gaussian density of scale ``gamma`` truncated at ``trunc * gamma``.
 
     The weights are renormalized after truncation so the discrete action
     is exactly 1.
     """
-    if not (gamma > 0) or not (dt > 0):
-        raise ValueError("gamma and dt must be positive")
-    if gamma < dt:
-        raise BandwidthTooSmallError(
-            f"bandwidth {gamma} is below the grid spacing {dt}"
-        )
-    if not (trunc > 0):
-        raise ValueError("trunc must be positive")
+    _check_bandwidth(gamma, dt)
+    positive_finite("trunc", trunc)
     m = int(math.floor(gamma * trunc / dt + 1e-9))
     offsets = np.arange(-m, m + 1) * dt
     weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * SQRT_2PI)
@@ -127,12 +130,7 @@ def gaussian_kernel(gamma: float, dt: float, trunc: float = 3.0) -> Kernel:
 
 def quartic_kernel(gamma: float, dt: float) -> Kernel:
     """Biweight kernel 15/(16 gamma) (1 - (t/gamma)^2)^2 on [-gamma, gamma]."""
-    if not (gamma > 0) or not (dt > 0):
-        raise ValueError("gamma and dt must be positive")
-    if gamma < dt:
-        raise BandwidthTooSmallError(
-            f"bandwidth {gamma} is below the grid spacing {dt}"
-        )
+    _check_bandwidth(gamma, dt)
     m = int(math.floor(gamma / dt + 1e-9))
     u = np.arange(-m, m + 1) * dt / gamma
     weights = 15.0 / (16.0 * gamma) * (1.0 - u**2) ** 2

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import ConfigurationError
+from .errors import ConfigurationError, positive_finite
 from .palm import PalmParams, palm_quantile
 
 
@@ -225,14 +225,13 @@ def asymptotic_thresholds(
     sum: each true peak contributes one maximum.
     """
     check_alpha(alpha)
-    if not (peak_rate > 0) or not (maxima_density > 0):
-        raise ValueError("peak_rate and maxima_density must be positive")
+    positive_finite("peak_rate", peak_rate)
+    positive_finite("maxima_density", maxima_density)
     bh_arg = alpha * peak_rate / (peak_rate + maxima_density * (1.0 - alpha))
     bh = palm_quantile(params, bh_arg)
 
     def bonferroni_for_length(domain_length: float) -> float:
-        if not (domain_length > 0):
-            raise ValueError("domain_length must be positive")
+        positive_finite("domain_length", domain_length)
         arg = (alpha / domain_length) / (peak_rate + maxima_density)
         return palm_quantile(params, min(arg, 1.0))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSequenceError
+from .errors import DegenerateSequenceError, positive_finite
 from .grid import SQRT_2PI, SampledSequence
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -30,10 +30,9 @@ class GaussianAcvfParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if not (self.nu >= 0):
-            raise ValueError("nu must be non-negative")
+        positive_finite("sigma", self.sigma)
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and non-negative, got {self.nu!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,7 @@ class NoiseMoments:
 
     def __post_init__(self):
         for name in ("sigma2", "lambda2", "lambda4"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            positive_finite(name, getattr(self, name))
         if not (self.delta > 0):
             raise ValueError(
                 "moments are incompatible: sigma2 * lambda4 must exceed lambda2^2"
@@ -153,8 +150,7 @@ def noise_rows(
     length = int(length)
     if length <= 0:
         raise ValueError("length must be positive")
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    positive_finite("dt", dt)
     xi = math.hypot(gamma, params.nu)
     taps = smoothing_taps(xi, dt) if xi > 0.0 else None
     if taps is not None and length < taps.size:

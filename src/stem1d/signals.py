@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import positive_finite
 from .grid import SQRT_2PI, SampledSequence
 from .kernels import Kernel
 
@@ -28,117 +29,81 @@ from .kernels import Kernel
 # peak shapes
 
 
+class _CompactShape:
+    """A density that is zero outside ``|t| <= half_support``; a subclass
+    gives ``half_support`` and ``_inside``, the density within it."""
+
+    def density(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        inside = np.abs(t) <= self.half_support
+        out = np.zeros_like(t)
+        out[inside] = self._inside(t[inside])
+        return out
+
+
 @dataclass(frozen=True)
-class TruncatedGaussianShape:
+class _CutoffShape(_CompactShape):
+    """A density of scale ``b`` cut off at ``|t| <= c*b``."""
+
+    b: float
+    c: float = 3.0
+
+    def __post_init__(self):
+        positive_finite("b", self.b)
+        positive_finite("c", self.c)
+
+    @property
+    def half_support(self) -> float:
+        return self.b * self.c
+
+
+@dataclass(frozen=True)
+class _HalfwidthShape(_CompactShape):
+    """A density supported on ``[-halfwidth, halfwidth]``."""
+
+    halfwidth: float
+
+    def __post_init__(self):
+        positive_finite("halfwidth", self.halfwidth)
+
+    @property
+    def half_support(self) -> float:
+        return self.halfwidth
+
+
+class TruncatedGaussianShape(_CutoffShape):
     """(1/b) phi(t/b) cut off at |t| <= c*b, without renormalization."""
 
-    b: float
-    c: float = 3.0
-
-    def __post_init__(self):
-        if not (self.b > 0 and self.c > 0):
-            raise ValueError("b and c must be positive")
-
-    @property
-    def half_support(self) -> float:
-        return self.b * self.c
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        inside = np.abs(t) <= self.half_support
-        out = np.zeros_like(t)
-        out[inside] = np.exp(-0.5 * (t[inside] / self.b) ** 2) / (self.b * SQRT_2PI)
-        return out
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * (t / self.b) ** 2) / (self.b * SQRT_2PI)
 
 
-@dataclass(frozen=True)
-class EpanechnikovShape:
+class EpanechnikovShape(_HalfwidthShape):
     """(3/4)(1 - (t/h)^2)/h on [-h, h]; integrates to 1 exactly."""
 
-    halfwidth: float
-
-    def __post_init__(self):
-        if not (self.halfwidth > 0):
-            raise ValueError("halfwidth must be positive")
-
-    @property
-    def half_support(self) -> float:
-        return self.halfwidth
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        u = t / self.halfwidth
-        inside = np.abs(u) <= 1.0
-        out = np.zeros_like(t)
-        out[inside] = 0.75 * (1.0 - u[inside] ** 2) / self.halfwidth
-        return out
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        return 0.75 * (1.0 - (t / self.halfwidth) ** 2) / self.halfwidth
 
 
-@dataclass(frozen=True)
-class TriangularShape:
+class TriangularShape(_HalfwidthShape):
     """(1 - |t|/h)/h on [-h, h]; integrates to 1 exactly."""
 
-    halfwidth: float
-
-    def __post_init__(self):
-        if not (self.halfwidth > 0):
-            raise ValueError("halfwidth must be positive")
-
-    @property
-    def half_support(self) -> float:
-        return self.halfwidth
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        u = np.abs(t) / self.halfwidth
-        out = np.where(u <= 1.0, (1.0 - u) / self.halfwidth, 0.0)
-        return out
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        return (1.0 - np.abs(t) / self.halfwidth) / self.halfwidth
 
 
-@dataclass(frozen=True)
-class LaplaceShape:
+class LaplaceShape(_CutoffShape):
     """(1/2b) exp(-|t|/b) cut off at |t| <= c*b, without renormalization."""
 
-    b: float
-    c: float = 3.0
-
-    def __post_init__(self):
-        if not (self.b > 0 and self.c > 0):
-            raise ValueError("b and c must be positive")
-
-    @property
-    def half_support(self) -> float:
-        return self.b * self.c
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        inside = np.abs(t) <= self.half_support
-        out = np.zeros_like(t)
-        out[inside] = np.exp(-np.abs(t[inside]) / self.b) / (2.0 * self.b)
-        return out
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-np.abs(t) / self.b) / (2.0 * self.b)
 
 
-@dataclass(frozen=True)
-class CauchyShape:
+class CauchyShape(_CutoffShape):
     """Cauchy density of scale b cut off at |t| <= c*b, without renormalization."""
 
-    b: float
-    c: float = 3.0
-
-    def __post_init__(self):
-        if not (self.b > 0 and self.c > 0):
-            raise ValueError("b and c must be positive")
-
-    @property
-    def half_support(self) -> float:
-        return self.b * self.c
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        inside = np.abs(t) <= self.half_support
-        out = np.zeros_like(t)
-        out[inside] = 1.0 / (math.pi * self.b * (1.0 + (t[inside] / self.b) ** 2))
-        return out
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        return 1.0 / (math.pi * self.b * (1.0 + (t / self.b) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +125,7 @@ class CustomShape:
             raise ValueError("profile must be a non-empty 1-D array")
         if not np.all(np.isfinite(profile)):
             raise ValueError("profile must be finite")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        positive_finite("dt", self.dt)
         if not 0 <= int(self.center_index) < profile.size:
             raise ValueError("center_index out of range")
         nonzero = np.flatnonzero(profile)
@@ -211,8 +175,7 @@ class PeakSpec:
     center: float
 
     def __post_init__(self):
-        if not (self.amplitude > 0):
-            raise ValueError("amplitude must be positive")
+        positive_finite("amplitude", self.amplitude)
         if not np.isfinite(self.center):
             raise ValueError("center must be finite")
 
@@ -237,8 +200,7 @@ class SignalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if not (self.domain_length > 0):
-            raise ValueError("domain_length must be positive")
+        positive_finite("domain_length", self.domain_length)
         half = self.domain_length / 2.0
         for peak in self.peaks:
             lo, hi = peak.support
@@ -264,8 +226,7 @@ def synthesize_signal(spec: SignalSpec, dt: float) -> SampledSequence:
     The grid runs from -L/2 to L/2 inclusive with spacing ``dt``; ``dt``
     must be positive and smaller than every peak's support width.
     """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    positive_finite("dt", dt)
     for peak in spec.peaks:
         if dt >= 2.0 * peak.shape.half_support:
             raise ValueError(

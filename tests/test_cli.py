@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -520,6 +521,75 @@ def test_simulate_design_bad_length_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert f"invalid design file: {field} must be positive and finite" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+_INF_PEAK = {
+    "shape": {"kind": "truncated_gaussian", "b": 3.0},
+    "amplitude": math.inf,
+    "center": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "command,case,message",
+    [
+        ("detect", ["--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        ("detect", ["--kernel", "quartic", "--gamma", "inf"], "gamma must be positive"),
+        ("detect", ["--gamma", "3", "--trunc", "inf"], "trunc must be positive"),
+        ("estimate-noise", ["--gamma", "inf"], "gamma must be positive"),
+        ("simulate", {"gamma_grid": [math.inf]}, "gamma_grid[0] must be positive"),
+        ("simulate", {"domain_length": math.inf}, "domain_length must be positive"),
+        ("simulate", {"amplitude_grid": [math.nan]}, "amplitude_grid[0] must be positive"),
+        ("simulate", {"amplitude_grid": [1.0, math.inf]}, "amplitude_grid[1] must be"),
+        ("simulate", {"peaks": [_INF_PEAK]}, "peaks[0]: amplitude must be positive"),
+        ("simulate", {"noise": {"nu": math.inf}}, "noise: nu must be finite"),
+    ],
+    ids=[
+        "gaussian-gamma", "quartic-gamma", "trunc", "estimate-noise-gamma",
+        "gamma-grid", "domain-length", "amplitude-grid-nan", "amplitude-grid-inf",
+        "peak-amplitude", "noise-nu",
+    ],
+)
+def test_non_finite_flag_or_design_value_exits_2(
+    tmp_path, capsys, command, case, message
+):
+    # refused before any work: the message names the flag, or the design
+    # file and its key
+    out = tmp_path / "out"
+    if command == "simulate":
+        path = _tiny_design_json(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **case}))
+        argv = ["simulate", "--design", str(path), "--seed", "1"]
+        message = f"error: {path}: invalid design file: {message}"
+    else:
+        series = tmp_path / "series.csv"
+        _write_spike_series(series, [100])
+        argv = [command, "--input", str(series), *case]
+        if command == "detect":
+            moments = tmp_path / "moments.json"
+            write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 3.0), moments)
+            argv += ["--moments", str(moments), "--alpha", "0.05"]
+    flag = "--peaks-csv" if command == "detect" else "--output"
+    assert main(argv + [flag, str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma,code", [(40.0, 2), (33.7, 2), (33.4, 0)])
+def test_simulate_bandwidth_wider_than_domain_exits_2(tmp_path, capsys, gamma, code):
+    # 201 samples; the Gaussian kernel reaches floor(3 * gamma) samples to
+    # each side, so gamma=33.4 leaves one sample outside its margins and
+    # 33.7 none
+    path = _tiny_design_json(tmp_path)
+    design = json.loads(path.read_text())
+    path.write_text(json.dumps({**design, "gamma_grid": [2.0, gamma]}))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"invalid design file: gamma_grid: the gamma={gamma} kernel" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("length,code", [(3.0, 2), (26.0, 2), (27.0, 0)])
