@@ -31,7 +31,12 @@ from .kernels import Kernel
 
 class _CompactShape:
     """A density that is zero outside ``|t| <= half_support``; a subclass
-    gives ``half_support`` and ``_inside``, the density within it."""
+    gives ``half_support`` and ``_inside``, the density within it.
+
+    The public shapes subclass one of the two families below and add no
+    field, so they keep the family's dataclass ``__init__``, ``repr``
+    and ``==`` (which also compares the class).
+    """
 
     def density(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
