@@ -22,9 +22,14 @@ from stem1d import (
     CauchyShape,
     EpanechnikovShape,
     GaussianAcvfParams,
+    KernelFamily,
     LaplaceShape,
     NoiseMoments,
     PalmParams,
+    PeakSpec,
+    Procedure,
+    SignalSpec,
+    SimulationDesign,
     TriangularShape,
     TruncatedGaussianShape,
     convolve,
@@ -53,6 +58,58 @@ def test_sweep_csv_digest(preset, replications):
     lines = run_sweep(design, seed=7).csv_lines()
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == SWEEP_DIGESTS[(preset, replications)]
+
+
+def _edge_signal():
+    shape = TruncatedGaussianShape(b=2.0, c=3.0)
+    centers = (-18.0, 0.5, 19.0)
+    peaks = tuple(PeakSpec(shape=shape, amplitude=1.0, center=c) for c in centers)
+    return SignalSpec(peaks=peaks, domain_length=60.0)
+
+
+# Small designs whose rows reach the edges the presets at seed 7 do not:
+# dt = 0.5 and a 121-sample grid, so the widest kernel (Gaussian gamma=10,
+# quartic gamma=30) keeps a 60-sample margin at each end and leaves one
+# testable sample (rows with zero and with one candidate); an amplitude of
+# 0.01, on which BH mostly rejects nothing (k = 0); all five procedures;
+# and auto-bandwidth on estimated quartic moments, over an unsorted grid.
+EDGE_DESIGNS = {
+    "gaussian-five-procedures": dict(
+        kernel_family=KernelFamily.GAUSSIAN,
+        gamma_grid=(1.0, 4.0, 10.0),
+        amplitude_grid=(0.01, 8.0),
+        procedures=tuple(Procedure),
+    ),
+    "quartic-auto-estimated": dict(
+        noise=GaussianAcvfParams(1.0, 0.5),
+        kernel_family=KernelFamily.QUARTIC,
+        gamma_grid=(3.0, 1.0, 30.0),
+        amplitude_grid=(0.01, 4.0),
+        moments_mode="estimated",
+        moments_length=400.0,
+        moments_reps=5,
+        auto_bandwidth=True,
+    ),
+}
+
+# design -> sha256 of its csv lines at 16 replications, seed 3
+EDGE_DIGESTS = {
+    "gaussian-five-procedures": "d0ba7faa7660a4f3b923794012d758898f6a8e6a547356ac9b500bf9d4a0be1e",
+    "quartic-auto-estimated": "d6348e4b64a4c994aaf4475db1a1242e92aa062623aeec13ee90a4488db595e9",
+}
+
+
+def edge_design(name: str) -> SimulationDesign:
+    options = dict(noise=GaussianAcvfParams(1.0, 0.0), replications=16)
+    options.update(EDGE_DESIGNS[name])
+    return SimulationDesign(name=name, signal=_edge_signal(), dt=0.5, **options)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DIGESTS))
+def test_edge_design_csv_digest(name):
+    lines = run_sweep(edge_design(name), seed=3).csv_lines()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == EDGE_DIGESTS[name]
 
 
 MOMENTS = {
