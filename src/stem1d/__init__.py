@@ -7,7 +7,7 @@ Gaussian noise, and applies a multiple-testing correction over the
 observed candidates.
 """
 
-from .grid import SampledSequence
+from .grid import SampledRows, SampledSequence
 from .kernels import (
     Kernel,
     KernelFamily,
@@ -90,6 +90,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
+    "SampledRows",
     "SampledSequence",
     "Kernel",
     "KernelFamily",

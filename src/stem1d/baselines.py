@@ -12,37 +12,35 @@ thresholds applied to the local-maxima candidates.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError, positive_finite
-from .grid import SQRT_2PI, SampledSequence
+from .grid import SQRT_2PI, SampledRows, SampledSequence
 from .multitest import DetectionReport, Procedure, _cutoff, _report, check_alpha
 from .noise import NoiseMoments
 from .palm import bisect_decreasing, clip_pvalues
 
 
-def pointwise_pvalues(smoothed: SampledSequence, moments: NoiseMoments) -> CandidateSet:
-    """One-sided Gaussian p-value at every interior sample."""
-    n = smoothed.values.size
-    margin = smoothed.margin
-    if 2 * margin >= n:
-        return CandidateSet.empty()
-    idx = np.arange(margin, n - margin)
-    values = smoothed.values[idx]
-    p = clip_pvalues(ndtr(-values / moments.sigma))
-    return CandidateSet(idx, smoothed.time_at(idx), values, p)
+def pointwise_pvalues(
+    smoothed: SampledSequence | SampledRows,
+    moments: NoiseMoments | Sequence[NoiseMoments],
+) -> CandidateSet:
+    """One-sided Gaussian p-value at every interior sample.
 
-
-def _gaussian_quantile(moments: NoiseMoments, cutoff: float) -> float:
-    """Height whose marginal one-sided p-value equals ``cutoff``."""
-    if cutoff <= 0.0:
-        return float("inf")
-    if cutoff >= 1.0:
-        return float("-inf")
-    return -moments.sigma * float(ndtri(cutoff))
+    Given :class:`SampledRows` and one :class:`NoiseMoments` per row, the
+    samples of every row, with its sigma, form one set of rows.
+    """
+    if isinstance(smoothed, SampledSequence):
+        seq, moments = smoothed, [moments]
+        smoothed = SampledRows(seq.values[np.newaxis], seq.dt, seq.t0, [seq.margin])
+    rows, idx, values = smoothed.entries(np.ones(smoothed.values.shape, dtype=bool))
+    sigma = np.array([m.sigma for m in moments])[rows]
+    p = clip_pvalues(ndtr(-values / sigma))
+    return CandidateSet.canonical(idx, smoothed.t0 + smoothed.dt * idx, values, p, rows)
 
 
 _POINTWISE_RULES = {
@@ -55,7 +53,7 @@ def pointwise_correct(
     samples: CandidateSet,
     alpha: float,
     procedure: Procedure,
-    moments: NoiseMoments,
+    moments: NoiseMoments | Sequence[NoiseMoments],
 ) -> DetectionReport:
     """Correct the per-sample p-values over the number of samples.
 
@@ -63,14 +61,17 @@ def pointwise_correct(
     The rejected entries are samples, not peaks.  The report's height
     threshold is the sample value equivalent to the realized cutoff,
     which lets peak-level scoring treat the method as a height rule.
+    Several rows, with one :class:`NoiseMoments` each, give a batch report.
     """
-    if samples.pvalues is None:
-        raise ValueError("samples carry no p-values")
     if procedure not in _POINTWISE_RULES:
         raise ValueError(f"{procedure} is not a pointwise procedure")
-    cutoff, k = _cutoff(samples, alpha, _POINTWISE_RULES[procedure])
-    threshold = _gaussian_quantile(moments, cutoff)
-    return _report(samples, alpha, procedure, cutoff, k, threshold)
+    single = isinstance(moments, NoiseMoments)
+    moments = [moments] if single else moments
+    cutoff, k, m = _cutoff(samples, alpha, _POINTWISE_RULES[procedure], len(moments))
+    # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
+    threshold = -np.array([x.sigma for x in moments]) * ndtri(cutoff)
+    rejected, numbers = samples.pvalues < cutoff[samples.rows], (cutoff, threshold, m, k)
+    return _report(samples, alpha, procedure, rejected, numbers, single)
 
 
 def excursion_bound(
@@ -131,24 +132,22 @@ def supremum_threshold(
 
 def height_rule_report(
     candidates: CandidateSet,
-    threshold: float,
+    threshold,
     alpha: float,
     procedure: Procedure,
 ) -> DetectionReport:
     """Report the candidates strictly above a fixed height threshold.
 
     The p-value cutoff is not defined for a pure height rule and is
-    reported as NaN.
+    reported as NaN.  An array ``threshold``, one per row of
+    ``candidates``, gives a batch report.
     """
-    rejected = candidates.select(candidates.heights > threshold)
-    return DetectionReport(
-        procedure=procedure,
-        alpha=alpha,
-        rejected=rejected,
-        pvalue_cutoff=float("nan"),
-        height_threshold=threshold,
-        num_candidates=candidates.count,
-    )
+    single = not np.ndim(threshold)
+    threshold = np.reshape(threshold, -1).astype(np.float64)
+    m = np.bincount(candidates.rows, minlength=threshold.size)
+    numbers = (np.full(m.size, np.nan), threshold, m, np.zeros(m.size, np.int64))
+    rejected = candidates.heights > threshold[candidates.rows]
+    return _report(candidates, alpha, procedure, rejected, numbers, single)
 
 
 def supremum_detect(

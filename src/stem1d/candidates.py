@@ -14,20 +14,27 @@ class CandidateSet:
     Entries are stored sorted by location; construction from shuffled
     arrays yields the same canonical set, so downstream decisions never
     depend on input order.  ``pvalues`` is attached by the tester.
+
+    ``rows`` gives each entry the row (the sequence) it came from, so one
+    set can hold several sequences, each tested on its own; by default
+    every entry is in row 0.  Entries are sorted by row, then location.
     """
 
     indices: np.ndarray
     locations: np.ndarray
     heights: np.ndarray
     pvalues: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
         locations = np.asarray(self.locations, dtype=np.float64)
         heights = np.asarray(self.heights, dtype=np.float64)
-        if not (indices.ndim == locations.ndim == heights.ndim == 1):
+        rows = np.zeros(locations.shape, np.int64) if self.rows is None else self.rows
+        rows = np.asarray(rows, dtype=np.int64)
+        if not (indices.ndim == locations.ndim == heights.ndim == rows.ndim == 1):
             raise ValueError("candidate fields must be 1-D arrays")
-        if not (indices.size == locations.size == heights.size):
+        if not (indices.size == locations.size == heights.size == rows.size):
             raise ValueError("candidate fields must have equal length")
         if not np.all(np.isfinite(locations)):
             raise ValueError("locations must be finite")
@@ -40,21 +47,12 @@ class CandidateSet:
                 raise ValueError("pvalues must match the other fields")
             if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
                 raise ValueError("pvalues must lie strictly inside (0, 1)")
-        order = np.argsort(locations, kind="stable")
-        indices = indices[order]
-        locations = locations[order]
-        heights = heights[order]
-        if pvalues is not None:
-            pvalues = pvalues[order]
-        if locations.size > 1 and np.any(np.diff(locations) <= 0):
-            raise ValueError("locations must be distinct")
-        for arr in (indices, locations, heights, pvalues):
-            if arr is not None:
-                arr.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "pvalues", pvalues)
+        order = np.lexsort((locations, rows))
+        fields = [indices, locations, heights, pvalues, rows]
+        fields = [None if f is None else f[order] for f in fields]
+        if np.any((np.diff(fields[4]) == 0) & (np.diff(fields[1]) <= 0)):
+            raise ValueError("locations must be distinct within a row")
+        self._set(*fields)
 
     def __len__(self) -> int:
         return self.locations.size
@@ -70,37 +68,35 @@ class CandidateSet:
             raise ValueError("pvalues must match the other fields")
         if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
             raise ValueError("pvalues must lie strictly inside (0, 1)")
-        return CandidateSet._canonical(
-            self.indices, self.locations, self.heights, pvalues
+        return CandidateSet.canonical(
+            self.indices, self.locations, self.heights, pvalues, self.rows
         )
 
     def select(self, mask: np.ndarray) -> "CandidateSet":
         mask = np.asarray(mask, dtype=bool)
-        return CandidateSet._canonical(
-            self.indices[mask],
-            self.locations[mask],
-            self.heights[mask],
-            None if self.pvalues is None else self.pvalues[mask],
-        )
+        fields = (getattr(self, name) for name in _FIELDS)
+        return CandidateSet.canonical(*(None if f is None else f[mask] for f in fields))
 
-    @classmethod
-    def _canonical(cls, indices, locations, heights, pvalues) -> "CandidateSet":
-        """A set from fields that are already canonical: sorted, distinct,
-        finite, of equal length and dtype.  Subsets of a valid set are,
-        so ``select`` and ``with_pvalues`` skip the sort and the checks."""
-        out = object.__new__(cls)
-        for name, arr in (
-            ("indices", indices),
-            ("locations", locations),
-            ("heights", heights),
-            ("pvalues", pvalues),
-        ):
+    def _set(self, *fields) -> None:
+        for name, arr in zip(_FIELDS, fields):
             if arr is not None:
                 arr.setflags(write=False)
-            object.__setattr__(out, name, arr)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def canonical(cls, indices, locations, heights, pvalues, rows) -> "CandidateSet":
+        """A set from fields that are already canonical: sorted by row and
+        location, distinct within a row, finite, of equal length and dtype.
+        Subsets of a valid set are, and so are a grid's samples in
+        row-major order: no sort, no checks."""
+        out = object.__new__(cls)
+        out._set(indices, locations, heights, pvalues, rows)
         return out
 
     @classmethod
     def empty(cls) -> "CandidateSet":
         z = np.zeros(0)
         return cls(z.astype(np.int64), z, z, z)
+
+
+_FIELDS = ("indices", "locations", "heights", "pvalues", "rows")

@@ -23,15 +23,17 @@ from . import __version__
 from .errors import ConfigurationError, InputFileError, NumericFailureError
 from .evaluation import PRESET_NAMES, preset_design, run_sweep
 from .kernels import (
+    KernelFamily,
     convolve,
     estimate_template,
     gaussian_kernel,
+    kernel_reach,
     quartic_kernel,
     same_grid,
 )
 from .multitest import Procedure, check_alpha
-from .noise import estimate_moments
-from .pipeline import stem_detect
+from .noise import check_interior, estimate_moments
+from .pipeline import check_testable, stem_detect
 from .seriesio import (
     load_kernel_csv,
     read_design_json,
@@ -79,14 +81,17 @@ def _provenance_dict(command: str, args: argparse.Namespace) -> dict:
     }
 
 
-def _build_kernel(args: argparse.Namespace, dt: float):
-    if args.kernel == "gaussian":
+def _build_kernel(args: argparse.Namespace, series, check):
+    """The kernel the flags name, on ``series``' grid; ``check(samples,
+    margin)`` first judges an analytic kernel's reach, before any weight."""
+    dt = series.dt
+    if args.kernel != "template":
         if args.gamma is None:
-            raise ConfigurationError("--gamma is required for the gaussian kernel")
-        return gaussian_kernel(args.gamma, dt, args.trunc)
-    if args.kernel == "quartic":
-        if args.gamma is None:
-            raise ConfigurationError("--gamma is required for the quartic kernel")
+            raise ConfigurationError(f"--gamma is required for the {args.kernel} kernel")
+        family = KernelFamily(args.kernel)
+        check(series.values.size, kernel_reach(family, args.gamma, dt, args.trunc))
+        if family is KernelFamily.GAUSSIAN:
+            return gaussian_kernel(args.gamma, dt, args.trunc)
         return quartic_kernel(args.gamma, dt)
     if args.template_file is None:
         raise ConfigurationError("--template-file is required for the template kernel")
@@ -122,7 +127,7 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_detect(args: argparse.Namespace) -> int:
     check_alpha(args.alpha)
     series = read_series(args.input, dt=args.dt)
-    kernel = _build_kernel(args, series.dt)
+    kernel = _build_kernel(args, series, check_testable)
     if args.moments is not None:
         moments = read_moments_json(args.moments)
     else:
@@ -151,7 +156,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     series = read_series(args.input, dt=args.dt)
-    kernel = _build_kernel(args, series.dt)
+    kernel = _build_kernel(args, series, check_interior)
     moments = estimate_moments(convolve(series, kernel))
     write_moments_json(
         moments, args.output, provenance=_provenance_dict("estimate-noise", args)

@@ -24,13 +24,14 @@ from scipy.special import ndtr
 
 from .candidates import CandidateSet
 from .errors import positive_finite
-from .grid import SampledSequence, nearly_equal
+from .grid import SampledRows, SampledSequence, nearly_equal
 from .kernels import (
     Kernel,
     KernelFamily,
     convolve,
     convolve_rows,
     gaussian_kernel,
+    kernel_reach,
     quartic_kernel,
 )
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
@@ -46,6 +47,7 @@ from .noise import (
 from .palm import PalmParams, candidate_pvalues
 from .pipeline import find_local_maxima, most_rejections
 from .baselines import (
+    _POINTWISE_RULES,
     height_rule_report,
     pointwise_correct,
     pointwise_pvalues,
@@ -106,27 +108,20 @@ class TrialOutcome:
 
     @property
     def false_discovery_proportion(self) -> float:
-        return self.false_rejections / max(self.total_rejections, 1)
+        return self.false_rejections / np.maximum(self.total_rejections, 1)
 
     @property
     def detected_fraction(self) -> float:
         flags = self.detected_flags
-        if flags.size == 0:
-            return float("nan")
-        return float(np.count_nonzero(flags)) / flags.size
-
-
-def _count_within(sorted_locs: np.ndarray, los: np.ndarray, his: np.ndarray):
-    """Entries of ``sorted_locs`` inside each closed interval [lo, hi]."""
-    return sorted_locs.searchsorted(his, side="right") - sorted_locs.searchsorted(
-        los, side="left"
-    )
+        if flags.shape[-1] == 0:
+            return np.full(flags.shape[:-1], np.nan)[()]
+        return np.count_nonzero(flags, axis=-1) / flags.shape[-1]
 
 
 def score_trial(
-    report: DetectionReport,
+    report: DetectionReport | list[DetectionReport],
     candidates: CandidateSet,
-    regions: RegionSet,
+    regions: RegionSet | list[RegionSet],
 ) -> TrialOutcome:
     """Classify each rejection by region and tally per-peak detections.
 
@@ -134,27 +129,52 @@ def score_trial(
     the equivalent height rule on ``candidates`` so that all procedures
     are scored on peaks.  ``locmax_per_peak`` counts every candidate
     inside each support, significant or not.
+
+    ``report`` may also be a list of batch reports on the rows of
+    ``candidates``, one per procedure, with one :class:`RegionSet` (of
+    one signal) per row: every (procedure, row) is scored in one pass,
+    each count a (procedure, row) array, and the peak flags and
+    ``locmax_per_peak`` have a last axis over the peaks.
     """
-    if report.procedure in (Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH):
-        rejected = candidates.select(candidates.heights > report.height_threshold)
-    else:
-        rejected = report.rejected
-    locs = rejected.locations
-    in_signal = regions.signal.contains(locs)
-    in_smoothed = regions.smoothed_signal.contains(locs)
-    n_signal = int(np.count_nonzero(in_signal))
-    n_transition = int(np.count_nonzero(in_smoothed & ~in_signal))
-    n_null_core = int(np.count_nonzero(~in_smoothed))
-    los, his = regions.support_edges
-    n_rejected = _count_within(locs, los, his)
-    locmax = _count_within(candidates.locations, los, his)
-    return TrialOutcome(
-        rejected_in_signal=n_signal,
-        rejected_in_transition=n_transition,
-        rejected_in_null_core=n_null_core,
-        detected_flags=n_rejected > 0,
-        locmax_per_peak=locmax,
-    )
+    single = isinstance(report, DetectionReport)
+    reports, regions = ([report], [regions]) if single else (report, regions)
+    rows, heights = candidates.rows, candidates.heights
+    sets = [
+        candidates.select(heights > np.reshape(r.height_threshold, -1)[rows])
+        if r.procedure in _POINTWISE_RULES
+        else r.rejected
+        for r in reports
+    ]
+    # each (row, location) as an exact integer key: row * G + the rank of
+    # the location among the G distinct values compared
+    intervals = [r.scored_intervals for r in regions]
+    los, his, columns = (np.concatenate(x) for x in zip(*intervals))
+    edge_rows = np.repeat(np.arange(len(regions)), [c.size for _, _, c in intervals])
+    compared = [los, his, *(s.locations for s in [candidates, *sets])]
+    ranks = np.unique(np.concatenate(compared))
+
+    def keys(rows, locations):
+        return rows * ranks.size + ranks.searchsorted(locations)
+
+    lo_keys, hi_keys = keys(edge_rows, los), keys(edge_rows, his)
+
+    def tally(cands: CandidateSet) -> np.ndarray:
+        """Per row: entries in each column's intervals, then in all."""
+        counts = np.zeros((len(regions), 3 + len(regions[0].peak_supports)), np.int64)
+        at = keys(cands.rows, cands.locations)
+        inside = at.searchsorted(hi_keys, "right") - at.searchsorted(lo_keys, "left")
+        np.add.at(counts, (edge_rows, columns), inside)
+        counts[:, -1] = np.bincount(cands.rows, minlength=len(regions))
+        return counts
+
+    n = np.array([tally(s) for s in sets])
+    # the smoothed signal holds the signal: transition = smoothed - signal
+    fields = [n[..., 0], n[..., 1] - n[..., 0], n[..., -1] - n[..., 1], n[..., 2:-1] > 0]
+    locmax = tally(candidates)[:, 2:-1]
+    if single:
+        fields = [*(int(f[0, 0]) for f in fields[:3]), fields[3][0, 0]]
+        locmax = locmax[0]
+    return TrialOutcome(*fields, locmax)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +321,7 @@ class SimulationDesign:
             raise ValueError("sweeps support gaussian and quartic kernels only")
         # the widest kernel has the widest margins
         gamma = max(self.gamma_grid)
-        margin = self.build_kernel(gamma).half_support_samples
+        margin = kernel_reach(self.kernel_family, gamma, self.dt, self.kernel_trunc)
         samples = int(round(self.signal.domain_length / self.dt)) + 1
         if samples <= 2 * margin:
             raise ValueError(
@@ -478,49 +498,6 @@ class _Band:
         )
 
 
-class _Smoothed:
-    """One realization smoothed at one bandwidth, as the rules see it."""
-
-    def __init__(self, band: _Band, smoothed: SampledSequence):
-        self.band = band
-        self.smoothed = smoothed
-        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.palm)
-
-    @cached_property
-    def samples(self) -> CandidateSet:
-        return pointwise_pvalues(self.smoothed, self.band.moments)
-
-
-def _candidate_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
-    cands = [view.cands for view in views]
-    return run_procedure(cands, alpha, [view.band.palm for view in views], proc)
-
-
-def _pointwise_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
-    return [
-        pointwise_correct(view.samples, alpha, proc, view.band.moments)
-        for view in views
-    ]
-
-
-def _supremum_rule(views: list[_Smoothed], proc: Procedure, alpha: float):
-    return [
-        height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
-        for view in views
-    ]
-
-
-# Procedure -> rule giving its reports on a list of smoothed realizations,
-# one report per realization.
-_RULES = {
-    Procedure.BONFERRONI: _candidate_rule,
-    Procedure.BH: _candidate_rule,
-    Procedure.POINTWISE_BONFERRONI: _pointwise_rule,
-    Procedure.POINTWISE_BH: _pointwise_rule,
-    Procedure.SUPREMUM: _supremum_rule,
-}
-
-
 def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
     """Execute a design: one noise draw per replication, scored in every cell.
 
@@ -554,7 +531,8 @@ def _trial(
     Arrays are indexed [column, amplitude, procedure], and
     ``locmax_per_peak`` by [column, amplitude].  Columns are the
     bandwidths; an auto-bandwidth design has one column, scoring in each
-    cell the bandwidth with the most rejections.
+    cell the bandwidth with the most rejections.  Every (amplitude,
+    bandwidth) view is a row of one array, and each stage runs once.
     """
     noise = generate_noise(
         design.noise,
@@ -563,40 +541,57 @@ def _trial(
         design.dt,
         seed=(seed, _TRIAL_STREAM, rep),
     )
-    sn = SampledSequence(noise.values, design.dt, t0=base_mu.t0)
-    smoothed_noise = [convolve(sn, band.kernel) for band in bands]
-    columns = 1 if design.auto_bandwidth else len(bands)
-    shape = (columns, len(design.amplitude_grid), len(design.procedures))
-    record = {
-        name: np.empty(shape) for name in ("fwer", "fdr", "power", "chosen_gamma")
+    amps = np.array(design.amplitude_grid)[:, np.newaxis, np.newaxis]
+    mu = np.stack([band.smoothed_mu.values for band in bands])
+    z = np.stack([convolve(noise, band.kernel).values for band in bands])
+    views = (amps * mu + z).reshape(-1, mu.shape[1])
+    if not np.isfinite(views).all():
+        raise ValueError("smoothed values must be finite")
+    row_bands = bands * len(design.amplitude_grid)
+    margins = [band.kernel.half_support_samples for band in row_bands]
+    grid = SampledRows(views, design.dt, base_mu.t0, margins)
+    palms = [band.palm for band in row_bands]
+    moments = [band.moments for band in row_bands]
+    cands = candidate_pvalues(find_local_maxima(grid), palms)
+    procs, alpha = design.procedures, design.alpha
+    peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
+    reports = dict(zip(peak, run_procedure(cands, alpha, palms, peak))) if peak else {}
+    pointwise = [p for p in procs if p in _POINTWISE_RULES]
+    samples = pointwise_pvalues(grid, moments) if pointwise else None
+    for p in procs:
+        if p in pointwise:
+            reports[p] = pointwise_correct(samples, alpha, p, moments)
+        elif p is Procedure.SUPREMUM:
+            sup = np.array([band.sup_threshold for band in row_bands])
+            reports[p] = height_rule_report(cands, sup, alpha, p)
+    reports = [reports[p] for p in procs]
+    outcome = score_trial(reports, cands, [band.regions for band in row_bands])
+
+    # each metric as a [procedure, amplitude, bandwidth] array
+    shape = (len(procs), len(design.amplitude_grid), len(bands))
+    locmax = outcome.locmax_per_peak
+    locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
+    metrics = {
+        "fwer": outcome.false_rejections > 0,
+        "fdr": outcome.false_discovery_proportion,
+        "power": outcome.detected_fraction,
+        "chosen_gamma": np.broadcast_to([band.gamma for band in bands], shape),
+        "locmax_per_peak": np.broadcast_to(locmax.reshape(shape[1:]), shape),
     }
-    record["locmax_per_peak"] = np.empty(shape[:2])
-    # every amplitude's views, amplitude-major, so each rule runs once
-    views = [
-        _Smoothed(band, z.with_values(amp * band.smoothed_mu.values + z.values))
-        for amp in design.amplitude_grid
-        for band, z in zip(bands, smoothed_noise)
-    ]
-    for p, proc in enumerate(design.procedures):
-        all_reports = _RULES[proc](views, proc, design.alpha)
-        for a in range(len(design.amplitude_grid)):
-            row = slice(a * len(bands), (a + 1) * len(bands))
-            reports, row_views = all_reports[row], views[row]
-            if design.auto_bandwidth:
-                counts = [report.num_rejected for report in reports]
-                scored = [most_rejections(counts, design.gamma_grid)]
-            else:
-                scored = range(len(bands))
-            for c, k in enumerate(scored):
-                outcome = score_trial(reports[k], row_views[k].cands, bands[k].regions)
-                locmax = outcome.locmax_per_peak
-                record["fwer"][c, a, p] = outcome.false_rejections > 0
-                record["fdr"][c, a, p] = outcome.false_discovery_proportion
-                record["power"][c, a, p] = outcome.detected_fraction
-                record["chosen_gamma"][c, a, p] = bands[k].gamma
-                record["locmax_per_peak"][c, a] = (
-                    locmax.mean() if locmax.size else float("nan")
-                )
+    metrics = {name: np.reshape(x, shape).astype(float) for name, x in metrics.items()}
+    if design.auto_bandwidth:
+        # per procedure and amplitude, the band with the most rejections
+        counts = [np.bincount(r.rejected.rows, minlength=len(views)) for r in reports]
+        counts = np.reshape(counts, shape)
+        chosen = [[[most_rejections(c, design.gamma_grid)] for c in a] for a in counts]
+        metrics = {
+            name: np.take_along_axis(x, np.array(chosen), axis=2)
+            for name, x in metrics.items()
+        }
+    record = {name: x.transpose(2, 1, 0) for name, x in metrics.items()}
+    # by [column, amplitude], in the last procedure's column (an auto
+    # design's choice may differ between procedures)
+    record["locmax_per_peak"] = record["locmax_per_peak"][..., -1]
     return record
 
 

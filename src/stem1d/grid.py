@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +19,32 @@ def nearly_equal(a: float, b: float) -> bool:
 
 
 def strict_local_maxima(v: np.ndarray) -> np.ndarray:
-    """Indices i with v[i] above both neighbours; plateaus never qualify."""
-    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    """Mask of the samples above both neighbours along the last axis;
+    plateaus and the end samples never qualify."""
+    inner = v[..., 1:-1]
+    out = np.zeros(v.shape, dtype=bool)
+    out[..., 1:-1] = (inner > v[..., :-2]) & (inner > v[..., 2:])
+    return out
+
+
+class SampledRows(NamedTuple):
+    """Sequences on one grid, one per row of ``values``, each with its own
+    margin: a batch of :class:`SampledSequence`, taken unchecked."""
+
+    values: np.ndarray
+    dt: float
+    t0: float
+    margins: Sequence[int]
+
+    def entries(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, index and value of the samples in ``mask`` (which is
+        cleared in the margins), in row-major order."""
+        n = mask.shape[1]
+        for row, margin in zip(mask, self.margins):
+            row[:margin] = row[n - margin:] = False
+        flat = np.flatnonzero(mask)
+        rows = np.arange(n, mask.size, n).searchsorted(flat, side="right")
+        return rows, flat - rows * n, self.values.reshape(-1)[flat]
 
 
 @dataclass(frozen=True, eq=False)

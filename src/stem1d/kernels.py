@@ -113,15 +113,23 @@ def _check_bandwidth(gamma: float, dt: float) -> None:
         )
 
 
+def kernel_reach(family: KernelFamily, gamma: float, dt: float, trunc=3.0) -> int:
+    """``half_support_samples`` of the Gaussian (cut at ``trunc * gamma``)
+    or quartic kernel, known before any weight is built."""
+    _check_bandwidth(gamma, dt)
+    if family is KernelFamily.GAUSSIAN:
+        gamma = gamma * positive_finite("trunc", trunc)
+    # capped, so a reach past any array size still compares as an int
+    return int(math.floor(min(gamma / dt + 1e-9, 2.0**62)))
+
+
 def gaussian_kernel(gamma: float, dt: float, trunc: float = 3.0) -> Kernel:
     """Sampled Gaussian density of scale ``gamma`` truncated at ``trunc * gamma``.
 
     The weights are renormalized after truncation so the discrete action
     is exactly 1.
     """
-    _check_bandwidth(gamma, dt)
-    positive_finite("trunc", trunc)
-    m = int(math.floor(gamma * trunc / dt + 1e-9))
+    m = kernel_reach(KernelFamily.GAUSSIAN, gamma, dt, trunc)
     offsets = np.arange(-m, m + 1) * dt
     weights = np.exp(-0.5 * (offsets / gamma) ** 2) / (gamma * SQRT_2PI)
     weights /= weights.sum() * dt
@@ -130,8 +138,7 @@ def gaussian_kernel(gamma: float, dt: float, trunc: float = 3.0) -> Kernel:
 
 def quartic_kernel(gamma: float, dt: float) -> Kernel:
     """Biweight kernel 15/(16 gamma) (1 - (t/gamma)^2)^2 on [-gamma, gamma]."""
-    _check_bandwidth(gamma, dt)
-    m = int(math.floor(gamma / dt + 1e-9))
+    m = kernel_reach(KernelFamily.QUARTIC, gamma, dt)
     u = np.arange(-m, m + 1) * dt / gamma
     weights = 15.0 / (16.0 * gamma) * (1.0 - u**2) ** 2
     weights /= weights.sum() * dt
@@ -185,8 +192,7 @@ def estimate_template(
         raise ValueError("window must be at least 3 samples")
     v = training.values
     n = v.size
-    idx = strict_local_maxima(v)
-    idx = idx[v[idx] > height_threshold]
+    idx = np.flatnonzero(strict_local_maxima(v) & (v > height_threshold))
     half = window // 2
     usable = idx[(idx - half >= 0) & (idx - half + window <= n)]
     if usable.size == 0:

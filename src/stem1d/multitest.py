@@ -42,7 +42,8 @@ class DetectionReport:
     ``height_threshold`` is the equivalent threshold on peak heights
     (``-inf`` when everything would be rejected, ``+inf`` when nothing
     is).  ``step_index`` is the step-up count k for BH-type procedures
-    and 0 otherwise.
+    and 0 otherwise.  A report on a set of several rows (a batch) holds
+    these numbers as arrays, one entry per row.
     """
 
     procedure: Procedure
@@ -55,9 +56,9 @@ class DetectionReport:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.num_candidates < 0:
+        if np.any(np.less(self.num_candidates, 0)):
             raise ValueError("num_candidates must be non-negative")
-        if len(self.rejected) > self.num_candidates:
+        if len(self.rejected) > np.sum(self.num_candidates):
             raise ValueError("cannot reject more candidates than tested")
 
     @property
@@ -113,12 +114,16 @@ def _json_float(x: float):
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
-def step_up_count(p: np.ndarray, alpha: float) -> int:
-    """Largest i with the i-th smallest p-value below i * alpha / m; 0 if none."""
-    m = p.size
-    ordered = np.sort(p)
-    below = np.flatnonzero(ordered < alpha * np.arange(1, m + 1) / m)
-    return int(below[-1] + 1) if below.size else 0
+def step_up_count(p: np.ndarray, alpha: float, rows: np.ndarray, m: np.ndarray):
+    """Per row (``rows`` non-decreasing, ``m`` entries in each), the largest
+    i with the i-th smallest p-value below i * alpha / m; 0 if none.  The
+    rows are sorted at once, in a table padded with +inf."""
+    table = np.full((m.size, m.max(initial=0)), np.inf)
+    table[rows, np.arange(rows.size) - np.repeat(np.cumsum(m) - m, m)] = p
+    table.sort(axis=1)
+    i = np.arange(1, table.shape[1] + 1)
+    below = table < alpha * i / np.maximum(m, 1)[:, np.newaxis]
+    return np.max(below * i, axis=1, initial=0)
 
 
 def bonferroni(
@@ -140,64 +145,62 @@ def benjamini_hochberg(
     return run_procedure(candidates, alpha, params, Procedure.BH)
 
 
-def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure):
-    """``(pvalue_cutoff, k)`` of one candidate set: a cutoff of 1 with no
-    candidates, and of 0 when a step-up rejects nothing (k = 0)."""
-    p = candidates.pvalues
+def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_rows: int):
+    """``(pvalue_cutoff, k, m)`` of each row of a candidate set, as arrays:
+    a cutoff of 1 on a row with no candidates, and of 0 where a step-up
+    rejects nothing (k = 0)."""
+    p, rows = candidates.pvalues, candidates.rows
     if p is None:
         raise ValueError("candidates carry no p-values")
-    m = candidates.count
-    if m == 0:
-        return 1.0, 0
+    m = np.bincount(rows, minlength=num_rows)
+    per_row = np.maximum(m, 1)
     if procedure is Procedure.BONFERRONI:
-        return alpha / m, 0
-    k = step_up_count(p, alpha)
-    return (k * alpha / m if k else 0.0), k
+        return np.where(m > 0, alpha / per_row, 1.0), np.zeros(num_rows, np.int64), m
+    k = step_up_count(p, alpha, rows, m)
+    cutoff = np.where(k > 0, k * alpha / per_row, 0.0)
+    return np.where(m > 0, cutoff, 1.0), k, m
+
+
+def _report(candidates, alpha, procedure, rejected, numbers, single) -> DetectionReport:
+    """The report rejecting mask ``rejected``; ``numbers`` per row, or row 0's."""
+    if single:
+        numbers = (x[0].item() for x in numbers)
+    return DetectionReport(procedure, alpha, candidates.select(rejected), *numbers)
 
 
 def run_procedure(
-    candidates: CandidateSet | Sequence[CandidateSet],
+    candidates: CandidateSet,
     alpha: float,
     params: PalmParams | Sequence[PalmParams],
-    procedure: Procedure,
+    procedure: Procedure | Sequence[Procedure],
 ) -> DetectionReport | list[DetectionReport]:
     """Bonferroni or BH on a candidate set, as a :class:`DetectionReport`.
 
-    ``candidates`` may also be a list of candidate sets, with ``params``
-    a list of the same length; the result is then one report per set.
-    A single set is run as a list of one.  The height thresholds of all
-    the sets are solved in one batched :func:`palm_quantile` call.
+    ``candidates`` may also hold several rows, with ``params`` one
+    :class:`PalmParams` per row and ``procedure`` a sequence: the result
+    is then one batch report per procedure, each row corrected on its
+    own.  The height thresholds of every (procedure, row) pair come from
+    one :func:`palm_quantile` call.  A single set and procedure run as a
+    batch of one.
     """
-    if procedure not in (Procedure.BONFERRONI, Procedure.BH):
-        raise ValueError(f"{procedure} is not a candidate-level procedure")
-    single = isinstance(candidates, CandidateSet)
+    single = isinstance(procedure, Procedure)
     if single:
-        candidates, params = [candidates], [params]
-    if len(candidates) != len(params):
-        raise ValueError("candidates and params lists must align")
-    cuts = [_cutoff(c, alpha, procedure) for c in candidates]
-    solve = [i for i, (cutoff, _) in enumerate(cuts) if cutoff > 0.0]
-    thresholds = np.full(len(cuts), np.inf)
-    thresholds[solve] = palm_quantile(
-        [params[i] for i in solve], [cuts[i][0] for i in solve]
-    )
+        params, procedure = [params], [procedure]
+    for proc in procedure:
+        if proc not in (Procedure.BONFERRONI, Procedure.BH):
+            raise ValueError(f"{proc} is not a candidate-level procedure")
+    cuts = [_cutoff(candidates, alpha, proc, len(params)) for proc in procedure]
+    cutoffs = np.array([cutoff for cutoff, _, _ in cuts])
+    thresholds = np.full(cutoffs.shape, np.inf)
+    solve = cutoffs > 0.0
+    rows = np.nonzero(solve)[1]
+    thresholds[solve] = palm_quantile([params[r] for r in rows], cutoffs[solve])
     reports = [
-        _report(c, alpha, procedure, cutoff, k, threshold)
-        for c, (cutoff, k), threshold in zip(candidates, cuts, thresholds.tolist())
+        _report(candidates, alpha, proc, candidates.pvalues < cutoff[candidates.rows],
+                (cutoff, threshold, m, k), single)
+        for proc, (cutoff, k, m), threshold in zip(procedure, cuts, thresholds)
     ]
     return reports[0] if single else reports
-
-
-def _report(candidates, alpha, procedure, cutoff, k, threshold) -> DetectionReport:
-    return DetectionReport(
-        procedure=procedure,
-        alpha=alpha,
-        rejected=candidates.select(candidates.pvalues < cutoff),
-        pvalue_cutoff=cutoff,
-        height_threshold=threshold,
-        num_candidates=candidates.count,
-        step_index=k,
-    )
 
 
 @dataclass(frozen=True)

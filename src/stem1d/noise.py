@@ -207,11 +207,7 @@ def estimate_moments(
         row = estimate_moments(runs.values[np.newaxis], zero_mean, runs.dt, runs.margin)
         return NoiseMoments(*row[0].tolist())
     n = runs.shape[1]
-    if n - 2 * margin < MIN_INTERIOR_SAMPLES:
-        raise DegenerateSequenceError(
-            f"need at least {MIN_INTERIOR_SAMPLES} interior samples, "
-            f"got {max(n - 2 * margin, 0)}"
-        )
+    check_interior(n, margin)
     _check_runs(np.isfinite(runs).all(axis=1), "values must be finite")
     v = runs[:, margin:n - margin]
     d1 = np.diff(v, axis=1)
@@ -232,6 +228,15 @@ def estimate_moments(
         "moments are incompatible: sigma2 * lambda4 must exceed lambda2^2",
     )
     return moments
+
+
+def check_interior(samples: int, margin: int) -> None:
+    """Refuse fewer than ``MIN_INTERIOR_SAMPLES`` inside a ``margin`` at each end."""
+    if samples - 2 * margin < MIN_INTERIOR_SAMPLES:
+        raise DegenerateSequenceError(
+            f"need at least {MIN_INTERIOR_SAMPLES} interior samples, "
+            f"got {max(samples - 2 * margin, 0)}"
+        )
 
 
 def _check_runs(ok: np.ndarray, message: str) -> None:

@@ -139,14 +139,19 @@ def palm_survival(params: PalmParams, u):
     the same order, so each entry has the bits of a call with its own
     :class:`PalmParams`.
     """
-    a1, a2, c1, sigma = params.a1, params.a2, params.c1, params.sigma
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    out = ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
+    out = _survival(params, u)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _survival(params, u: np.ndarray) -> np.ndarray:
+    """:func:`palm_survival` of a finite array ``u``, unchecked."""
+    a1, a2, c1, sigma = params.a1, params.a2, params.c1, params.sigma
+    return ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
 
 
 def palm_quantile(params, v):
@@ -189,7 +194,9 @@ def palm_quantile(params, v):
         if done.all():
             break
         lo = np.where(done, lo, lo * 2.0)
-    lo, hi = bisect_decreasing(lambda u: palm_survival(coef, u), target, lo, hi)
+    if not np.isfinite(lo + hi).all():  # then every midpoint is finite
+        raise ValueError("no finite bracket for the quantile")
+    lo, hi = bisect_decreasing(lambda u: _survival(coef, u), target, lo, hi)
     out[solve] = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
 
@@ -199,7 +206,12 @@ def expected_maxima_density(moments: NoiseMoments) -> float:
     return math.sqrt(moments.lambda4 / moments.lambda2) / (2.0 * math.pi)
 
 
-def candidate_pvalues(candidates: CandidateSet, params: PalmParams) -> CandidateSet:
-    """Attach peak-height p-values to a candidate set."""
-    p = palm_survival(params, candidates.heights)
-    return candidates.with_pvalues(clip_pvalues(p))
+def candidate_pvalues(
+    candidates: CandidateSet, params: PalmParams | Sequence[PalmParams]
+) -> CandidateSet:
+    """Attach peak-height p-values to a candidate set; with a sequence of
+    ``params``, one per row, each entry gets its row's coefficients."""
+    coef = _Stacked.of([params] if isinstance(params, PalmParams) else params)
+    if coef.a1.size > 1:  # else the one row's coefficients broadcast
+        coef = _Stacked(*(c[candidates.rows] for c in coef))
+    return candidates.with_pvalues(clip_pvalues(palm_survival(coef, candidates.heights)))

@@ -7,31 +7,41 @@ from typing import Sequence
 
 from .candidates import CandidateSet
 from .errors import DegenerateSequenceError
-from .grid import SampledSequence, strict_local_maxima
+from .grid import SampledRows, SampledSequence, strict_local_maxima
 from .kernels import Kernel, convolve
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import NoiseMoments
 from .palm import PalmParams, candidate_pvalues
 
 
-def find_local_maxima(seq: SampledSequence, margin: int | None = None) -> CandidateSet:
+def find_local_maxima(
+    seq: SampledSequence | SampledRows, margin: int | None = None
+) -> CandidateSet:
     """Strict local maxima of the sequence, away from the margins.
 
     Sample i qualifies when values[i] exceeds both neighbours, so plateau
     samples are never maxima.  Only indices with
     ``margin <= i < len - margin`` are returned; neighbours just inside a
     margin still participate in the comparisons.  ``margin`` defaults to
-    the sequence's own validity margin.
+    the sequence's own validity margin.  Given :class:`SampledRows`, the
+    maxima of every row, outside its own margin, form one set of rows.
     """
-    if margin is None:
-        margin = seq.margin
-    margin = int(margin)
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    v = seq.values
-    idx = strict_local_maxima(v)
-    idx = idx[(idx >= margin) & (idx < v.size - margin)]
-    return CandidateSet(idx, seq.time_at(idx), v[idx])
+    if isinstance(seq, SampledSequence):
+        margin = seq.margin if margin is None else int(margin)
+        if margin < 0:
+            raise ValueError("margin must be non-negative")
+        seq = SampledRows(seq.values[None], seq.dt, seq.t0, [margin])
+    rows, idx, heights = seq.entries(strict_local_maxima(seq.values))
+    return CandidateSet(idx, seq.t0 + seq.dt * idx, heights, rows=rows)
+
+
+def check_testable(samples: int, margin: int) -> None:
+    """Refuse ``samples`` with none inside a ``margin`` at each end."""
+    if samples <= 2 * margin:
+        raise DegenerateSequenceError(
+            f"no testable sample: {samples} samples, "
+            f"boundary margin {margin} at each end"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +70,7 @@ def stem_detect(
     """
     check_alpha(alpha)
     smoothed = convolve(raw, kernel)
-    if smoothed.interior.size == 0:
-        raise DegenerateSequenceError(
-            f"no testable sample: {smoothed.values.size} samples, "
-            f"boundary margin {smoothed.margin} at each end"
-        )
+    check_testable(smoothed.values.size, smoothed.margin)
     params = PalmParams(moments)
     candidates = candidate_pvalues(find_local_maxima(smoothed), params)
     report = run_procedure(candidates, alpha, params, procedure)

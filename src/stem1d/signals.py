@@ -331,9 +331,15 @@ class RegionSet:
     peak_supports: tuple[tuple[float, float], ...]
 
     @cached_property
-    def support_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of ``peak_supports``, in peak order."""
-        return _edge_arrays(self.peak_supports)
+    def scored_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, column) of the closed intervals a trial's score counts
+        in: the merged signal's (column 0), the merged smoothed signal's
+        (column 1), and each peak support in peak order (column 2 + peak)."""
+        parts = self.signal.intervals, self.smoothed_signal.intervals, self.peak_supports
+        columns = np.repeat([0, 1], [len(parts[0]), len(parts[1])])
+        peaks = 2 + np.arange(len(parts[2]))
+        los, his = _edge_arrays([iv for part in parts for iv in part])
+        return los, his, np.concatenate([columns, peaks])
 
     @property
     def signal_measure(self) -> float:

@@ -592,6 +592,42 @@ def test_simulate_bandwidth_wider_than_domain_exits_2(tmp_path, capsys, gamma, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,case,code,message",
+    [
+        ("detect", ["--gamma", "1e300"], 4, "no testable sample: 300 samples"),
+        ("detect", ["--kernel", "quartic", "--gamma", "1e300"], 4, "no testable sample"),
+        ("detect", ["--gamma", "3", "--trunc", "1e300"], 4, "no testable sample"),
+        ("estimate-noise", ["--gamma", "1e300"], 4, "need at least 10 interior samples"),
+        ("simulate", [2.0, 1e300], 2, "gamma_grid: the gamma=1e+300 kernel"),
+    ],
+    ids=["detect", "detect-quartic", "detect-trunc", "estimate-noise", "simulate"],
+)
+def test_huge_finite_bandwidth_refused_before_its_weights(
+    tmp_path, capsys, command, case, code, message
+):
+    # a kernel of 6e300 taps cannot be built; it is refused, with the
+    # message of any kernel too wide for the series, from its reach alone
+    out = tmp_path / "out"
+    if command == "simulate":
+        path = _tiny_design_json(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "gamma_grid": case}))
+        argv = ["simulate", "--design", str(path), "--seed", "1"]
+        message = f"error: {path}: invalid design file: {message}"
+    else:
+        series = tmp_path / "series.csv"
+        _write_spike_series(series, [100], n=300)
+        argv = [command, "--input", str(series), *case]
+        if command == "detect":
+            moments = tmp_path / "moments.json"
+            write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 3.0), moments)
+            argv += ["--moments", str(moments), "--alpha", "0.05"]
+    flag = "--peaks-csv" if command == "detect" else "--output"
+    assert main(argv + [flag, str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length,code", [(3.0, 2), (26.0, 2), (27.0, 0)])
 def test_simulate_design_short_moments_length_exits_2(tmp_path, capsys, length, code):
     # the gamma=3 kernel has a margin of 9 samples at each end, and the

@@ -18,14 +18,18 @@ from stem1d import (
     SignalSpec,
     SimulationDesign,
     TruncatedGaussianShape,
+    candidate_pvalues,
     closed_form_moments,
     compute_regions,
     convolve,
     estimate_moments,
+    find_local_maxima,
     gaussian_kernel,
     generate_noise,
     height_rule_report,
     optimal_bandwidth,
+    pointwise_correct,
+    pointwise_pvalues,
     preset_design,
     run_sweep,
     score_trial,
@@ -39,9 +43,14 @@ from stem1d.errors import DegenerateSequenceError
 from stem1d.evaluation import (
     _CALIBRATION_BLOCK,
     _CALIBRATION_STREAM,
+    _TRIAL_STREAM,
     PRESET_NAMES,
+    _Band,
     _cell_moments,
+    _trial,
 )
+from stem1d.multitest import run_procedure
+from stem1d.pipeline import most_rejections
 
 
 def _toy_regions():
@@ -481,3 +490,158 @@ def test_degenerate_calibration_run_raises():
     )
     with pytest.raises(DegenerateSequenceError):
         _cell_moments(design, design.build_kernel(2.0), 0, 1, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched trial against the per-view trial it replaced
+
+
+class _RefView:
+    """One realization smoothed at one bandwidth, as the rules see it."""
+
+    def __init__(self, band, smoothed):
+        self.band = band
+        self.smoothed = smoothed
+        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.palm)
+
+    @property
+    def samples(self):
+        return pointwise_pvalues(self.smoothed, self.band.moments)
+
+
+def _ref_candidate_rule(views, proc, alpha):
+    return [run_procedure(view.cands, alpha, view.band.palm, proc) for view in views]
+
+
+def _ref_pointwise_rule(views, proc, alpha):
+    return [
+        pointwise_correct(view.samples, alpha, proc, view.band.moments)
+        for view in views
+    ]
+
+
+def _ref_supremum_rule(views, proc, alpha):
+    return [
+        height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
+        for view in views
+    ]
+
+
+_REF_RULES = {
+    Procedure.BONFERRONI: _ref_candidate_rule,
+    Procedure.BH: _ref_candidate_rule,
+    Procedure.POINTWISE_BONFERRONI: _ref_pointwise_rule,
+    Procedure.POINTWISE_BH: _ref_pointwise_rule,
+    Procedure.SUPREMUM: _ref_supremum_rule,
+}
+
+
+def _reference_trial(design, seed, base_mu, bands, rep):
+    """The per-view trial loop, one report and one score per view and
+    procedure, with its single-set calls."""
+    noise = generate_noise(
+        design.noise,
+        0.0,
+        base_mu.values.size,
+        design.dt,
+        seed=(seed, _TRIAL_STREAM, rep),
+    )
+    sn = SampledSequence(noise.values, design.dt, t0=base_mu.t0)
+    smoothed_noise = [convolve(sn, band.kernel) for band in bands]
+    columns = 1 if design.auto_bandwidth else len(bands)
+    shape = (columns, len(design.amplitude_grid), len(design.procedures))
+    record = {
+        name: np.empty(shape) for name in ("fwer", "fdr", "power", "chosen_gamma")
+    }
+    record["locmax_per_peak"] = np.empty(shape[:2])
+    # every amplitude's views, amplitude-major, so each rule runs once
+    views = [
+        _RefView(band, z.with_values(amp * band.smoothed_mu.values + z.values))
+        for amp in design.amplitude_grid
+        for band, z in zip(bands, smoothed_noise)
+    ]
+    for p, proc in enumerate(design.procedures):
+        all_reports = _REF_RULES[proc](views, proc, design.alpha)
+        for a in range(len(design.amplitude_grid)):
+            row = slice(a * len(bands), (a + 1) * len(bands))
+            reports, row_views = all_reports[row], views[row]
+            if design.auto_bandwidth:
+                counts = [report.num_rejected for report in reports]
+                scored = [most_rejections(counts, design.gamma_grid)]
+            else:
+                scored = range(len(bands))
+            for c, k in enumerate(scored):
+                outcome = score_trial(reports[k], row_views[k].cands, bands[k].regions)
+                locmax = outcome.locmax_per_peak
+                record["fwer"][c, a, p] = outcome.false_rejections > 0
+                record["fdr"][c, a, p] = outcome.false_discovery_proportion
+                record["power"][c, a, p] = outcome.detected_fraction
+                record["chosen_gamma"][c, a, p] = bands[k].gamma
+                record["locmax_per_peak"][c, a] = (
+                    locmax.mean() if locmax.size else float("nan")
+                )
+    return record
+
+
+def _trial_design(family, dt, gammas, amplitudes, procedures, auto):
+    shape = TruncatedGaussianShape(b=2.0, c=3.0)
+    centers = (-40.0, -1.5, 30.0)
+    signal = SignalSpec(
+        peaks=tuple(PeakSpec(shape=shape, amplitude=1.0, center=c) for c in centers),
+        domain_length=120.0,
+    )
+    estimated = family is KernelFamily.QUARTIC
+    return SimulationDesign(
+        name="trial",
+        signal=signal,
+        dt=dt,
+        noise=GaussianAcvfParams(sigma=1.0, nu=0.5 if estimated else 0.0),
+        kernel_family=family,
+        gamma_grid=gammas,
+        amplitude_grid=amplitudes,
+        procedures=procedures,
+        moments_mode="estimated" if estimated else "closed_form",
+        moments_length=200.0,
+        moments_reps=2,
+        auto_bandwidth=auto,
+        replications=3,
+    )
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    family=st.sampled_from([KernelFamily.GAUSSIAN, KernelFamily.QUARTIC]),
+    dt=st.sampled_from([1.0, 0.5]),
+    gammas=st.lists(st.sampled_from([1.0, 1.5, 2.5, 4.0, 7.0, 20.0]), min_size=1,
+                    max_size=4, unique=True),
+    amplitudes=st.lists(st.sampled_from([0.01, 2.0, 5.0, 9.0]), min_size=1,
+                        max_size=3, unique=True),
+    procedures=st.lists(st.sampled_from(list(Procedure)), min_size=1, unique=True),
+    auto=st.booleans(),
+)
+def test_batched_trial_matches_per_view_trial_bitwise(
+    seed, family, dt, gammas, amplitudes, procedures, auto
+):
+    # a Gaussian gamma=20 kernel leaves one testable sample of the grid
+    # (a margin of 60 of 121 samples at dt=1, 120 of 241 at dt=0.5), so
+    # rows of zero or one candidate occur; amplitude 0.01 gives rows on
+    # which BH rejects nothing
+    if auto:
+        procedures = [p for p in procedures if p in (Procedure.BONFERRONI, Procedure.BH)]
+        procedures = procedures or [Procedure.BH]
+    design = _trial_design(family, dt, tuple(gammas), tuple(amplitudes),
+                           tuple(procedures), auto)
+    base_mu = synthesize_signal(design.signal, design.dt)
+    bands = [
+        _Band(design, index, gamma, base_mu, seed)
+        for index, gamma in enumerate(design.gamma_grid)
+    ]
+    for rep in range(design.replications):
+        got = _trial(design, seed, base_mu, bands, rep)
+        want = _reference_trial(design, seed, base_mu, bands, rep)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name

@@ -217,30 +217,36 @@ def test_missing_pvalues_rejected():
 WIDE = PalmParams(closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0))
 
 
-def _assert_same_report(got, want):
-    assert got.procedure is want.procedure
-    assert got.alpha == want.alpha
-    assert float.hex(got.pvalue_cutoff) == float.hex(want.pvalue_cutoff)
-    assert float.hex(got.height_threshold) == float.hex(want.height_threshold)
-    assert got.num_candidates == want.num_candidates
-    assert got.step_index == want.step_index
-    for name in ("indices", "locations", "heights", "pvalues"):
-        np.testing.assert_array_equal(
-            getattr(got.rejected, name), getattr(want.rejected, name)
-        )
-
-
 @PROPERTY
 @given(st.lists(PVALUES, max_size=6), st.floats(0.001, 0.5))
-def test_list_call_matches_single_set_calls(pvalue_lists, alpha):
-    # every list also holds an empty set (m = 0) and one on which BH
-    # rejects nothing (k = 0), and alternates two sets of moments
+def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
+    # every batch also holds an empty row (m = 0) and one on which BH
+    # rejects nothing (k = 0), and alternates two sets of moments; the
+    # rows are handed over shuffled, in one set
     cands = [_cands_with_pvalues(p) for p in pvalue_lists]
     cands += [CandidateSet.empty(), _cands_with_pvalues([0.5, 0.8, 0.9])]
     params = [(PARAMS, WIDE)[i % 2] for i in range(len(cands))]
-    for procedure in (Procedure.BONFERRONI, Procedure.BH):
-        reports = run_procedure(cands, alpha, params, procedure)
-        assert len(reports) == len(cands)
-        for c, p, report in zip(cands, params, reports):
-            _assert_same_report(report, run_procedure(c, alpha, p, procedure))
-    assert reports[-1].step_index == 0 and reports[-2].num_candidates == 0
+    fields = [
+        np.concatenate([getattr(c, name) for c in cands])
+        for name in ("indices", "locations", "heights", "pvalues")
+    ]
+    rows = np.repeat(np.arange(len(cands)), [len(c) for c in cands])
+    order = np.random.default_rng(len(rows)).permutation(len(rows))
+    batch = CandidateSet(*(f[order] for f in fields), rows=rows[order])
+    procedures = (Procedure.BONFERRONI, Procedure.BH)
+    for procedure, got in zip(procedures, run_procedure(batch, alpha, params, procedures)):
+        assert got.procedure is procedure and got.alpha == alpha
+        np.testing.assert_array_equal(got.num_candidates, [len(c) for c in cands])
+        for row, (c, p) in enumerate(zip(cands, params)):
+            want = run_procedure(c, alpha, p, procedure)
+            assert float.hex(float(got.pvalue_cutoff[row])) == float.hex(want.pvalue_cutoff)
+            assert float.hex(float(got.height_threshold[row])) == float.hex(
+                want.height_threshold
+            )
+            assert got.step_index[row] == want.step_index
+            rejected = got.rejected.select(got.rejected.rows == row)
+            for name in ("indices", "locations", "heights", "pvalues"):
+                np.testing.assert_array_equal(
+                    getattr(rejected, name), getattr(want.rejected, name)
+                )
+    assert got.step_index[-1] == 0 and got.num_candidates[-2] == 0
