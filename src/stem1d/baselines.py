@@ -40,7 +40,7 @@ def pointwise_pvalues(
     rows, idx, values = smoothed.entries(np.ones(smoothed.values.shape, dtype=bool))
     sigma = np.array([m.sigma for m in moments])[rows]
     p = clip_pvalues(ndtr(-values / sigma))
-    return CandidateSet.canonical(idx, smoothed.t0 + smoothed.dt * idx, values, p, rows)
+    return CandidateSet._canonical(idx, smoothed.t0 + smoothed.dt * idx, values, p, rows)
 
 
 _POINTWISE_RULES = {

@@ -68,14 +68,14 @@ class CandidateSet:
             raise ValueError("pvalues must match the other fields")
         if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
             raise ValueError("pvalues must lie strictly inside (0, 1)")
-        return CandidateSet.canonical(
+        return CandidateSet._canonical(
             self.indices, self.locations, self.heights, pvalues, self.rows
         )
 
     def select(self, mask: np.ndarray) -> "CandidateSet":
         mask = np.asarray(mask, dtype=bool)
         fields = (getattr(self, name) for name in _FIELDS)
-        return CandidateSet.canonical(*(None if f is None else f[mask] for f in fields))
+        return CandidateSet._canonical(*(None if f is None else f[mask] for f in fields))
 
     def _set(self, *fields) -> None:
         for name, arr in zip(_FIELDS, fields):
@@ -84,7 +84,7 @@ class CandidateSet:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def canonical(cls, indices, locations, heights, pvalues, rows) -> "CandidateSet":
+    def _canonical(cls, indices, locations, heights, pvalues, rows) -> "CandidateSet":
         """A set from fields that are already canonical: sorted by row and
         location, distinct within a row, finite, of equal length and dtype.
         Subsets of a valid set are, and so are a grid's samples in

@@ -119,7 +119,7 @@ def kernel_reach(family: KernelFamily, gamma: float, dt: float, trunc=3.0) -> in
     _check_bandwidth(gamma, dt)
     if family is KernelFamily.GAUSSIAN:
         gamma = gamma * positive_finite("trunc", trunc)
-    # capped, so a reach past any array size still compares as an int
+    # capped, as a product that overflows to inf converts to no int
     return int(math.floor(min(gamma / dt + 1e-9, 2.0**62)))
 
 

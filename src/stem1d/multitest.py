@@ -114,14 +114,14 @@ def _json_float(x: float):
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
-def step_up_count(p: np.ndarray, alpha: float, rows: np.ndarray, m: np.ndarray):
-    """Per row (``rows`` non-decreasing, ``m`` entries in each), the largest
+def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray) -> np.ndarray:
+    """Per row of ``p`` (ordered by row, ``m`` entries in each), the largest
     i with the i-th smallest p-value below i * alpha / m; 0 if none.  The
     rows are sorted at once, in a table padded with +inf."""
-    table = np.full((m.size, m.max(initial=0)), np.inf)
-    table[rows, np.arange(rows.size) - np.repeat(np.cumsum(m) - m, m)] = p
+    i = np.arange(1, m.max(initial=0) + 1)
+    table = np.full((m.size, i.size), np.inf)
+    table[i <= m[:, np.newaxis]] = p  # each row's p-values, in row order
     table.sort(axis=1)
-    i = np.arange(1, table.shape[1] + 1)
     below = table < alpha * i / np.maximum(m, 1)[:, np.newaxis]
     return np.max(below * i, axis=1, initial=0)
 
@@ -149,14 +149,13 @@ def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_ro
     """``(pvalue_cutoff, k, m)`` of each row of a candidate set, as arrays:
     a cutoff of 1 on a row with no candidates, and of 0 where a step-up
     rejects nothing (k = 0)."""
-    p, rows = candidates.pvalues, candidates.rows
-    if p is None:
+    if candidates.pvalues is None:
         raise ValueError("candidates carry no p-values")
-    m = np.bincount(rows, minlength=num_rows)
+    m = np.bincount(candidates.rows, minlength=num_rows)
     per_row = np.maximum(m, 1)
     if procedure is Procedure.BONFERRONI:
         return np.where(m > 0, alpha / per_row, 1.0), np.zeros(num_rows, np.int64), m
-    k = step_up_count(p, alpha, rows, m)
+    k = step_up_count(candidates.pvalues, alpha, m)
     cutoff = np.where(k > 0, k * alpha / per_row, 0.0)
     return np.where(m > 0, cutoff, 1.0), k, m
 
