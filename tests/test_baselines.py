@@ -11,6 +11,7 @@ from stem1d import (
     GaussianAcvfParams,
     NoiseMoments,
     Procedure,
+    SampledRows,
     SampledSequence,
     benjamini_hochberg,
     bonferroni,
@@ -155,3 +156,35 @@ def test_supremum_less_conservative_than_pointwise_bonferroni():
     sup = supremum_threshold(moments, domain, 0.05)
     pw = -moments.sigma * stats.norm.ppf(0.05 / m)
     assert sup < pw
+
+
+def test_pointwise_and_height_rule_rows_match_single_sequences():
+    # every row of a batch is tested, corrected and thresholded as the
+    # row alone would be, bit for bit; row 2's margins leave no sample
+    rng = np.random.default_rng(21)
+    values = rng.normal(size=(3, 40)) + np.array([[0.0], [2.5], [0.0]])
+    margins = [2, 5, 20]
+    moments = [UNIT_MOMENTS, NoiseMoments(2.0, 1.0, 3.0), UNIT_MOMENTS]
+    samples = pointwise_pvalues(SampledRows(values, 1.0, 0.0, margins), moments)
+    thresholds = np.array([0.5, 1.5, -1.0])
+    heights = height_rule_report(samples, thresholds, 0.05, Procedure.SUPREMUM)
+    for procedure in (Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH):
+        batch = pointwise_correct(samples, 0.05, procedure, moments)
+        for row in range(3):
+            seq = SampledSequence(values[row], 1.0, 0.0, margins[row])
+            one = pointwise_pvalues(seq, moments[row])
+            got = samples.select(samples.rows == row)
+            for name in ("indices", "locations", "heights", "pvalues"):
+                assert getattr(got, name).tobytes() == getattr(one, name).tobytes()
+            want = pointwise_correct(one, 0.05, procedure, moments[row])
+            assert float(batch.pvalue_cutoff[row]).hex() == want.pvalue_cutoff.hex()
+            assert float(batch.height_threshold[row]) == want.height_threshold
+            assert batch.step_index[row] == want.step_index
+            assert batch.num_candidates[row] == want.num_candidates
+            rejected = batch.rejected.select(batch.rejected.rows == row)
+            np.testing.assert_array_equal(rejected.indices, want.rejected.indices)
+            rule = height_rule_report(one, thresholds[row], 0.05, Procedure.SUPREMUM)
+            chosen = heights.rejected.select(heights.rejected.rows == row)
+            np.testing.assert_array_equal(chosen.indices, rule.rejected.indices)
+            assert heights.num_candidates[row] == rule.num_candidates
+    assert batch.num_candidates[2] == 0 and batch.pvalue_cutoff[2] == 1.0

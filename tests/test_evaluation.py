@@ -645,3 +645,48 @@ def test_batched_trial_matches_per_view_trial_bitwise(
             assert got[name].shape == want[name].shape, name
             assert got[name].dtype == want[name].dtype, name
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_score_trial_batch_matches_single_reports():
+    # three rows scored against two region sets (two kernels), with one
+    # rejected-set report and one height-rule (pointwise-style) report:
+    # every (procedure, row) equals the score of the row alone
+    rng = np.random.default_rng(8)
+    shape = TruncatedGaussianShape(b=2.0, c=2.0)
+    spec = SignalSpec(
+        peaks=tuple(
+            PeakSpec(shape=shape, amplitude=1.0, center=c) for c in (-30.0, -26.0, 20.0)
+        ),
+        domain_length=100.0,
+    )
+    regions = [compute_regions(spec, gaussian_kernel(g, 1.0)) for g in (1.0, 4.0, 1.0)]
+    sizes = (25, 0, 40)
+    rows = np.repeat(np.arange(3), sizes)
+    grid = np.arange(-50.0, 51.0)
+    locations = np.concatenate([np.sort(rng.choice(grid, n, False)) for n in sizes])
+    heights = rng.normal(size=rows.size)
+    cands = CandidateSet(np.arange(rows.size), locations, heights, rows=rows)
+    thresholds = np.array([0.3, 0.0, -0.4])
+    reports = [
+        height_rule_report(cands, thresholds, 0.05, Procedure.SUPREMUM),
+        height_rule_report(cands, -thresholds, 0.05, Procedure.POINTWISE_BH),
+    ]
+    batch = score_trial(reports, cands, regions)
+    for p, report in enumerate(reports):
+        for row in range(3):
+            one = cands.select(cands.rows == row)
+            single = CandidateSet(one.indices, one.locations, one.heights)
+            threshold = report.height_threshold[row]
+            rule = height_rule_report(single, threshold, 0.05, report.procedure)
+            want = score_trial(rule, single, regions[row])
+            got_fdr = batch.false_discovery_proportion[p, row]
+            assert batch.rejected_in_signal[p, row] == want.rejected_in_signal
+            assert batch.rejected_in_transition[p, row] == want.rejected_in_transition
+            assert batch.rejected_in_null_core[p, row] == want.rejected_in_null_core
+            assert (batch.detected_flags[p, row] == want.detected_flags).all()
+            assert (batch.locmax_per_peak[row] == want.locmax_per_peak).all()
+            assert got_fdr == want.false_discovery_proportion
+            if np.isnan(want.detected_fraction):
+                assert np.isnan(batch.detected_fraction[p, row])
+            else:
+                assert batch.detected_fraction[p, row] == want.detected_fraction

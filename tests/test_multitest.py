@@ -234,15 +234,14 @@ def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
     order = np.random.default_rng(len(rows)).permutation(len(rows))
     batch = CandidateSet(*(f[order] for f in fields), rows=rows[order])
     procedures = (Procedure.BONFERRONI, Procedure.BH)
-    for procedure, got in zip(procedures, run_procedure(batch, alpha, params, procedures)):
+    batch_reports = run_procedure(batch, alpha, params, procedures)
+    for procedure, got in zip(procedures, batch_reports):
         assert got.procedure is procedure and got.alpha == alpha
         np.testing.assert_array_equal(got.num_candidates, [len(c) for c in cands])
         for row, (c, p) in enumerate(zip(cands, params)):
             want = run_procedure(c, alpha, p, procedure)
-            assert float.hex(float(got.pvalue_cutoff[row])) == float.hex(want.pvalue_cutoff)
-            assert float.hex(float(got.height_threshold[row])) == float.hex(
-                want.height_threshold
-            )
+            assert float(got.pvalue_cutoff[row]).hex() == want.pvalue_cutoff.hex()
+            assert float(got.height_threshold[row]).hex() == want.height_threshold.hex()
             assert got.step_index[row] == want.step_index
             rejected = got.rejected.select(got.rejected.rows == row)
             for name in ("indices", "locations", "heights", "pvalues"):

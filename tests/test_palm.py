@@ -305,3 +305,42 @@ def test_candidate_set_validation():
     sub = attached.select(np.array([True, False, True]))
     np.testing.assert_array_equal(sub.indices, [1, 3])
     np.testing.assert_array_equal(sub.pvalues, [0.1, 0.3])
+
+
+def test_candidate_set_rows():
+    # shuffled entries of three rows come back sorted by (row, location);
+    # a location may repeat across rows but not within one
+    rows = np.array([2, 0, 1, 0, 2])
+    locations = np.array([1.0, 5.0, 1.0, 1.0, 0.5])
+    cands = CandidateSet(np.arange(5), locations, np.arange(5.0), rows=rows)
+    np.testing.assert_array_equal(cands.rows, [0, 0, 1, 2, 2])
+    np.testing.assert_array_equal(cands.locations, [1.0, 5.0, 1.0, 0.5, 1.0])
+    np.testing.assert_array_equal(cands.indices, [3, 1, 2, 4, 0])
+    assert not cands.rows.flags.writeable
+    np.testing.assert_array_equal(cands.select(cands.heights > 1.5).rows, [0, 1, 2])
+    with pytest.raises(ValueError, match="distinct within a row"):
+        CandidateSet(np.arange(2), np.array([1.0, 1.0]), np.zeros(2), rows=[3, 3])
+    with pytest.raises(ValueError, match="equal length"):
+        CandidateSet(np.arange(2), np.array([1.0, 2.0]), np.zeros(2), rows=[0])
+    # no rows given: every entry in row 0
+    np.testing.assert_array_equal(
+        CandidateSet(np.arange(2), np.array([2.0, 1.0]), np.zeros(2)).rows, [0, 0]
+    )
+
+
+def test_candidate_pvalues_per_row_coefficients_match_single_rows():
+    # each row's p-values are those of its own PalmParams, bit for bit
+    rng = np.random.default_rng(5)
+    params = [_params(gamma=g) for g in (1.0, 2.5, 6.0)]
+    sizes = (4, 0, 7)
+    rows = np.repeat(np.arange(3), sizes)
+    heights = rng.normal(0.0, 2.0, size=rows.size)
+    locations = np.concatenate([np.arange(n, dtype=float) for n in sizes])
+    batch = candidate_pvalues(
+        CandidateSet(np.arange(rows.size), locations, heights, rows=rows), params
+    )
+    for row, p in enumerate(params):
+        one = batch.select(batch.rows == row)
+        single = CandidateSet(one.indices, one.locations, one.heights)
+        want = candidate_pvalues(single, p).pvalues
+        assert one.pvalues.tobytes() == want.tobytes()

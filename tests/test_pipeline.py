@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stem1d import (
     GaussianAcvfParams,
     Procedure,
+    SampledRows,
     SampledSequence,
     auto_bandwidth,
     closed_form_moments,
@@ -196,3 +197,23 @@ def test_auto_bandwidth_validation():
     kernel = gaussian_kernel(3.0, 1.0)
     with pytest.raises(ValueError):
         auto_bandwidth(raw, [kernel], [])
+
+
+def test_find_local_maxima_rows_match_single_sequences():
+    # each row's maxima, outside its own margin, are those of the row as
+    # a sequence of its own, bit for bit; plateaus and a row whose
+    # margins cover it give none
+    rng = np.random.default_rng(11)
+    values = np.round(rng.normal(size=(4, 30)), 1)  # rounding makes plateaus
+    values[2] = 0.0
+    before = values.copy()
+    margins = [0, 3, 1, 15]
+    rows = SampledRows(values, 0.5, -2.0, margins)
+    batch = find_local_maxima(rows)
+    for row, margin in enumerate(margins):
+        got = batch.select(batch.rows == row)
+        want = find_local_maxima(SampledSequence(values[row], 0.5, -2.0, margin))
+        for name in ("indices", "locations", "heights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert not np.any(batch.rows == 2) and not np.any(batch.rows == 3)
+    assert values.tobytes() == before.tobytes()  # the values are not touched
