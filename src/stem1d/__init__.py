@@ -23,7 +23,6 @@ from .signals import (
     IntervalUnion,
     LaplaceShape,
     PeakSpec,
-    Region,
     RegionSet,
     SignalSpec,
     TriangularShape,
@@ -67,7 +66,6 @@ from .baselines import (
     height_rule_report,
     pointwise_correct,
     pointwise_pvalues,
-    supremum_detect,
     supremum_threshold,
 )
 from .evaluation import (
@@ -108,7 +106,6 @@ __all__ = [
     "TruncatedGaussianShape",
     "IntervalUnion",
     "PeakSpec",
-    "Region",
     "RegionSet",
     "SignalSpec",
     "compute_regions",
@@ -140,7 +137,6 @@ __all__ = [
     "height_rule_report",
     "pointwise_correct",
     "pointwise_pvalues",
-    "supremum_detect",
     "supremum_threshold",
     "CellStats",
     "SimulationDesign",

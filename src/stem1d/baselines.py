@@ -88,46 +88,67 @@ def excursion_bound(
     L * sqrt(lambda2)/sigma * phi(u/sigma), while "classical" is smaller
     by a factor sqrt(2 pi).
     """
+    rate = _upcrossing_rate(moments, domain_length, convention)
+    return _bound(moments.sigma, rate, np.asarray(u, dtype=np.float64))
+
+
+def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: str):
+    """The factor of phi(u/sigma) in :func:`excursion_bound`."""
     if convention not in ("paper", "classical"):
         raise ValueError(f"unknown convention {convention!r}")
-    u = np.asarray(u, dtype=np.float64)
-    x = u / moments.sigma
     rate = domain_length * math.sqrt(moments.lambda2) / moments.sigma
-    if convention == "classical":
-        rate /= SQRT_2PI
+    return rate / SQRT_2PI if convention == "classical" else rate
+
+
+def _bound(sigma, rate, u):
+    """:func:`excursion_bound` from its coefficients, entry by entry."""
+    x = u / sigma
     return ndtr(-x) + rate * np.exp(-0.5 * x * x) / SQRT_2PI
 
 
 def supremum_threshold(
-    moments: NoiseMoments,
+    moments: NoiseMoments | Sequence[NoiseMoments],
     domain_length: float,
     alpha: float,
     convention: str = "paper",
-) -> float:
-    """Smallest height u whose excursion bound is at most alpha."""
+) -> float | np.ndarray:
+    """Smallest height u whose excursion bound is at most alpha.
+
+    One :class:`NoiseMoments` gives a float.  A sequence of them gives an
+    array, one threshold per entry, solved in step as
+    :func:`~stem1d.palm.palm_quantile` solves a batch: each entry expands
+    and bisects its own bracket, and has the bits of its own call.
+    """
     check_alpha(alpha)
     positive_finite("domain_length", domain_length)
-    sigma = moments.sigma
+    single = isinstance(moments, NoiseMoments)
+    moments = [moments] if single else moments
+    sigma = np.array([m.sigma for m in moments])
+    rate = np.array([_upcrossing_rate(m, domain_length, convention) for m in moments])
 
     def bound(u):
-        return float(excursion_bound(moments, domain_length, u, convention))
+        return _bound(sigma, rate, u)
 
     hi = 10.0 * sigma
-    guard = 0
-    while bound(hi) > alpha:
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise ThresholdInfeasibleError(
-                f"excursion bound stays above alpha={alpha} at all usable heights"
-            )
-    lo = 0.0
-    if bound(lo) <= alpha:
-        while bound(lo) <= alpha:
-            lo -= max(sigma, 1.0)
-            if lo < -1e9 * max(sigma, 1.0):
-                break
-    return bisect_decreasing(bound, alpha, lo, hi)[1]
+    for _ in range(61):
+        high = bound(hi) > alpha
+        if not high.any():
+            break
+        hi = np.where(high, hi * 2.0, hi)
+    else:
+        raise ThresholdInfeasibleError(
+            f"excursion bound stays above alpha={alpha} at all usable heights"
+        )
+    # from 0, step down while the bound allows, at most to -1e9 steps
+    step = np.maximum(sigma, 1.0)
+    lo = np.zeros(sigma.shape)
+    while True:
+        low = (bound(lo) <= alpha) & (lo >= -1e9 * step)
+        if not low.any():
+            break
+        lo = np.where(low, lo - step, lo)
+    u = bisect_decreasing(bound, alpha, lo, hi)[1]
+    return float(u[0]) if single else u
 
 
 def height_rule_report(
@@ -144,23 +165,7 @@ def height_rule_report(
     """
     single = not np.ndim(threshold)
     threshold = np.reshape(threshold, -1).astype(np.float64)
-    m = np.bincount(candidates.rows, minlength=threshold.size)
+    m = candidates.row_counts(threshold.size)
     numbers = (np.full(m.size, np.nan), threshold, m, np.zeros(m.size, np.int64))
     rejected = candidates.heights > threshold[candidates.rows]
     return _report(candidates, alpha, procedure, rejected, numbers, single)
-
-
-def supremum_detect(
-    candidates: CandidateSet,
-    moments: NoiseMoments,
-    domain_length: float,
-    alpha: float,
-    convention: str = "paper",
-) -> DetectionReport:
-    """Report the local maxima exceeding the supremum threshold.
-
-    Expressing the supremum rule on the candidate maxima keeps all
-    methods comparable in peak-level units.
-    """
-    threshold = supremum_threshold(moments, domain_length, alpha, convention)
-    return height_rule_report(candidates, threshold, alpha, Procedure.SUPREMUM)

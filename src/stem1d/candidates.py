@@ -40,6 +40,8 @@ class CandidateSet:
             raise ValueError("locations must be finite")
         if not np.all(np.isfinite(heights)):
             raise ValueError("heights must be finite")
+        if np.any(rows < 0):
+            raise ValueError("rows must be non-negative")
         pvalues = self.pvalues
         if pvalues is not None:
             pvalues = np.asarray(pvalues, dtype=np.float64)
@@ -57,10 +59,16 @@ class CandidateSet:
     def __len__(self) -> int:
         return self.locations.size
 
-    @property
-    def count(self) -> int:
-        """Number of hypotheses under test."""
-        return self.locations.size
+    def row_counts(self, num_rows: int) -> np.ndarray:
+        """Entries in each of ``num_rows`` rows, for a call given one
+        argument per row; a set with an entry in a later row raises."""
+        counts = np.bincount(self.rows, minlength=num_rows)
+        if counts.size > num_rows:
+            raise ValueError(
+                f"candidates span {counts.size} rows, but {num_rows} "
+                "per-row argument(s) were given"
+            )
+        return counts
 
     def with_pvalues(self, pvalues: np.ndarray) -> "CandidateSet":
         pvalues = np.array(pvalues, dtype=np.float64)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -103,10 +102,6 @@ class TrialOutcome:
         )
 
     @property
-    def rejected_in_smoothed_signal(self) -> int:
-        return self.rejected_in_signal + self.rejected_in_transition
-
-    @property
     def false_discovery_proportion(self) -> float:
         return self.false_rejections / np.maximum(self.total_rejections, 1)
 
@@ -138,6 +133,7 @@ def score_trial(
     """
     single = isinstance(report, DetectionReport)
     reports, regions = ([report], [regions]) if single else (report, regions)
+    candidates.row_counts(len(regions))  # checks the rows before they index
     rows, heights = candidates.rows, candidates.heights
     sets = [
         candidates.select(heights > np.reshape(r.height_threshold, -1)[rows])
@@ -164,7 +160,7 @@ def score_trial(
         at = keys(cands.rows, cands.locations)
         inside = at.searchsorted(hi_keys, "right") - at.searchsorted(lo_keys, "left")
         np.add.at(counts, (edge_rows, columns), inside)
-        counts[:, -1] = np.bincount(cands.rows, minlength=len(regions))
+        counts[:, -1] = cands.row_counts(len(regions))
         return counts
 
     n = np.array([tally(s) for s in sets])
@@ -482,20 +478,12 @@ class _Band:
         base_mu: SampledSequence,
         seed: int,
     ):
-        self.design = design
         self.gamma = gamma
         self.kernel = design.build_kernel(gamma)
         self.moments = _cell_moments(design, self.kernel, index, seed, gamma)
         self.palm = PalmParams(self.moments)
         self.regions = compute_regions(design.signal, self.kernel)
         self.smoothed_mu = convolve(base_mu, self.kernel)
-
-    @cached_property
-    def sup_threshold(self) -> float:
-        d = self.design
-        return supremum_threshold(
-            self.moments, d.signal.domain_length, d.alpha, d.rice_convention
-        )
 
 
 def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
@@ -511,8 +499,16 @@ def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
         _Band(design, index, gamma, base_mu, seed)
         for index, gamma in enumerate(design.gamma_grid)
     ]
+    sup = None
+    if Procedure.SUPREMUM in design.procedures:
+        sup = supremum_threshold(
+            [band.moments for band in bands],
+            design.signal.domain_length,
+            design.alpha,
+            design.rice_convention,
+        )
     records = [
-        _trial(design, seed, base_mu, bands, rep)
+        _trial(design, seed, base_mu, bands, sup, rep)
         for rep in range(design.replications)
     ]
     cells = tuple(_aggregate(design, records))
@@ -524,9 +520,11 @@ def _trial(
     seed: int,
     base_mu: SampledSequence,
     bands: list[_Band],
+    sup: np.ndarray | None,
     rep: int,
 ) -> dict[str, np.ndarray]:
-    """Metrics of one replication, by name.
+    """Metrics of one replication, by name; ``sup`` holds each band's
+    supremum threshold when the design runs that procedure.
 
     Arrays are indexed [column, amplitude, procedure], and
     ``locmax_per_peak`` by [column, amplitude].  Columns are the
@@ -543,7 +541,7 @@ def _trial(
     )
     amps = np.array(design.amplitude_grid)[:, np.newaxis, np.newaxis]
     mu = np.stack([band.smoothed_mu.values for band in bands])
-    z = np.stack([convolve(noise, band.kernel).values for band in bands])
+    z = np.stack([convolve_rows(noise.values, band.kernel, design.dt) for band in bands])
     views = (amps * mu + z).reshape(-1, mu.shape[1])
     if not np.isfinite(views).all():
         raise ValueError("smoothed values must be finite")
@@ -562,8 +560,7 @@ def _trial(
         if p in pointwise:
             reports[p] = pointwise_correct(samples, alpha, p, moments)
         elif p is Procedure.SUPREMUM:
-            sup = np.array([band.sup_threshold for band in row_bands])
-            reports[p] = height_rule_report(cands, sup, alpha, p)
+            reports[p] = height_rule_report(cands, np.tile(sup, len(amps)), alpha, p)
     reports = [reports[p] for p in procs]
     outcome = score_trial(reports, cands, [band.regions for band in row_bands])
 
@@ -581,7 +578,7 @@ def _trial(
     metrics = {name: np.reshape(x, shape).astype(float) for name, x in metrics.items()}
     if design.auto_bandwidth:
         # per procedure and amplitude, the band with the most rejections
-        counts = [np.bincount(r.rejected.rows, minlength=len(views)) for r in reports]
+        counts = [r.rejected.row_counts(len(views)) for r in reports]
         counts = np.reshape(counts, shape)
         chosen = [[[most_rejections(c, design.gamma_grid)] for c in a] for a in counts]
         metrics = {

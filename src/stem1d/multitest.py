@@ -8,7 +8,6 @@ which is itself random.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,9 +84,6 @@ class DetectionReport:
             ],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     def rejected_csv_lines(self) -> list[str]:
         """Rows of the rejected-peaks table (index, time, height, pvalue)."""
         lines = ["index,time,height,pvalue"]
@@ -151,7 +147,7 @@ def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_ro
     rejects nothing (k = 0)."""
     if candidates.pvalues is None:
         raise ValueError("candidates carry no p-values")
-    m = np.bincount(candidates.rows, minlength=num_rows)
+    m = candidates.row_counts(num_rows)
     per_row = np.maximum(m, 1)
     if procedure is Procedure.BONFERRONI:
         return np.where(m > 0, alpha / per_row, 1.0), np.zeros(num_rows, np.int64), m

@@ -39,33 +39,16 @@ def clip_pvalues(p) -> np.ndarray:
 
 
 def bisect_decreasing(f, target, lo, hi):
-    """Bisect a bracket of a decreasing ``f`` towards ``f(u) = target``.
+    """Bisect brackets of a decreasing ``f`` towards ``f(u) = target``.
 
-    A midpoint with ``f > target`` becomes the new ``lo``, any other the
-    new ``hi``.  Stops when the midpoint equals an end, or after 200
-    steps, and returns the final ``(lo, hi)``.
-
-    Given arrays (as :func:`palm_quantile` passes), each entry is a
-    bracket of its own under the same rule: ``f`` maps an array of
-    midpoints to values, one per entry, and an entry whose midpoint
-    equals an end keeps its pair from then on, so it ends where a float
-    call on it would.  Given floats (as ``supremum_threshold`` passes),
-    the bracket is bisected with Python floats.
+    ``lo`` and ``hi`` are arrays, each entry a bracket of its own, and
+    ``f`` maps an array of midpoints to values, one per entry.  A
+    midpoint with ``f > target`` becomes its entry's new ``lo``, any
+    other the new ``hi``.  An entry stops when its midpoint equals an
+    end and keeps its pair from then on, so each entry ends where it
+    would alone.  Returns the final ``(lo, hi)`` once every entry has
+    stopped, or after 200 steps.
     """
-    # The float branch serves supremum_threshold alone.  With it, one
-    # supremum_threshold takes about 265 us, against about 1245 us through
-    # one-entry arrays (timeit, one pinned core of a 2-CPU Xeon VM).  A
-    # one-replication sim34 sweep, about 35 ms, solves 8 of them.
-    if not isinstance(lo, np.ndarray):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if f(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
     lo, hi = lo.copy(), hi.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)

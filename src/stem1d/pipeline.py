@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .candidates import CandidateSet
 from .errors import DegenerateSequenceError
 from .grid import SampledRows, SampledSequence, strict_local_maxima
@@ -65,14 +67,18 @@ def stem_detect(
     ``moments`` must describe the noise *after* smoothing by ``kernel``.
     The smoothed sequence's boundary margin (half the kernel support) is
     excluded from the candidate search; a series with no sample outside
-    that margin raises :class:`DegenerateSequenceError`.  An ``alpha``
+    that margin raises :class:`DegenerateSequenceError`, and so does one
+    that is constant there, as it has no maxima to test.  An ``alpha``
     outside (0, 1) raises :class:`ConfigurationError` before any work.
     """
     check_alpha(alpha)
     smoothed = convolve(raw, kernel)
     check_testable(smoothed.values.size, smoothed.margin)
+    candidates = find_local_maxima(smoothed)
+    if not len(candidates) and np.ptp(smoothed.interior) == 0:
+        raise DegenerateSequenceError("sequence carries no usable variation")
     params = PalmParams(moments)
-    candidates = candidate_pvalues(find_local_maxima(smoothed), params)
+    candidates = candidate_pvalues(candidates, params)
     report = run_procedure(candidates, alpha, params, procedure)
     return StemResult(report=report, smoothed=smoothed, candidates=candidates)
 

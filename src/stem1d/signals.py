@@ -13,7 +13,6 @@ region belong to the signal support.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -215,15 +214,6 @@ class SignalSpec:
                     f"outside the domain [{-half}, {half}]"
                 )
 
-    @property
-    def num_peaks(self) -> int:
-        return len(self.peaks)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        half = self.domain_length / 2.0
-        return (-half, half)
-
 
 def synthesize_signal(spec: SignalSpec, dt: float) -> SampledSequence:
     """Evaluate the sum of peaks on the grid covering the domain.
@@ -251,20 +241,6 @@ def synthesize_signal(spec: SignalSpec, dt: float) -> SampledSequence:
 # regions
 
 
-class Region(enum.Enum):
-    SIGNAL = "signal"
-    TRANSITION = "transition"
-    NULL_CORE = "null_core"
-
-
-def _edge_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
-    los = np.array([lo for lo, _ in intervals], dtype=np.float64)
-    his = np.array([hi for _, hi in intervals], dtype=np.float64)
-    los.setflags(write=False)
-    his.setflags(write=False)
-    return los, his
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalUnion:
     """A finite union of closed intervals, stored sorted and merged."""
@@ -283,27 +259,6 @@ class IntervalUnion:
         object.__setattr__(
             self, "intervals", tuple((lo, hi) for lo, hi in merged)
         )
-
-    @property
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of the intervals, as sorted arrays."""
-        return _edge_arrays(self.intervals)
-
-    def contains(self, t) -> np.ndarray:
-        """Vectorized closed-interval membership."""
-        t = np.asarray(t, dtype=np.float64)
-        if not self.intervals:
-            return np.zeros(t.shape, dtype=bool)
-        los, his = self._edges
-        pos = np.searchsorted(los, t, side="right") - 1
-        valid = pos >= 0
-        result = np.zeros(t.shape, dtype=bool)
-        result[valid] = t[valid] <= his[pos[valid]]
-        return result
 
     def dilate(self, left: float, right: float) -> "IntervalUnion":
         """Minkowski sum with the interval [-left, right]."""
@@ -325,7 +280,6 @@ class RegionSet:
     region (transition plus null core) is the complement of ``signal``.
     """
 
-    domain: tuple[float, float]
     signal: IntervalUnion
     smoothed_signal: IntervalUnion
     peak_supports: tuple[tuple[float, float], ...]
@@ -338,46 +292,10 @@ class RegionSet:
         parts = self.signal.intervals, self.smoothed_signal.intervals, self.peak_supports
         columns = np.repeat([0, 1], [len(parts[0]), len(parts[1])])
         peaks = 2 + np.arange(len(parts[2]))
-        los, his = _edge_arrays([iv for part in parts for iv in part])
-        return los, his, np.concatenate([columns, peaks])
-
-    @property
-    def signal_measure(self) -> float:
-        return self.signal.measure
-
-    @property
-    def null_measure(self) -> float:
-        return (self.domain[1] - self.domain[0]) - self.signal.measure
-
-    @property
-    def smoothed_signal_measure(self) -> float:
-        return self.smoothed_signal.measure
-
-    @property
-    def smoothed_null_measure(self) -> float:
-        return (self.domain[1] - self.domain[0]) - self.smoothed_signal.measure
-
-    @property
-    def transition_measure(self) -> float:
-        return self.smoothed_signal.measure - self.signal.measure
-
-    def classify(self, t) -> np.ndarray:
-        """Assign each time to exactly one of the three regions.
-
-        Boundary points of the signal support count as signal; boundary
-        points of the smoothed support count as transition.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        in_signal = self.signal.contains(t)
-        in_smoothed = self.smoothed_signal.contains(t)
-        out = np.full(t.shape, Region.NULL_CORE, dtype=object)
-        out[in_smoothed & ~in_signal] = Region.TRANSITION
-        out[in_signal] = Region.SIGNAL
-        return out
-
-    def in_null(self, t) -> np.ndarray:
-        """Membership in the full null region (complement of the supports)."""
-        return ~self.signal.contains(t)
+        edges = np.array([iv for part in parts for iv in part], dtype=np.float64)
+        edges = edges.reshape(-1, 2).T.copy()
+        edges.setflags(write=False)
+        return edges[0], edges[1], np.concatenate([columns, peaks])
 
 
 def compute_regions(spec: SignalSpec, kernel: Kernel) -> RegionSet:
@@ -391,7 +309,6 @@ def compute_regions(spec: SignalSpec, kernel: Kernel) -> RegionSet:
     k_left, k_right = kernel.support
     smoothed = signal.dilate(left=-k_left, right=k_right)
     return RegionSet(
-        domain=spec.domain,
         signal=signal,
         smoothed_signal=smoothed,
         peak_supports=supports,

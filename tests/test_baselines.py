@@ -13,14 +13,17 @@ from stem1d import (
     Procedure,
     SampledRows,
     SampledSequence,
+    SignalSpec,
     benjamini_hochberg,
     bonferroni,
     closed_form_moments,
+    compute_regions,
     excursion_bound,
+    gaussian_kernel,
     height_rule_report,
     pointwise_correct,
     pointwise_pvalues,
-    supremum_detect,
+    score_trial,
     supremum_threshold,
 )
 from stem1d.palm import PalmParams
@@ -64,6 +67,33 @@ def test_supremum_threshold_monotonicity():
         supremum_threshold(UNIT_MOMENTS, -1.0, 0.05)
     with pytest.raises(ValueError):
         supremum_threshold(UNIT_MOMENTS, 100.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "length, alpha, convention",
+    [
+        (1000.0, 0.05, "paper"),
+        (1000.0, 0.05, "classical"),
+        (50.0, 0.2, "paper"),
+        (1e6, 1e-4, "classical"),
+        (0.1, 0.9, "paper"),  # the lower bracket steps down from 0
+        (0.1, 0.9, "classical"),
+    ],
+)
+def test_supremum_threshold_batch_matches_single_calls(length, alpha, convention):
+    moments = [
+        UNIT_MOMENTS,
+        closed_form_moments(GaussianAcvfParams(1.0), 3.0),
+        NoiseMoments(sigma2=9.0, lambda2=0.5, lambda4=0.4),  # steps of sigma
+        NoiseMoments(sigma2=0.01, lambda2=0.02, lambda4=0.5),
+        UNIT_MOMENTS,
+    ]
+    want = [supremum_threshold(m, length, alpha, convention) for m in moments]
+    assert all(type(u) is float for u in want)
+    got = supremum_threshold(moments, length, alpha, convention)
+    assert got.tobytes() == np.array(want).tobytes()
+    if alpha == 0.9:
+        assert (got < 0.0).all()
 
 
 def test_pointwise_pvalues_marginal_tail():
@@ -135,16 +165,33 @@ def test_height_rule_strict_and_nan_cutoff():
     assert rep.num_candidates == 3
 
 
-def test_supremum_detect_applies_threshold():
-    cands = CandidateSet(
-        np.arange(2), np.arange(2.0), np.array([3.0, 4.0])
-    )
-    rep = supremum_detect(cands, UNIT_MOMENTS, 100.0, 0.05)
-    assert rep.procedure is Procedure.SUPREMUM
-    assert rep.height_threshold == pytest.approx(
-        supremum_threshold(UNIT_MOMENTS, 100.0, 0.05)
-    )
-    np.testing.assert_array_equal(rep.rejected.heights, [4.0])
+_TWO_ROWS = CandidateSet(
+    np.array([4, 9, 4]),
+    np.array([4.0, 9.0, 4.0]),
+    np.array([3.0, 1.0, 2.0]),
+    np.array([0.001, 0.5, 0.2]),
+    rows=np.array([0, 0, 1]),
+)
+_ONE_ROW_CALLS = {
+    "bonferroni": lambda c: bonferroni(c, 0.05, PalmParams(UNIT_MOMENTS)),
+    "bh": lambda c: benjamini_hochberg(c, 0.05, PalmParams(UNIT_MOMENTS)),
+    "height_rule": lambda c: height_rule_report(c, 2.5, 0.05, Procedure.SUPREMUM),
+    "pointwise": lambda c: pointwise_correct(
+        c, 0.05, Procedure.POINTWISE_BONFERRONI, UNIT_MOMENTS
+    ),
+    "score_trial": lambda c: score_trial(
+        height_rule_report(c.select(c.rows == 0), 2.5, 0.05, Procedure.SUPREMUM),
+        c,
+        compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ONE_ROW_CALLS))
+def test_single_set_call_refuses_a_second_row(call):
+    with pytest.raises(ValueError, match="candidates span 2 rows, but 1 per-row"):
+        _ONE_ROW_CALLS[call](_TWO_ROWS)
+    _ONE_ROW_CALLS[call](_TWO_ROWS.select(_TWO_ROWS.rows == 0))  # one row runs
 
 
 def test_supremum_less_conservative_than_pointwise_bonferroni():

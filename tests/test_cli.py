@@ -292,6 +292,27 @@ def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
     assert "candidates:" not in captured.out
 
 
+def test_detect_constant_series_exits_4(tmp_path, capsys):
+    # as estimate-noise and --calibration do on the same file
+    series = tmp_path / "series.csv"
+    write_series(SampledSequence(np.full(200, 0.7), dt=1.0), series)
+    moments = tmp_path / "moments.json"
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 3.0), moments)
+    report, peaks = tmp_path / "report.json", tmp_path / "peaks.csv"
+    code = main(
+        [
+            "detect", "--input", str(series), "--gamma", "3",
+            "--moments", str(moments), "--alpha", "0.05",
+            "--report-json", str(report), "--peaks-csv", str(peaks),
+        ]
+    )
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "sequence carries no usable variation" in captured.err
+    assert "candidates:" not in captured.out
+    assert not report.exists() and not peaks.exists()
+
+
 def test_detect_series_without_data_lines_exits_3(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text("# dt=1.0\n# a comment\n\n")

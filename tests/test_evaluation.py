@@ -17,6 +17,7 @@ from stem1d import (
     SampledSequence,
     SignalSpec,
     SimulationDesign,
+    TriangularShape,
     TruncatedGaussianShape,
     candidate_pvalues,
     closed_form_moments,
@@ -36,6 +37,7 @@ from stem1d import (
     smoothed_peak_height,
     snr,
     snr_general,
+    supremum_threshold,
     synthesize_signal,
     theoretical_power,
 )
@@ -86,11 +88,43 @@ def test_score_trial_classifies_rejections():
     assert outcome.rejected_in_null_core == 2
     assert outcome.false_rejections == 3
     assert outcome.total_rejections == 5
-    assert outcome.rejected_in_smoothed_signal == 3
     assert outcome.false_discovery_proportion == pytest.approx(3 / 5)
     np.testing.assert_array_equal(outcome.detected_flags, [True, True])
     assert outcome.detected_fraction == 1.0
     np.testing.assert_array_equal(outcome.locmax_per_peak, [1, 1])
+
+
+def test_score_trial_boundary_precedence():
+    # one triangular peak of half-width 3, smoothed with a reach of 6: the
+    # support is [-3, 3] and the smoothed support [-9, 9]
+    spec = SignalSpec(
+        peaks=(PeakSpec(shape=TriangularShape(3.0), amplitude=1.0, center=0.0),),
+        domain_length=60.0,
+    )
+    regions = compute_regions(spec, gaussian_kernel(2.0, 1.0))
+    signal, transition, null_core = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    expected = {
+        0.0: signal,
+        3.0: signal,  # a support edge counts as signal
+        -3.0: signal,
+        np.nextafter(3.0, 4.0): transition,
+        5.0: transition,
+        9.0: transition,  # a smoothed edge counts as transition
+        -9.0: transition,
+        np.nextafter(9.0, 10.0): null_core,
+        9.5: null_core,
+        -25.0: null_core,
+    }
+    for t, where in expected.items():
+        cands = _cands_at([t])
+        report = height_rule_report(cands, -math.inf, 0.05, Procedure.SUPREMUM)
+        outcome = score_trial(report, cands, regions)
+        got = (
+            outcome.rejected_in_signal,
+            outcome.rejected_in_transition,
+            outcome.rejected_in_null_core,
+        )
+        assert got == where, t
 
 
 def test_score_trial_counts_all_candidates_per_support():
@@ -509,20 +543,25 @@ class _RefView:
         return pointwise_pvalues(self.smoothed, self.band.moments)
 
 
-def _ref_candidate_rule(views, proc, alpha):
-    return [run_procedure(view.cands, alpha, view.band.palm, proc) for view in views]
-
-
-def _ref_pointwise_rule(views, proc, alpha):
+def _ref_candidate_rule(views, proc, design):
     return [
-        pointwise_correct(view.samples, alpha, proc, view.band.moments)
+        run_procedure(view.cands, design.alpha, view.band.palm, proc) for view in views
+    ]
+
+
+def _ref_pointwise_rule(views, proc, design):
+    return [
+        pointwise_correct(view.samples, design.alpha, proc, view.band.moments)
         for view in views
     ]
 
 
-def _ref_supremum_rule(views, proc, alpha):
+def _ref_supremum_rule(views, proc, design):
+    length, alpha = design.signal.domain_length, design.alpha
     return [
-        height_rule_report(view.cands, view.band.sup_threshold, alpha, proc)
+        height_rule_report(
+            view.cands, supremum_threshold(view.band.moments, length, alpha), alpha, proc
+        )
         for view in views
     ]
 
@@ -561,7 +600,7 @@ def _reference_trial(design, seed, base_mu, bands, rep):
         for band, z in zip(bands, smoothed_noise)
     ]
     for p, proc in enumerate(design.procedures):
-        all_reports = _REF_RULES[proc](views, proc, design.alpha)
+        all_reports = _REF_RULES[proc](views, proc, design)
         for a in range(len(design.amplitude_grid)):
             row = slice(a * len(bands), (a + 1) * len(bands))
             reports, row_views = all_reports[row], views[row]
@@ -637,8 +676,11 @@ def test_batched_trial_matches_per_view_trial_bitwise(
         _Band(design, index, gamma, base_mu, seed)
         for index, gamma in enumerate(design.gamma_grid)
     ]
+    # one batched solve for every band, as run_sweep makes
+    length = design.signal.domain_length
+    sup = supremum_threshold([band.moments for band in bands], length, design.alpha)
     for rep in range(design.replications):
-        got = _trial(design, seed, base_mu, bands, rep)
+        got = _trial(design, seed, base_mu, bands, sup, rep)
         want = _reference_trial(design, seed, base_mu, bands, rep)
         assert sorted(got) == sorted(want)
         for name in want:

@@ -12,7 +12,6 @@ from stem1d import (
     IntervalUnion,
     LaplaceShape,
     PeakSpec,
-    Region,
     SampledSequence,
     SignalSpec,
     TriangularShape,
@@ -199,12 +198,9 @@ def test_synthesize_rejects_unresolved_peak():
 # interval unions and regions
 
 
-def test_interval_union_merges_and_measures():
+def test_interval_union_merges():
     union = IntervalUnion(((3.0, 4.0), (0.0, 1.0), (0.5, 2.0)))
     assert union.intervals == ((0.0, 2.0), (3.0, 4.0))
-    assert union.measure == pytest.approx(3.0)
-    got = union.contains(np.array([-0.1, 0.0, 2.0, 2.5, 3.0, 4.0, 4.1]))
-    np.testing.assert_array_equal(got, [False, True, True, False, True, True, False])
     with pytest.raises(ValueError):
         IntervalUnion(((2.0, 1.0),))
 
@@ -228,31 +224,6 @@ def test_compute_regions_dilates_by_kernel_support():
     regions = compute_regions(spec, kernel)
     assert regions.signal.intervals == ((-3.0, 3.0),)
     assert regions.smoothed_signal.intervals == ((-9.0, 9.0),)
-    assert regions.signal_measure == pytest.approx(6.0)
-    assert regions.transition_measure == pytest.approx(12.0)
-    assert regions.null_measure == pytest.approx(54.0)
-    assert regions.smoothed_null_measure == pytest.approx(42.0)
-
-
-def test_region_classification_precedence():
-    spec = SignalSpec(
-        peaks=(PeakSpec(shape=TriangularShape(3.0), amplitude=1.0, center=0.0),),
-        domain_length=60.0,
-    )
-    regions = compute_regions(spec, gaussian_kernel(2.0, 1.0))
-    got = regions.classify(np.array([0.0, 3.0, 5.0, 9.0, 9.5, -25.0]))
-    assert list(got) == [
-        Region.SIGNAL,
-        Region.SIGNAL,  # support boundary belongs to the signal
-        Region.TRANSITION,
-        Region.TRANSITION,  # smoothed boundary belongs to the transition
-        Region.NULL_CORE,
-        Region.NULL_CORE,
-    ]
-    np.testing.assert_array_equal(
-        regions.in_null(np.array([0.0, 3.0, 3.1, 100.0])),
-        [False, False, True, True],
-    )
 
 
 def test_overlapping_peaks_merge_in_regions():

@@ -178,7 +178,7 @@ def test_run_procedure_dispatch():
 
 def test_report_serialization():
     rep = benjamini_hochberg(_cands([0.001, 0.7]), 0.05, PARAMS)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
     assert data["procedure"] == "bh"
     assert data["num_candidates"] == 2
     assert data["num_rejected"] == 1
@@ -189,7 +189,9 @@ def test_report_serialization():
     assert len(lines) == 2
     # infinities serialize as strings, not as invalid JSON tokens
     empty = benjamini_hochberg(_cands([0.9]), 0.05, PARAMS)
-    assert json.loads(empty.to_json())["height_threshold"] == "inf"
+    assert json.loads(json.dumps(empty.to_json_dict(), allow_nan=False))[
+        "height_threshold"
+    ] == "inf"
 
 
 def test_asymptotic_thresholds():

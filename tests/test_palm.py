@@ -281,6 +281,8 @@ def test_candidate_set_validation():
         CandidateSet(np.array([0, 1]), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         CandidateSet(np.array([0]), np.array([1.0]), np.array([np.nan]))
+    with pytest.raises(ValueError, match="rows must be non-negative"):
+        CandidateSet(np.array([0]), np.array([1.0]), np.array([0.0]), rows=[-1])
     cands = CandidateSet(
         np.array([3, 1, 2]),
         np.array([3.0, 1.0, 2.0]),
@@ -289,7 +291,7 @@ def test_candidate_set_validation():
     np.testing.assert_array_equal(cands.indices, [1, 2, 3])
     np.testing.assert_array_equal(cands.heights, [10.0, 20.0, 30.0])
     picked = cands.select(cands.heights > 15.0)
-    assert picked.count == 2
+    assert len(picked) == 2
     np.testing.assert_array_equal(picked.locations, [2.0, 3.0])
     assert picked.pvalues is None
     assert not picked.locations.flags.writeable
