@@ -72,6 +72,9 @@ _CALIBRATION_STREAM = 1
 # calibration runs drawn, smoothed and reduced together; small, so the
 # block's arrays stay a few hundred KiB
 _CALIBRATION_BLOCK = 32
+# replications drawn and scored together; small, so a block of sim35's 30
+# views per replication stays a few MiB
+_TRIAL_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +495,9 @@ def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
     Each replication derives its generator stream from (seed, stream tag,
     replication index) and reuses the same noise realization across all
     bandwidth and amplitude cells, so comparisons between cells are
-    paired.
+    paired.  Replications are drawn and scored in blocks of
+    ``_TRIAL_BLOCK``; every row of a block is computed on its own, so no
+    result depends on the block size.
     """
     base_mu = synthesize_signal(design.signal, design.dt)
     bands = [
@@ -507,65 +512,71 @@ def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
             design.alpha,
             design.rice_convention,
         )
-    records = [
-        _trial(design, seed, base_mu, bands, sup, rep)
-        for rep in range(design.replications)
+    reps = design.replications
+    blocks = [
+        _block(design, seed, base_mu, bands, sup, range(r, min(r + _TRIAL_BLOCK, reps)))
+        for r in range(0, reps, _TRIAL_BLOCK)
     ]
-    cells = tuple(_aggregate(design, records))
+    cells = tuple(_aggregate(design, blocks))
     return SweepResult(design=design, seed=seed, cells=cells)
 
 
-def _trial(
+def _block(
     design: SimulationDesign,
     seed: int,
     base_mu: SampledSequence,
     bands: list[_Band],
     sup: np.ndarray | None,
-    rep: int,
+    reps: range,
 ) -> dict[str, np.ndarray]:
-    """Metrics of one replication, by name; ``sup`` holds each band's
-    supremum threshold when the design runs that procedure.
+    """Metrics of the replications ``reps``, by name; ``sup`` holds each
+    band's supremum threshold when the design runs that procedure.
 
-    Arrays are indexed [column, amplitude, procedure], and
-    ``locmax_per_peak`` by [column, amplitude].  Columns are the
-    bandwidths; an auto-bandwidth design has one column, scoring in each
-    cell the bandwidth with the most rejections.  Every (amplitude,
-    bandwidth) view is a row of one array, and each stage runs once.
+    Arrays are indexed [replication, column, amplitude, procedure], and
+    ``locmax_per_peak`` by [replication, column, amplitude].  Columns are
+    the bandwidths; an auto-bandwidth design has one column, scoring in
+    each cell the bandwidth with the most rejections.  Every
+    (replication, amplitude, bandwidth) view is a row of one array, and
+    each stage runs once, except the pointwise corrections: their sets
+    hold every sample, so they run one replication's rows at a time.
     """
-    noise = generate_noise(
-        design.noise,
-        0.0,
-        base_mu.values.size,
-        design.dt,
-        seed=(seed, _TRIAL_STREAM, rep),
-    )
+    n, dt = base_mu.values.size, design.dt
+    seeds = [(seed, _TRIAL_STREAM, rep) for rep in reps]
+    noise = np.stack([generate_noise(design.noise, 0.0, n, dt, s).values for s in seeds])
     amps = np.array(design.amplitude_grid)[:, np.newaxis, np.newaxis]
     mu = np.stack([band.smoothed_mu.values for band in bands])
-    z = np.stack([convolve_rows(noise.values, band.kernel, design.dt) for band in bands])
-    views = (amps * mu + z).reshape(-1, mu.shape[1])
+    z = np.stack([convolve_rows(noise, band.kernel, dt) for band in bands], axis=1)
+    views = (amps * mu + z[:, np.newaxis]).reshape(-1, n)
     if not np.isfinite(views).all():
         raise ValueError("smoothed values must be finite")
-    row_bands = bands * len(design.amplitude_grid)
-    margins = [band.kernel.half_support_samples for band in row_bands]
-    grid = SampledRows(views, design.dt, base_mu.t0, margins)
+    rep_bands = bands * len(design.amplitude_grid)  # the rows of one replication
+    row_bands = rep_bands * len(reps)
+    margins = [band.kernel.half_support_samples for band in rep_bands]
+    grid = SampledRows(views, dt, base_mu.t0, margins * len(reps))
     palms = [band.palm for band in row_bands]
-    moments = [band.moments for band in row_bands]
     cands = candidate_pvalues(find_local_maxima(grid), palms)
     procs, alpha = design.procedures, design.alpha
     peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
     reports = dict(zip(peak, run_procedure(cands, alpha, palms, peak))) if peak else {}
-    pointwise = [p for p in procs if p in _POINTWISE_RULES]
-    samples = pointwise_pvalues(grid, moments) if pointwise else None
-    for p in procs:
-        if p in pointwise:
-            reports[p] = pointwise_correct(samples, alpha, p, moments)
-        elif p is Procedure.SUPREMUM:
-            reports[p] = height_rule_report(cands, np.tile(sup, len(amps)), alpha, p)
+    # the other rules are scored as height rules, by each row's threshold
+    thresholds = {p: [] for p in procs if p in _POINTWISE_RULES}
+    if thresholds:
+        moments = [band.moments for band in rep_bands]
+        for values in views.reshape(len(reps), -1, n):
+            rows = SampledRows(values, dt, base_mu.t0, margins)
+            samples = pointwise_pvalues(rows, moments)
+            for p, per_rep in thresholds.items():
+                report = pointwise_correct(samples, alpha, p, moments)
+                per_rep.append(report.height_threshold)
+    if sup is not None:
+        thresholds[Procedure.SUPREMUM] = [np.tile(sup, len(views) // len(bands))]
+    for p, per_rep in thresholds.items():
+        reports[p] = height_rule_report(cands, np.concatenate(per_rep), alpha, p)
     reports = [reports[p] for p in procs]
     outcome = score_trial(reports, cands, [band.regions for band in row_bands])
 
-    # each metric as a [procedure, amplitude, bandwidth] array
-    shape = (len(procs), len(design.amplitude_grid), len(bands))
+    # each metric as a [procedure, replication, amplitude, bandwidth] array
+    shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))
     locmax = outcome.locmax_per_peak
     locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
     metrics = {
@@ -577,26 +588,26 @@ def _trial(
     }
     metrics = {name: np.reshape(x, shape).astype(float) for name, x in metrics.items()}
     if design.auto_bandwidth:
-        # per procedure and amplitude, the band with the most rejections
+        # per procedure, replication and amplitude: the most rejecting band
         counts = [r.rejected.row_counts(len(views)) for r in reports]
-        counts = np.reshape(counts, shape)
-        chosen = [[[most_rejections(c, design.gamma_grid)] for c in a] for a in counts]
+        counts = np.reshape(counts, (-1, len(bands)))
+        chosen = [most_rejections(c, design.gamma_grid) for c in counts]
+        chosen = np.reshape(chosen, (*shape[:3], 1))
         metrics = {
-            name: np.take_along_axis(x, np.array(chosen), axis=2)
-            for name, x in metrics.items()
+            name: np.take_along_axis(x, chosen, axis=3) for name, x in metrics.items()
         }
-    record = {name: x.transpose(2, 1, 0) for name, x in metrics.items()}
-    # by [column, amplitude], in the last procedure's column (an auto
-    # design's choice may differ between procedures)
-    record["locmax_per_peak"] = record["locmax_per_peak"][..., -1]
-    return record
+    block = {name: x.transpose(1, 3, 2, 0) for name, x in metrics.items()}
+    # by [replication, column, amplitude], in the last procedure's column (an
+    # auto design's choice may differ between procedures)
+    block["locmax_per_peak"] = block["locmax_per_peak"][..., -1]
+    return block
 
 
 def _aggregate(
-    design: SimulationDesign, records: list[dict[str, np.ndarray]]
+    design: SimulationDesign, blocks: list[dict[str, np.ndarray]]
 ) -> list[CellStats]:
     """Cells in output order, each reduced from its slot's per-replication series."""
-    stacked = {name: np.array([rec[name] for rec in records]) for name in records[0]}
+    stacked = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
     def series(name: str, *index: int) -> np.ndarray:
         return np.ascontiguousarray(stacked[name][(slice(None), *index)])

@@ -1,6 +1,7 @@
 """Trial scoring, SNR helpers and the Monte Carlo sweep driver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,15 +42,17 @@ from stem1d import (
     synthesize_signal,
     theoretical_power,
 )
+from stem1d import evaluation
 from stem1d.errors import DegenerateSequenceError
 from stem1d.evaluation import (
     _CALIBRATION_BLOCK,
     _CALIBRATION_STREAM,
+    _TRIAL_BLOCK,
     _TRIAL_STREAM,
     PRESET_NAMES,
     _Band,
+    _block,
     _cell_moments,
-    _trial,
 )
 from stem1d.multitest import run_procedure
 from stem1d.pipeline import most_rejections
@@ -527,7 +530,7 @@ def test_degenerate_calibration_run_raises():
 
 
 # ---------------------------------------------------------------------------
-# the batched trial against the per-view trial it replaced
+# the block of replications against the per-view trial it replaced
 
 
 class _RefView:
@@ -650,6 +653,7 @@ def _trial_design(family, dt, gammas, amplitudes, procedures, auto):
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**31 - 1),
+    first=st.integers(0, 20),
     family=st.sampled_from([KernelFamily.GAUSSIAN, KernelFamily.QUARTIC]),
     dt=st.sampled_from([1.0, 0.5]),
     gammas=st.lists(st.sampled_from([1.0, 1.5, 2.5, 4.0, 7.0, 20.0]), min_size=1,
@@ -660,7 +664,7 @@ def _trial_design(family, dt, gammas, amplitudes, procedures, auto):
     auto=st.booleans(),
 )
 def test_batched_trial_matches_per_view_trial_bitwise(
-    seed, family, dt, gammas, amplitudes, procedures, auto
+    seed, first, family, dt, gammas, amplitudes, procedures, auto
 ):
     # a Gaussian gamma=20 kernel leaves one testable sample of the grid
     # (a margin of 60 of 121 samples at dt=1, 120 of 241 at dt=0.5), so
@@ -679,14 +683,38 @@ def test_batched_trial_matches_per_view_trial_bitwise(
     # one batched solve for every band, as run_sweep makes
     length = design.signal.domain_length
     sup = supremum_threshold([band.moments for band in bands], length, design.alpha)
-    for rep in range(design.replications):
-        got = _trial(design, seed, base_mu, bands, sup, rep)
+    # one block of several replications, starting anywhere in the stream
+    reps = range(first, first + design.replications)
+    block = _block(design, seed, base_mu, bands, sup, reps)
+    for i, rep in enumerate(reps):
         want = _reference_trial(design, seed, base_mu, bands, rep)
-        assert sorted(got) == sorted(want)
+        assert sorted(block) == sorted(want)
         for name in want:
-            assert got[name].shape == want[name].shape, name
-            assert got[name].dtype == want[name].dtype, name
-            assert got[name].tobytes() == want[name].tobytes(), name
+            got = block[name][i]
+            assert got.shape == want[name].shape, name
+            assert got.dtype == want[name].dtype, name
+            assert got.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "reps", [1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 3]
+)
+@pytest.mark.parametrize("auto", [False, True])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32))
+def test_sweep_bits_do_not_depend_on_the_block_size(auto, reps, seed):
+    # all five procedures (two of them pointwise), or auto-bandwidth
+    procedures = (Procedure.BONFERRONI, Procedure.BH) if auto else tuple(Procedure)
+    design = _tiny_design(
+        procedures=procedures,
+        auto_bandwidth=auto,
+        gamma_grid=(2.0, 3.0, 4.0),
+        replications=reps,
+    )
+    want = run_sweep(design, seed=seed).csv_lines()
+    with mock.patch.object(evaluation, "_TRIAL_BLOCK", 1):
+        got = run_sweep(design, seed=seed).csv_lines()
+    assert got == want
 
 
 def test_score_trial_batch_matches_single_reports():

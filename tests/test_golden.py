@@ -2,8 +2,8 @@
 preset designs and peak-shape densities.
 
 The digests are sha256 of ``"\\n".join(csv_lines())`` for a preset at a
-small replication count and seed 7; the same values gate the benchmark
-(``bench/reference.json``).  The root-finder and moment values are
+small replication count and seed 7; those at 4 and 10 replications also
+gate the benchmark (``bench/reference.json``).  The root-finder and moment values are
 ``float.hex()`` strings, so a change in the bisection steps, the bracket
 or the order of a reduction shows up even when it moves the result by
 one ulp.  The sweeps sample the peak shapes only at integer offsets, so
@@ -49,6 +49,11 @@ SWEEP_DIGESTS = {
     ("sim34", 4): "ae430fabcd1a038af45f82ac3f8776fd6e2e7e237e112a7435a94d2dd0741732",
     ("sim35", 4): "026bbf86974b401c4e68a0d4e77f748f4cc6fd75fe413eeabbee78b2a32ae20a",
     ("sim32", 10): "6e1df748e55db9a70119de00e4b7efb918666c779a47fff53cfb9fbfb781e080",
+    # past one block of replications (``evaluation._TRIAL_BLOCK``, 8): a
+    # partial second block, and two full blocks and a partial third
+    ("sim31", 9): "94fb0358bc02c2ba6af14a2601e5f8e3b9cc01652e93a09f867a8824e0847502",
+    ("sim34", 19): "b2abc889fa66f20b52422dd7056f219a62962442fea942051abcfe630bb49860",
+    ("sim35", 19): "db2b015e5833a3970939cef3356a04c0429ee6275a0845b914fdf725ce835a2f",
 }
 
 

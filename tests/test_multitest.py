@@ -1,6 +1,5 @@
 """Bonferroni and step-up corrections checked against brute force."""
 
-import itertools
 import json
 import math
 
