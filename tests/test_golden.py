@@ -54,6 +54,10 @@ SWEEP_DIGESTS = {
     ("sim31", 9): "94fb0358bc02c2ba6af14a2601e5f8e3b9cc01652e93a09f867a8824e0847502",
     ("sim34", 19): "b2abc889fa66f20b52422dd7056f219a62962442fea942051abcfe630bb49860",
     ("sim35", 19): "db2b015e5833a3970939cef3356a04c0429ee6275a0845b914fdf725ce835a2f",
+    # one replication, so every standard error is NaN (the benchmark's
+    # set-up count); and 130, past numpy's 128-element summation block
+    ("sim34", 1): "a296a0c1d7c53e9b214cfdba6db5d615fd33b37f097eaf29efc15badc0cc7453",
+    ("sim35", 130): "1cd82d3a5e0fe38e5b116c90a3e0a3e6a15674cb82a852444d292913a6a8e5d6",
 }
 
 
@@ -63,6 +67,24 @@ def test_sweep_csv_digest(preset, replications):
     lines = run_sweep(design, seed=7).csv_lines()
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == SWEEP_DIGESTS[(preset, replications)]
+
+
+# preset -> sha256 of its csv lines on a signal with no peaks, at 40
+# replications and seed 7: every power and locmax_per_peak value is NaN,
+# and some fwer and fdr values are not zero
+NULL_SIGNAL_DIGESTS = {
+    "sim34": "a3538335109c7e5622ec3e272ef1531bf3675b95447ace8c71ea65524515b6a1",
+    "sim35": "4f184eb03202d108bc972fc8f39e9f3ed37aa33e9b7d18c916baaab2f4c3f288",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(NULL_SIGNAL_DIGESTS))
+def test_null_signal_csv_digest(preset):
+    signal = SignalSpec(peaks=(), domain_length=1000.0)
+    design = preset_design(preset).with_options(signal=signal, replications=40)
+    lines = run_sweep(design, seed=7).csv_lines()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == NULL_SIGNAL_DIGESTS[preset]
 
 
 def _edge_signal():
