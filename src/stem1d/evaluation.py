@@ -298,6 +298,9 @@ class SimulationDesign:
                 raise ValueError(f"{name} must be non-empty")
             for i, value in enumerate(values):
                 positive_finite(f"{name}[{i}]", value)
+                for j in range(i):  # repeats make cells lookup cannot tell apart
+                    if nearly_equal(values[j], value):
+                        raise ValueError(f"{name}[{j}] and {name}[{i}] repeat {value!r}")
         if any(g < self.dt for g in self.gamma_grid):
             raise ValueError("every bandwidth must be at least the grid spacing")
         if not self.procedures:
@@ -428,19 +431,26 @@ class SweepResult:
         return lines
 
 
-def _proportion_stats(flags: np.ndarray) -> tuple[float, float]:
-    n = flags.size
-    p = float(np.mean(flags))
-    return p, math.sqrt(p * (1.0 - p) / n)
-
-
-def _mean_stats(x: np.ndarray) -> tuple[float, float]:
-    x = x[~np.isnan(x)]
-    if x.size == 0:
-        return float("nan"), float("nan")
-    if x.size == 1:
-        return float(x[0]), float("nan")
-    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+def _cell_stats(x: np.ndarray, proportion: bool = False) -> list:
+    """(value, standard error) of every cell of ``x`` over its last axis, the
+    replications, as nested lists of Python floats.  ``x`` is C-contiguous,
+    so numpy sums each cell with the pairwise loop of a 1-D call, and each
+    cell has the bits of its reduction alone (along a leading axis, the rows
+    would add in sequence).  A proportion's error is sqrt(p (1 - p) / n), a
+    mean's the sample standard deviation over sqrt(n), NaN at one
+    replication.  No NaN is filtered: ``power`` and ``locmax_per_peak`` are
+    NaN in every replication exactly when the signal has no peaks, and the
+    others never are, so a cell is all NaN (its result NaN) or free of NaN.
+    """
+    n = x.shape[-1]
+    value = x.mean(axis=-1)
+    if proportion:
+        se = np.sqrt(value * (1.0 - value) / n)
+    elif n > 1:
+        se = x.std(axis=-1, ddof=1) / math.sqrt(n)
+    else:
+        se = np.full_like(value, np.nan)
+    return np.stack([value, se], axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -606,45 +616,35 @@ def _block(
 def _aggregate(
     design: SimulationDesign, blocks: list[dict[str, np.ndarray]]
 ) -> list[CellStats]:
-    """Cells in output order, each reduced from its slot's per-replication series."""
-    stacked = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
-
-    def series(name: str, *index: int) -> np.ndarray:
-        return np.ascontiguousarray(stacked[name][(slice(None), *index)])
-
-    def cell(gamma: float, amp: float, procedure: str, metrics: dict) -> CellStats:
-        return CellStats(
-            gamma=gamma,
-            amplitude=amp,
-            procedure=procedure,
-            replications=design.replications,
-            metrics=metrics,
-        )
-
+    """Cells in output order.  Each metric is reduced once for every cell,
+    laid out [column, amplitude, procedure, replication] (``locmax_per_peak``
+    without the procedure axis)."""
+    joined = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    x = {name: np.ascontiguousarray(np.moveaxis(v, 0, -1)) for name, v in joined.items()}
+    names = ("fwer", "fdr", "power")
+    stats = {name: _cell_stats(x[name], proportion=name == "fwer") for name in names}
+    locmax = _cell_stats(x["locmax_per_peak"])
     auto = design.auto_bandwidth
-    cells = []
+    if auto:
+        stats["chosen_gamma_mean"] = _cell_stats(x["chosen_gamma"])
+        grid = np.array(design.gamma_grid)[:, np.newaxis]
+        # [column, amplitude, procedure, bandwidth, replication]
+        hits = np.abs(x["chosen_gamma"][..., np.newaxis, :] - grid) < 1e-9
+        fractions = _cell_stats(hits.astype(float), proportion=True)
+    cells = []  # (gamma, amplitude, procedure, metrics)
     for c, gamma in enumerate((float("nan"),) if auto else design.gamma_grid):
         for a, amp in enumerate(design.amplitude_grid):
             for p, proc in enumerate(design.procedures):
-                metrics = {
-                    "fwer": _proportion_stats(series("fwer", c, a, p)),
-                    "fdr": _mean_stats(series("fdr", c, a, p)),
-                    "power": _mean_stats(series("power", c, a, p)),
-                }
-                if not auto:
-                    cells.append(cell(gamma, amp, proc.value, metrics))
-                    continue
-                chosen = series("chosen_gamma", c, a, p)
-                metrics["chosen_gamma_mean"] = _mean_stats(chosen)
-                cells.append(cell(gamma, amp, proc.value, metrics))
-                for g in design.gamma_grid:
-                    frac = _proportion_stats((np.abs(chosen - g) < 1e-9).astype(float))
-                    cells.append(cell(g, amp, proc.value, {"chosen_fraction": frac}))
+                metrics = {name: tuple(v[c][a][p]) for name, v in stats.items()}
+                cells.append((gamma, amp, proc.value, metrics))
+                if auto:
+                    for g, frac in zip(design.gamma_grid, fractions[c][a][p]):
+                        metrics = {"chosen_fraction": tuple(frac)}
+                        cells.append((g, amp, proc.value, metrics))
             if not auto:
-                locmax = _mean_stats(series("locmax_per_peak", c, a))
-                metrics = {"locmax_per_peak": locmax}
-                cells.append(cell(gamma, amp, "candidates", metrics))
-    return cells
+                metrics = {"locmax_per_peak": tuple(locmax[c][a])}
+                cells.append((gamma, amp, "candidates", metrics))
+    return [CellStats(g, a, p, design.replications, m) for g, a, p, m in cells]
 
 
 # ---------------------------------------------------------------------------

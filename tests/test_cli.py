@@ -614,6 +614,26 @@ def test_simulate_bandwidth_wider_than_domain_exits_2(tmp_path, capsys, gamma, c
 
 
 @pytest.mark.parametrize(
+    "case,message",
+    [
+        ({"gamma_grid": [3.0, 2.0, 3.0]}, "gamma_grid[0] and gamma_grid[2] repeat 3.0"),
+        ({"amplitude_grid": [9.0, 9.0]}, "amplitude_grid[0] and amplitude_grid[1] repeat"),
+    ],
+    ids=["gamma-grid", "amplitude-grid"],
+)
+def test_simulate_repeated_grid_value_exits_2(tmp_path, capsys, case, message):
+    # refused before any replication runs, naming the file, the key and
+    # both indices
+    path = _tiny_design_json(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **case}))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == 2
+    assert f"error: {path}: invalid design file: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,case,code,message",
     [
         ("detect", ["--gamma", "1e300"], 4, "no testable sample: 300 samples"),

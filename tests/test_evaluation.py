@@ -53,6 +53,7 @@ from stem1d.evaluation import (
     _Band,
     _block,
     _cell_moments,
+    _cell_stats,
 )
 from stem1d.multitest import run_procedure
 from stem1d.pipeline import most_rejections
@@ -328,6 +329,25 @@ def test_design_validation():
         _tiny_design(rice_convention="tight")
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (dict(gamma_grid=(3.0, 3.0, 4.0)), "gamma_grid[0] and gamma_grid[1] repeat 3.0"),
+        (dict(gamma_grid=(2.0, 4.0, 2.0 + 1e-9)), "gamma_grid[0] and gamma_grid[2]"),
+        (dict(gamma_grid=(3.0, 3.0), auto_bandwidth=True), "gamma_grid[0] and"),
+        (dict(amplitude_grid=(9.0, 15.0, 9.0)), "amplitude_grid[0] and amplitude_grid[2]"),
+    ],
+)
+def test_design_refuses_repeated_grid_values(options, message):
+    # a repeated bandwidth would be counted twice by chosen_fraction, and
+    # either repeat writes cells that lookup cannot tell apart
+    with pytest.raises(ValueError) as info:
+        _tiny_design(**options)
+    assert message in str(info.value)
+    # values just past the tolerance are distinct cells
+    _tiny_design(gamma_grid=(2.0, 2.0 + 3e-9), amplitude_grid=(9.0, 9.0 + 1e-8))
+
+
 def test_with_options_replaces_and_revalidates():
     design = _tiny_design()
     faster = design.with_options(replications=5, alpha=0.1)
@@ -439,6 +459,53 @@ def test_run_sweep_estimated_moments_close_to_closed_form():
     p_ref, _ = ref.lookup("power", "bh", gamma=3.0, amplitude=12.0)
     # same noise stream, near-identical moments: decisions mostly agree
     assert p_est == pytest.approx(p_ref, abs=0.1)
+
+
+def _ref_proportion_stats(flags):
+    n = flags.size
+    p = float(np.mean(flags))
+    return p, math.sqrt(p * (1.0 - p) / n)
+
+
+def _ref_mean_stats(x):
+    x = x[~np.isnan(x)]
+    if x.size == 0:
+        return float("nan"), float("nan")
+    if x.size == 1:
+        return float(x[0]), float("nan")
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 1000]),
+    kind=st.sampled_from(["flags", "fractions", "reals"]),
+)
+def test_cell_stats_match_per_cell_reductions_bitwise(seed, n, kind):
+    # every cell of one reduction equals the reduction of that cell alone,
+    # across numpy's 8- and 128-element pairwise-summation blocks; a cell
+    # is all NaN, as power is on a signal with no peaks
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 4, n)
+    if kind == "flags":
+        x = (rng.random(shape) < rng.random((*shape[:-1], 1))).astype(float)
+    elif kind == "fractions":
+        m = rng.integers(1, 12, (*shape[:-1], 1))
+        x = rng.integers(0, m + 1, shape) / m
+    else:
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, (*shape[:-1], 1))
+    x[1, 2, 0] = np.nan
+    checks = [(False, _ref_mean_stats)]
+    if kind == "flags":
+        checks.append((True, _ref_proportion_stats))
+    for proportion, ref in checks:
+        got = _cell_stats(x, proportion=proportion)
+        for index in np.ndindex(shape[:-1]):
+            cell = got[index[0]][index[1]][index[2]]
+            assert all(type(v) is float for v in cell)
+            want = ref(x[index])
+            assert [v.hex() for v in cell] == [v.hex() for v in want], (index, proportion)
 
 
 # ---------------------------------------------------------------------------

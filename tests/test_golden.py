@@ -54,8 +54,9 @@ SWEEP_DIGESTS = {
     ("sim31", 9): "94fb0358bc02c2ba6af14a2601e5f8e3b9cc01652e93a09f867a8824e0847502",
     ("sim34", 19): "b2abc889fa66f20b52422dd7056f219a62962442fea942051abcfe630bb49860",
     ("sim35", 19): "db2b015e5833a3970939cef3356a04c0429ee6275a0845b914fdf725ce835a2f",
-    # one replication, so every standard error is NaN (the benchmark's
-    # set-up count); and 130, past numpy's 128-element summation block
+    # one replication, where the standard error of every mean is NaN (the
+    # benchmark's set-up count); and 130, past numpy's 128-element
+    # pairwise-summation block
     ("sim34", 1): "a296a0c1d7c53e9b214cfdba6db5d615fd33b37f097eaf29efc15badc0cc7453",
     ("sim35", 130): "1cd82d3a5e0fe38e5b116c90a3e0a3e6a15674cb82a852444d292913a6a8e5d6",
 }
