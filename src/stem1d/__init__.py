@@ -18,7 +18,6 @@ from .kernels import (
 )
 from .signals import (
     CauchyShape,
-    CustomShape,
     EpanechnikovShape,
     IntervalUnion,
     LaplaceShape,
@@ -73,14 +72,9 @@ from .evaluation import (
     SimulationDesign,
     SweepResult,
     TrialOutcome,
-    optimal_bandwidth,
     preset_design,
     run_sweep,
     score_trial,
-    smoothed_peak_height,
-    snr,
-    snr_general,
-    theoretical_power,
 )
 from .seriesio import load_kernel_csv, save_kernel_csv
 from . import errors
@@ -99,7 +93,6 @@ __all__ = [
     "save_kernel_csv",
     "load_kernel_csv",
     "CauchyShape",
-    "CustomShape",
     "EpanechnikovShape",
     "LaplaceShape",
     "TriangularShape",
@@ -142,13 +135,8 @@ __all__ = [
     "SimulationDesign",
     "SweepResult",
     "TrialOutcome",
-    "optimal_bandwidth",
     "preset_design",
     "run_sweep",
     "score_trial",
-    "smoothed_peak_height",
-    "snr",
-    "snr_general",
-    "theoretical_power",
     "errors",
 ]

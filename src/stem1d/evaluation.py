@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .candidates import CandidateSet
 from .errors import positive_finite
@@ -174,70 +173,6 @@ def score_trial(
         fields = [*(int(f[0, 0]) for f in fields[:3]), fields[3][0, 0]]
         locmax = locmax[0]
     return TrialOutcome(*fields, locmax)
-
-
-# ---------------------------------------------------------------------------
-# power and SNR helpers
-
-
-def smoothed_peak_height(peak: PeakSpec, kernel: Kernel) -> float:
-    """Mean of the smoothed signal at the peak center."""
-    offsets = kernel.offsets
-    shape_vals = peak.shape.density(-offsets)
-    return peak.amplitude * float(np.sum(kernel.weights * shape_vals)) * kernel.dt
-
-
-def theoretical_power(
-    peak: PeakSpec,
-    kernel: Kernel,
-    moments: NoiseMoments,
-    threshold: float,
-) -> float:
-    """Gaussian approximation of the detection probability at ``threshold``.
-
-    The smoothed observation at the peak center is Gaussian with mean
-    ``smoothed_peak_height`` and standard deviation sigma of the
-    smoothed noise, so the exceedance probability is a normal tail.
-    """
-    mean = smoothed_peak_height(peak, kernel)
-    return float(ndtr((mean - threshold) / moments.sigma))
-
-
-def snr(amplitude: float, sigma: float, b: float, nu: float, gamma: float) -> float:
-    """Matched-filter SNR for a Gaussian-shaped peak of scale ``b``.
-
-    Closed form for Gaussian-correlated noise of scale ``nu`` smoothed by
-    a Gaussian kernel of bandwidth ``gamma`` (truncation ignored).
-    """
-    positive_finite("b", b)
-    positive_finite("sigma", sigma)
-    if gamma < 0 or nu < 0:
-        raise ValueError("gamma and nu must be non-negative")
-    ratio = (gamma**2 + nu**2) / (gamma**2 + b**2) ** 2
-    return amplitude / (sigma * math.pi**0.25) * ratio**0.25
-
-
-def optimal_bandwidth(b: float, nu: float = 0.0) -> float:
-    """Bandwidth maximizing :func:`snr`; 0 when the noise is too coarse."""
-    positive_finite("b", b)
-    if nu < 0:
-        raise ValueError("nu must be non-negative")
-    if nu < b / math.sqrt(2.0):
-        return math.sqrt(b**2 - 2.0 * nu**2)
-    return 0.0
-
-
-def snr_general(kernel: Kernel, peak: PeakSpec, sigma: float) -> float:
-    """Matched-filter SNR of an arbitrary peak/kernel pair on the grid.
-
-    ``sigma`` is the scale of the *unsmoothed* white noise; the smoothed
-    noise standard deviation is sigma * sqrt(integral of the squared
-    kernel).
-    """
-    positive_finite("sigma", sigma)
-    numerator = smoothed_peak_height(peak, kernel)
-    denom = sigma * math.sqrt(float(np.sum(kernel.weights**2)) * kernel.dt)
-    return numerator / denom
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +444,8 @@ def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
     ``_TRIAL_BLOCK``; every row of a block is computed on its own, so no
     result depends on the block size.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     base_mu = synthesize_signal(design.signal, design.dt)
     bands = [
         _Band(design, index, gamma, base_mu, seed)
@@ -542,10 +479,11 @@ def _block(
     """Metrics of the replications ``reps``, by name; ``sup`` holds each
     band's supremum threshold when the design runs that procedure.
 
-    Arrays are indexed [replication, column, amplitude, procedure], and
-    ``locmax_per_peak`` by [replication, column, amplitude].  Columns are
-    the bandwidths; an auto-bandwidth design has one column, scoring in
-    each cell the bandwidth with the most rejections.  Every
+    ``fwer``, ``fdr`` and ``power`` are indexed [column, amplitude,
+    procedure, replication].  Columns are the bandwidths; an auto-bandwidth
+    design has one column, scoring in each cell the bandwidth with the most
+    rejections, whose value is ``chosen_gamma``.  A fixed design adds
+    ``locmax_per_peak``, indexed [column, amplitude, replication].  Every
     (replication, amplitude, bandwidth) view is a row of one array, and
     each stage runs once, except the pointwise corrections: their sets
     hold every sample, so they run one replication's rows at a time.
@@ -585,45 +523,45 @@ def _block(
     reports = [reports[p] for p in procs]
     outcome = score_trial(reports, cands, [band.regions for band in row_bands])
 
-    # each metric as a [procedure, replication, amplitude, bandwidth] array
+    # each metric as a [bandwidth, amplitude, procedure, replication] array
     shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))
-    locmax = outcome.locmax_per_peak
-    locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
+    order = (3, 2, 0, 1)
     metrics = {
         "fwer": outcome.false_rejections > 0,
         "fdr": outcome.false_discovery_proportion,
         "power": outcome.detected_fraction,
-        "chosen_gamma": np.broadcast_to([band.gamma for band in bands], shape),
-        "locmax_per_peak": np.broadcast_to(locmax.reshape(shape[1:]), shape),
     }
-    metrics = {name: np.reshape(x, shape).astype(float) for name, x in metrics.items()}
+    metrics = {
+        name: np.reshape(x, shape).astype(float).transpose(order)
+        for name, x in metrics.items()
+    }
     if design.auto_bandwidth:
         # per procedure, replication and amplitude: the most rejecting band
         counts = [r.rejected.row_counts(len(views)) for r in reports]
         counts = np.reshape(counts, (-1, len(bands)))
         chosen = [most_rejections(c, design.gamma_grid) for c in counts]
-        chosen = np.reshape(chosen, (*shape[:3], 1))
+        chosen = np.reshape(chosen, (*shape[:3], 1)).transpose(order)
         metrics = {
-            name: np.take_along_axis(x, chosen, axis=3) for name, x in metrics.items()
+            name: np.take_along_axis(x, chosen, axis=0) for name, x in metrics.items()
         }
-    block = {name: x.transpose(1, 3, 2, 0) for name, x in metrics.items()}
-    # by [replication, column, amplitude], in the last procedure's column (an
-    # auto design's choice may differ between procedures)
-    block["locmax_per_peak"] = block["locmax_per_peak"][..., -1]
-    return block
+        metrics["chosen_gamma"] = np.array(design.gamma_grid)[chosen]
+    else:
+        locmax = outcome.locmax_per_peak
+        locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
+        metrics["locmax_per_peak"] = locmax.reshape(shape[1:]).transpose(2, 1, 0)
+    # C-contiguous: a join of strided views may not be, and then a cell's
+    # reduction would add its replications in another order
+    return {name: np.ascontiguousarray(x) for name, x in metrics.items()}
 
 
 def _aggregate(
     design: SimulationDesign, blocks: list[dict[str, np.ndarray]]
 ) -> list[CellStats]:
     """Cells in output order.  Each metric is reduced once for every cell,
-    laid out [column, amplitude, procedure, replication] (``locmax_per_peak``
-    without the procedure axis)."""
-    joined = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
-    x = {name: np.ascontiguousarray(np.moveaxis(v, 0, -1)) for name, v in joined.items()}
+    its blocks joined along the replication axis."""
+    x = {name: np.concatenate([b[name] for b in blocks], axis=-1) for name in blocks[0]}
     names = ("fwer", "fdr", "power")
     stats = {name: _cell_stats(x[name], proportion=name == "fwer") for name in names}
-    locmax = _cell_stats(x["locmax_per_peak"])
     auto = design.auto_bandwidth
     if auto:
         stats["chosen_gamma_mean"] = _cell_stats(x["chosen_gamma"])
@@ -631,6 +569,8 @@ def _aggregate(
         # [column, amplitude, procedure, bandwidth, replication]
         hits = np.abs(x["chosen_gamma"][..., np.newaxis, :] - grid) < 1e-9
         fractions = _cell_stats(hits.astype(float), proportion=True)
+    else:
+        locmax = _cell_stats(x["locmax_per_peak"])
     cells = []  # (gamma, amplitude, procedure, metrics)
     for c, gamma in enumerate((float("nan"),) if auto else design.gamma_grid):
         for a, amp in enumerate(design.amplitude_grid):

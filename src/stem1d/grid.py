@@ -84,18 +84,6 @@ class SampledSequence:
         return self.values.size
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
-
-    def time_at(self, index: int | np.ndarray):
-        return self.t0 + self.dt * index
-
-    @property
-    def duration(self) -> float:
-        """Time span covered by the grid, (n - 1) * dt."""
-        return (self.values.size - 1) * self.dt
-
-    @property
     def interior(self) -> np.ndarray:
         """Values with the boundary margins stripped (may be empty)."""
         n = self.values.size

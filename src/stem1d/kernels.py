@@ -86,11 +86,6 @@ class Kernel:
         right = (self.weights.size - 1 - self.center_index) * self.dt
         return (left, right)
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Time offset of each weight relative to the center."""
-        return (np.arange(self.weights.size) - self.center_index) * self.dt
-
 
 def _unimodal(w: np.ndarray) -> bool:
     d = np.diff(w)

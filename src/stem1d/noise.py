@@ -76,15 +76,6 @@ class NoiseMoments:
             "lambda4": self.lambda4,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NoiseMoments":
-        try:
-            return cls(
-                float(data["sigma2"]), float(data["lambda2"]), float(data["lambda4"])
-            )
-        except KeyError as exc:
-            raise ValueError(f"moments JSON is missing key {exc}") from exc
-
 
 def closed_form_moments(params: GaussianAcvfParams, gamma: float) -> NoiseMoments:
     """Moments of model noise smoothed by a Gaussian kernel of scale ``gamma``.

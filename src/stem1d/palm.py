@@ -68,7 +68,7 @@ class PalmParams:
     With ``Delta = sigma2 * lambda4 - lambda2^2`` the survivor function is
     ``ndtr(-a1 u) + c1 phi(u / sigma) ndtr(a2 u)``, where
 
-    - ``sigma = sqrt(sigma2)`` and ``delta = Delta``;
+    - ``sigma = sqrt(sigma2)``;
     - ``a1 = sqrt(lambda4 / Delta)``;
     - ``a2 = sqrt(lambda2^2 / (Delta sigma2))``;
     - ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.
@@ -76,7 +76,6 @@ class PalmParams:
 
     moments: NoiseMoments
     sigma: float = field(init=False, repr=False, compare=False)
-    delta: float = field(init=False, repr=False, compare=False)
     a1: float = field(init=False, repr=False, compare=False)
     a2: float = field(init=False, repr=False, compare=False)
     c1: float = field(init=False, repr=False, compare=False)
@@ -86,7 +85,6 @@ class PalmParams:
         delta = m.delta
         c1 = math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
         object.__setattr__(self, "sigma", m.sigma)
-        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "a1", math.sqrt(m.lambda4 / delta))
         object.__setattr__(self, "a2", math.sqrt(m.lambda2**2 / (delta * m.sigma2)))
         object.__setattr__(self, "c1", c1)

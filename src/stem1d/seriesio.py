@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 import mmap
 import os
 import stat
@@ -141,17 +140,7 @@ def _read_lines(fh, path):
         if line.startswith("#"):
             _header_values(line, path, lineno, header)
             continue
-        # finite_number's check, inlined: a call per line costs a few
-        # percent of reading a 10^6-line series
-        try:
-            value = float(line)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise InputFileError(
-                f"{path}, line {lineno}: {line!r} is not a finite number"
-            )
-        values.append(value)
+        values.append(finite_number(line, path, lineno))
     if not values:
         raise InputFileError(f"{path}: no data lines")
     return values, header
@@ -267,12 +256,15 @@ def _read_json_object(path, expected: str) -> dict:
 def read_moments_json(path) -> NoiseMoments:
     """Read moments written by :func:`write_moments_json`.
 
-    A file that is not a JSON object, or that does not hold three valid
-    moments, raises :class:`InputFileError` naming the file.
+    The object holds ``sigma2``, ``lambda2`` and ``lambda4`` as JSON
+    numbers, and optionally a ``provenance`` entry, which is not read.  A
+    file that is not such an object, or whose moments are not valid, raises
+    :class:`InputFileError` naming the file (and the key at fault).
     """
     data = _read_json_object(path, "with sigma2, lambda2 and lambda4")
+    data.pop("provenance", None)
     try:
-        return NoiseMoments.from_json_dict(data)
+        return _from_json(NoiseMoments, data, "")
     except (TypeError, ValueError) as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
@@ -358,7 +350,11 @@ def _from_json(tp, value, key: str, **built):
         value = _expect(list, value, key)
         return tuple(_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value))
     if not (dataclasses.is_dataclass(tp) or isinstance(tp, types.UnionType)):
-        return tp(_expect(str if issubclass(tp, enum.Enum) else tp, value, key))
+        value = _expect(str if issubclass(tp, enum.Enum) else tp, value, key)
+        try:
+            return tp(value)
+        except OverflowError as exc:  # an integer past the largest float
+            raise ConfigurationError(f"{key}: {exc}") from exc
     data = dict(_expect(dict, value, key))
     prefix = f"{key}." if key else ""
     if isinstance(tp, types.UnionType):  # a peak shape

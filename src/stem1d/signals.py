@@ -110,59 +110,12 @@ class CauchyShape(_CutoffShape):
         return 1.0 / (math.pi * self.b * (1.0 + (t / self.b) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class CustomShape:
-    """A sampled profile, zero outside the sampled support.
-
-    ``profile[center_index]`` sits at offset 0; values are linearly
-    interpolated between samples.  The support is the smallest interval
-    outside which the profile vanishes.
-    """
-
-    profile: np.ndarray
-    dt: float
-    center_index: int
-
-    def __post_init__(self):
-        profile = np.asarray(self.profile, dtype=np.float64)
-        if profile.ndim != 1 or profile.size == 0:
-            raise ValueError("profile must be a non-empty 1-D array")
-        if not np.all(np.isfinite(profile)):
-            raise ValueError("profile must be finite")
-        positive_finite("dt", self.dt)
-        if not 0 <= int(self.center_index) < profile.size:
-            raise ValueError("center_index out of range")
-        nonzero = np.flatnonzero(profile)
-        if nonzero.size == 0:
-            raise ValueError("profile is identically zero")
-        profile = profile.copy()
-        profile.setflags(write=False)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "center_index", int(self.center_index))
-
-    @property
-    def _offsets(self) -> np.ndarray:
-        return (np.arange(self.profile.size) - self.center_index) * self.dt
-
-    @property
-    def half_support(self) -> float:
-        nonzero = np.flatnonzero(self.profile)
-        offs = self._offsets
-        return max(abs(offs[nonzero[0]]), abs(offs[nonzero[-1]]))
-
-    def density(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return np.interp(t, self._offsets, self.profile, left=0.0, right=0.0)
-
-
 PeakShape = (
     TruncatedGaussianShape
     | EpanechnikovShape
     | TriangularShape
     | LaplaceShape
     | CauchyShape
-    | CustomShape
 )
 
 

@@ -275,6 +275,29 @@ def test_detect_non_utf8_moments_json_exits_3(tmp_path, capsys):
     assert str(moments) in err and "not UTF-8 text (byte 0xff)" in err
 
 
+@pytest.mark.parametrize(
+    "patch,key",
+    [
+        ({"sigma2": True}, "sigma2 must be float, got True"),
+        ({"lambda2": "0.05"}, "lambda2 must be float, got '0.05'"),
+        ({"lambda4": None}, "lambda4 must be float, got None"),
+        ({"sigma": 3}, "unknown key 'sigma'"),
+        ({"sigma2": 10**400}, "sigma2: int too large to convert to float"),
+    ],
+    ids=["bool", "string", "null", "unknown-key", "huge-integer"],
+)
+def test_detect_moments_of_wrong_type_or_unknown_key_exits_3(
+    tmp_path, capsys, patch, key
+):
+    # valid moments but for the one entry patched in
+    moments = tmp_path / "moments.json"
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 1.0), moments)
+    moments.write_text(json.dumps({**json.loads(moments.read_text()), **patch}))
+    assert _detect_exit(tmp_path, moments=moments) == 3
+    err = capsys.readouterr().err
+    assert f"error: {moments}: {key}" in err
+
+
 def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
     series = tmp_path / "series.csv"
     _write_spike_series(series, [7], n=15)
@@ -461,6 +484,15 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert "seed=9" in text
     stdout = capsys.readouterr().out
     assert "design: mini" in stdout
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--preset", "sim31", "--replications", "2", "--seed", "-1"]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be a non-negative integer, got -1" in err
+    assert not out.exists()
 
 
 def test_simulate_figure_data_and_overrides(tmp_path, capsys):

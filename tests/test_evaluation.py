@@ -1,4 +1,4 @@
-"""Trial scoring, SNR helpers and the Monte Carlo sweep driver."""
+"""Trial scoring and the Monte Carlo sweep driver."""
 
 import math
 from unittest import mock
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from stem1d import (
     CandidateSet,
@@ -21,7 +20,6 @@ from stem1d import (
     TriangularShape,
     TruncatedGaussianShape,
     candidate_pvalues,
-    closed_form_moments,
     compute_regions,
     convolve,
     estimate_moments,
@@ -29,18 +27,13 @@ from stem1d import (
     gaussian_kernel,
     generate_noise,
     height_rule_report,
-    optimal_bandwidth,
     pointwise_correct,
     pointwise_pvalues,
     preset_design,
     run_sweep,
     score_trial,
-    smoothed_peak_height,
-    snr,
-    snr_general,
     supremum_threshold,
     synthesize_signal,
-    theoretical_power,
 )
 from stem1d import evaluation
 from stem1d.errors import DegenerateSequenceError
@@ -219,61 +212,6 @@ def test_score_trial_matches_per_support_count(seed, threshold):
         assert math.isnan(outcome.detected_fraction)
 
 
-def test_smoothed_peak_height_gaussian_closed_form():
-    # Gaussian bump smoothed by a Gaussian kernel has height
-    # a / sqrt(2 pi (b^2 + gamma^2)) when truncation is negligible
-    peak = PeakSpec(shape=TruncatedGaussianShape(b=3.0, c=6.0), amplitude=10.0, center=0.0)
-    kernel = gaussian_kernel(2.0, 0.05, trunc=5.0)
-    got = smoothed_peak_height(peak, kernel)
-    want = 10.0 / math.sqrt(2.0 * math.pi * 13.0)
-    assert got == pytest.approx(want, rel=1e-3)
-
-
-def test_theoretical_power_is_gaussian_tail():
-    peak = PeakSpec(shape=TruncatedGaussianShape(b=3.0, c=3.0), amplitude=12.0, center=0.0)
-    kernel = gaussian_kernel(3.0, 0.5)
-    moments = closed_form_moments(GaussianAcvfParams(1.0), 3.0)
-    thr = 1.0
-    mean = smoothed_peak_height(peak, kernel)
-    want = stats.norm.cdf((mean - thr) / moments.sigma)
-    assert theoretical_power(peak, kernel, moments, thr) == pytest.approx(want, rel=1e-12)
-
-
-def test_snr_closed_form_value():
-    # a = 15, sigma = 1, b = gamma = 3, white noise
-    got = snr(15.0, 1.0, 3.0, 0.0, 3.0)
-    want = 15.0 / (math.pi**0.25 * math.sqrt(2.0) * math.sqrt(3.0))
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got == pytest.approx(4.600, abs=1e-3)
-
-
-def test_snr_is_maximized_at_optimal_bandwidth():
-    b, nu = 3.0, 1.0
-    star = optimal_bandwidth(b, nu)
-    assert star == pytest.approx(math.sqrt(7.0))
-    grid = np.linspace(0.0, 10.0, 401)
-    values = [snr(1.0, 1.0, b, nu, g) for g in grid]
-    assert snr(1.0, 1.0, b, nu, star) >= max(values)
-    # heavily correlated noise wants no smoothing at all
-    assert optimal_bandwidth(3.0, 3.0) == 0.0
-    assert optimal_bandwidth(3.0, 0.0) == 3.0
-    with pytest.raises(ValueError):
-        optimal_bandwidth(-1.0)
-
-
-def test_snr_general_matches_closed_form_for_gaussian_pair():
-    b, gamma, sigma, amp = 3.0, 2.0, 2.0, 10.0
-    peak = PeakSpec(
-        shape=TruncatedGaussianShape(b=b, c=6.0), amplitude=amp, center=0.0
-    )
-    kernel = gaussian_kernel(gamma, 0.05, trunc=5.0)
-    got = snr_general(kernel, peak, sigma)
-    want = snr(amp, sigma, b, 0.0, gamma)
-    assert got == pytest.approx(want, rel=0.01)
-    with pytest.raises(ValueError):
-        snr_general(kernel, peak, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # design validation
 
@@ -391,6 +329,15 @@ def test_run_sweep_deterministic():
     assert one.csv_lines() == again.csv_lines()
     other = run_sweep(design, seed=6)
     assert one.csv_lines() != other.csv_lines()
+
+
+def test_run_sweep_refuses_a_negative_seed():
+    design = _tiny_design(replications=2)
+    message = "seed must be a non-negative integer, got -1"
+    with mock.patch.object(evaluation, "synthesize_signal") as synthesize:
+        with pytest.raises(ValueError, match=message):
+            run_sweep(design, seed=-1)
+    synthesize.assert_not_called()  # refused before any set-up
 
 
 def test_run_sweep_cell_layout_and_lookup():
@@ -659,10 +606,11 @@ def _reference_trial(design, seed, base_mu, bands, rep):
     smoothed_noise = [convolve(sn, band.kernel) for band in bands]
     columns = 1 if design.auto_bandwidth else len(bands)
     shape = (columns, len(design.amplitude_grid), len(design.procedures))
-    record = {
-        name: np.empty(shape) for name in ("fwer", "fdr", "power", "chosen_gamma")
-    }
-    record["locmax_per_peak"] = np.empty(shape[:2])
+    record = {name: np.empty(shape) for name in ("fwer", "fdr", "power")}
+    if design.auto_bandwidth:
+        record["chosen_gamma"] = np.empty(shape)
+    else:
+        record["locmax_per_peak"] = np.empty(shape[:2])
     # every amplitude's views, amplitude-major, so each rule runs once
     views = [
         _RefView(band, z.with_values(amp * band.smoothed_mu.values + z.values))
@@ -685,10 +633,12 @@ def _reference_trial(design, seed, base_mu, bands, rep):
                 record["fwer"][c, a, p] = outcome.false_rejections > 0
                 record["fdr"][c, a, p] = outcome.false_discovery_proportion
                 record["power"][c, a, p] = outcome.detected_fraction
-                record["chosen_gamma"][c, a, p] = bands[k].gamma
-                record["locmax_per_peak"][c, a] = (
-                    locmax.mean() if locmax.size else float("nan")
-                )
+                if design.auto_bandwidth:
+                    record["chosen_gamma"][c, a, p] = bands[k].gamma
+                else:
+                    record["locmax_per_peak"][c, a] = (
+                        locmax.mean() if locmax.size else float("nan")
+                    )
     return record
 
 
@@ -757,7 +707,7 @@ def test_batched_trial_matches_per_view_trial_bitwise(
         want = _reference_trial(design, seed, base_mu, bands, rep)
         assert sorted(block) == sorted(want)
         for name in want:
-            got = block[name][i]
+            got = block[name][..., i]
             assert got.shape == want[name].shape, name
             assert got.dtype == want[name].dtype, name
             assert got.tobytes() == want[name].tobytes(), name

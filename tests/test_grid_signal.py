@@ -7,7 +7,6 @@ import pytest
 
 from stem1d import (
     CauchyShape,
-    CustomShape,
     EpanechnikovShape,
     IntervalUnion,
     LaplaceShape,
@@ -29,10 +28,8 @@ from stem1d import (
 def test_sequence_basic_grid():
     seq = SampledSequence([1.0, 2.0, 3.0, 4.0], dt=0.5, t0=-1.0)
     assert len(seq) == 4
-    assert seq.duration == pytest.approx(1.5)
-    np.testing.assert_allclose(seq.times, [-1.0, -0.5, 0.0, 0.5])
-    assert seq.time_at(2) == pytest.approx(0.0)
-    np.testing.assert_allclose(seq.time_at(np.array([0, 3])), [-1.0, 0.5])
+    assert (seq.dt, seq.t0) == (0.5, -1.0)
+    assert seq.t0 + seq.dt * (len(seq) - 1) == pytest.approx(0.5)
 
 
 def test_sequence_values_are_read_only_copies():
@@ -122,15 +119,6 @@ def test_laplace_and_cauchy_truncated_mass():
     )
 
 
-def test_custom_shape_interpolates():
-    shape = CustomShape(profile=[0.0, 1.0, 2.0, 1.0, 0.0], dt=0.5, center_index=2)
-    assert shape.half_support == pytest.approx(0.5)
-    assert shape.density(np.array([0.25]))[0] == pytest.approx(1.5)
-    assert shape.density(np.array([3.0]))[0] == 0.0
-    with pytest.raises(ValueError):
-        CustomShape(profile=[0.0, 0.0], dt=0.5, center_index=0)
-
-
 @pytest.mark.parametrize(
     "factory",
     [
@@ -181,7 +169,7 @@ def test_synthesize_two_disjoint_peaks_mass():
     mass = np.trapezoid(seq.values, dx=dt)
     assert mass == pytest.approx(5.0, rel=0.01)
     assert seq.t0 == pytest.approx(-50.0)
-    assert seq.times[-1] == pytest.approx(50.0)
+    assert seq.t0 + seq.dt * (len(seq) - 1) == pytest.approx(50.0)
 
 
 def test_synthesize_rejects_unresolved_peak():

@@ -39,11 +39,16 @@ def test_gaussian_kernel_layout():
     assert np.argmax(k.weights) == m
 
 
+def _offsets(k):
+    """Time offset of each weight relative to the center."""
+    return (np.arange(k.weights.size) - k.center_index) * k.dt
+
+
 def test_gaussian_kernel_second_moment():
     # after truncation at 3 sigma the variance shrinks by a known factor
     gamma = 1.0
     k = gaussian_kernel(gamma, dt=0.005)
-    got = np.sum(k.weights * k.offsets**2) * k.dt
+    got = np.sum(k.weights * _offsets(k) ** 2) * k.dt
     z = 3.0
     shrink = 1.0 - 2.0 * z * stats.norm.pdf(z) / (2.0 * stats.norm.cdf(z) - 1.0)
     assert got == pytest.approx(gamma**2 * shrink, rel=3e-4)
@@ -65,7 +70,7 @@ def test_quartic_kernel_closed_form():
     assert k.support == (-4.0, 4.0)
     # peak weight 15/(16 gamma), second moment gamma^2/7
     assert k.weights[k.center_index] == pytest.approx(15.0 / (16.0 * gamma), rel=1e-4)
-    got = np.sum(k.weights * k.offsets**2) * k.dt
+    got = np.sum(k.weights * _offsets(k) ** 2) * k.dt
     assert got == pytest.approx(gamma**2 / 7.0, rel=5e-4)
     assert k.weights[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Noise generation, closed-form moments and empirical moment estimation."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from stem1d import (
     generate_noise,
     model_acvf,
 )
-from stem1d.errors import DegenerateSequenceError
+from stem1d.errors import DegenerateSequenceError, InputFileError
+from stem1d.seriesio import read_moments_json, write_moments_json
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -40,7 +42,7 @@ def test_closed_form_moments_combined_scale():
     closed_form_moments(GaussianAcvfParams(sigma=1.0, nu=0.5), gamma=0.0)
 
 
-def test_moments_validation_and_scaling():
+def test_moments_validation_and_scaling(tmp_path):
     with pytest.raises(ValueError):
         NoiseMoments(sigma2=1.0, lambda2=1.001, lambda4=1.0)  # delta <= 0
     with pytest.raises(ValueError):
@@ -48,10 +50,13 @@ def test_moments_validation_and_scaling():
     m = NoiseMoments(sigma2=2.0, lambda2=1.0, lambda4=3.0)
     s = m.scaled(2.0)
     assert (s.sigma2, s.lambda2, s.lambda4) == (8.0, 4.0, 12.0)
-    again = NoiseMoments.from_json_dict(m.to_json_dict())
+    path = tmp_path / "moments.json"
+    write_moments_json(m, path)
+    again = read_moments_json(path)
     assert (again.sigma2, again.lambda2, again.lambda4) == (2.0, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        NoiseMoments.from_json_dict({"sigma2": 1.0, "lambda2": 1.0})
+    path.write_text(json.dumps({"sigma2": 1.0, "lambda2": 1.0}))
+    with pytest.raises(InputFileError, match="missing key 'lambda4'"):
+        read_moments_json(path)
 
 
 def test_generate_noise_deterministic():

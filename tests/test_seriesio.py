@@ -61,7 +61,8 @@ def test_series_flag_header_interplay(tmp_path):
     bare.write_text("1.0\n2.0\n")
     with pytest.raises(ConfigurationError):
         read_series(bare)  # no dt anywhere
-    assert read_series(bare, dt=1.0).duration == 1.0
+    seq = read_series(bare, dt=1.0)
+    assert seq.t0 + seq.dt * (len(seq) - 1) == 1.0
 
 
 def test_series_rejects_empty_and_parses_comments(tmp_path):
