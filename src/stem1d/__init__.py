@@ -39,7 +39,6 @@ from .noise import (
 )
 from .candidates import CandidateSet
 from .palm import (
-    PalmParams,
     candidate_pvalues,
     expected_maxima_density,
     palm_quantile,
@@ -50,8 +49,7 @@ from .multitest import (
     DetectionReport,
     Procedure,
     asymptotic_thresholds,
-    benjamini_hochberg,
-    bonferroni,
+    run_procedure,
 )
 from .pipeline import (
     BandwidthSelection,
@@ -110,7 +108,6 @@ __all__ = [
     "generate_noise",
     "model_acvf",
     "CandidateSet",
-    "PalmParams",
     "candidate_pvalues",
     "expected_maxima_density",
     "palm_quantile",
@@ -119,8 +116,7 @@ __all__ = [
     "DetectionReport",
     "Procedure",
     "asymptotic_thresholds",
-    "benjamini_hochberg",
-    "bonferroni",
+    "run_procedure",
     "BandwidthSelection",
     "StemResult",
     "auto_bandwidth",

@@ -42,7 +42,7 @@ from .noise import (
     generate_noise,
     noise_rows,
 )
-from .palm import PalmParams, candidate_pvalues
+from .palm import candidate_pvalues
 from .pipeline import find_local_maxima, most_rejections
 from .baselines import (
     _POINTWISE_RULES,
@@ -429,7 +429,6 @@ class _Band:
         self.gamma = gamma
         self.kernel = design.build_kernel(gamma)
         self.moments = _cell_moments(design, self.kernel, index, seed, gamma)
-        self.palm = PalmParams(self.moments)
         self.regions = compute_regions(design.signal, self.kernel)
         self.smoothed_mu = convolve(base_mu, self.kernel)
 
@@ -501,11 +500,11 @@ def _block(
     row_bands = rep_bands * len(reps)
     margins = [band.kernel.half_support_samples for band in rep_bands]
     grid = SampledRows(views, dt, base_mu.t0, margins * len(reps))
-    palms = [band.palm for band in row_bands]
-    cands = candidate_pvalues(find_local_maxima(grid), palms)
+    row_moments = [band.moments for band in row_bands]
+    cands = candidate_pvalues(find_local_maxima(grid), row_moments)
     procs, alpha = design.procedures, design.alpha
     peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
-    reports = dict(zip(peak, run_procedure(cands, alpha, palms, peak))) if peak else {}
+    reports = dict(zip(peak, run_procedure(cands, alpha, row_moments, peak))) if peak else {}
     # the other rules are scored as height rules, by each row's threshold
     thresholds = {p: [] for p in procs if p in _POINTWISE_RULES}
     if thresholds:

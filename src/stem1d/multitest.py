@@ -15,7 +15,8 @@ import numpy as np
 
 from .candidates import CandidateSet
 from .errors import ConfigurationError, positive_finite
-from .palm import PalmParams, palm_quantile
+from .noise import NoiseMoments
+from .palm import palm_quantile
 
 
 def check_alpha(alpha: float) -> None:
@@ -122,29 +123,12 @@ def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray) -> np.ndarray:
     return np.max(below * i, axis=1, initial=0)
 
 
-def bonferroni(
-    candidates: CandidateSet, alpha: float, params: PalmParams
-) -> DetectionReport:
-    """Reject candidates with p < alpha / m, m being the candidate count."""
-    return run_procedure(candidates, alpha, params, Procedure.BONFERRONI)
-
-
-def benjamini_hochberg(
-    candidates: CandidateSet, alpha: float, params: PalmParams
-) -> DetectionReport:
-    """Step-up procedure on the candidate p-values.
-
-    k is the largest i such that the i-th smallest p-value is below
-    i * alpha / m; the cutoff is k * alpha / m and everything strictly
-    below it is rejected (so ties at the cutoff are never rejected).
-    """
-    return run_procedure(candidates, alpha, params, Procedure.BH)
-
-
 def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_rows: int):
     """``(pvalue_cutoff, k, m)`` of each row of a candidate set, as arrays:
-    a cutoff of 1 on a row with no candidates, and of 0 where a step-up
-    rejects nothing (k = 0)."""
+    alpha / m for Bonferroni, m being the row's candidate count, and for BH
+    k * alpha / m, k the largest i with the i-th smallest p-value below
+    i * alpha / m.  The cutoff is 1 on a row with no candidates, and 0
+    where BH rejects nothing (k = 0)."""
     if candidates.pvalues is None:
         raise ValueError("candidates carry no p-values")
     m = candidates.row_counts(num_rows)
@@ -166,30 +150,31 @@ def _report(candidates, alpha, procedure, rejected, numbers, single) -> Detectio
 def run_procedure(
     candidates: CandidateSet,
     alpha: float,
-    params: PalmParams | Sequence[PalmParams],
+    moments: NoiseMoments | Sequence[NoiseMoments],
     procedure: Procedure | Sequence[Procedure],
 ) -> DetectionReport | list[DetectionReport]:
     """Bonferroni or BH on a candidate set, as a :class:`DetectionReport`.
 
-    ``candidates`` may also hold several rows, with ``params`` one
-    :class:`PalmParams` per row and ``procedure`` a sequence: the result
-    is then one batch report per procedure, each row corrected on its
-    own.  The height thresholds of every (procedure, row) pair come from
-    one :func:`palm_quantile` call.  A single set and procedure run as a
-    batch of one.
+    Each row rejects the p-values strictly below its :func:`_cutoff`, so
+    ties at the cutoff never are.  ``candidates`` may also hold several
+    rows, with ``moments`` one :class:`NoiseMoments` per row and
+    ``procedure`` a sequence: the result is then one batch report per
+    procedure, each row corrected on its own.  The height thresholds of
+    every (procedure, row) pair come from one :func:`palm_quantile` call.
+    A single set and procedure run as a batch of one.
     """
     single = isinstance(procedure, Procedure)
     if single:
-        params, procedure = [params], [procedure]
+        moments, procedure = [moments], [procedure]
     for proc in procedure:
         if proc not in (Procedure.BONFERRONI, Procedure.BH):
             raise ValueError(f"{proc} is not a candidate-level procedure")
-    cuts = [_cutoff(candidates, alpha, proc, len(params)) for proc in procedure]
+    cuts = [_cutoff(candidates, alpha, proc, len(moments)) for proc in procedure]
     cutoffs = np.array([cutoff for cutoff, _, _ in cuts])
     thresholds = np.full(cutoffs.shape, np.inf)
     solve = cutoffs > 0.0
     rows = np.nonzero(solve)[1]
-    thresholds[solve] = palm_quantile([params[r] for r in rows], cutoffs[solve])
+    thresholds[solve] = palm_quantile([moments[r] for r in rows], cutoffs[solve])
     reports = [
         _report(candidates, alpha, proc, candidates.pvalues < cutoff[candidates.rows],
                 (cutoff, threshold, m, k), single)
@@ -214,7 +199,7 @@ def asymptotic_thresholds(
     alpha: float,
     peak_rate: float,
     maxima_density: float,
-    params: PalmParams,
+    moments: NoiseMoments,
 ) -> AsymptoticThresholds:
     """Limiting thresholds when peaks occur at ``peak_rate`` per unit length.
 
@@ -226,11 +211,11 @@ def asymptotic_thresholds(
     positive_finite("peak_rate", peak_rate)
     positive_finite("maxima_density", maxima_density)
     bh_arg = alpha * peak_rate / (peak_rate + maxima_density * (1.0 - alpha))
-    bh = palm_quantile(params, bh_arg)
+    bh = palm_quantile(moments, bh_arg)
 
     def bonferroni_for_length(domain_length: float) -> float:
         positive_finite("domain_length", domain_length)
         arg = (alpha / domain_length) / (peak_rate + maxima_density)
-        return palm_quantile(params, min(arg, 1.0))
+        return palm_quantile(moments, min(arg, 1.0))
 
     return AsymptoticThresholds(bh=bh, bonferroni_for_length=bonferroni_for_length)

@@ -64,11 +64,6 @@ class NoiseMoments:
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
-    def scaled(self, factor: float) -> "NoiseMoments":
-        """Moments of the process multiplied pointwise by ``factor``."""
-        f2 = factor * factor
-        return NoiseMoments(self.sigma2 * f2, self.lambda2 * f2, self.lambda4 * f2)
-
     def to_json_dict(self) -> dict:
         return {
             "sigma2": self.sigma2,
@@ -197,6 +192,10 @@ def estimate_moments(
     if isinstance(runs, SampledSequence):
         row = estimate_moments(runs.values[np.newaxis], zero_mean, runs.dt, runs.margin)
         return NoiseMoments(*row[0].tolist())
+    if np.ndim(runs) != 2:
+        raise ValueError(f"runs must be a sequence or a 2-D array, not {np.ndim(runs)}-D")
+    if dt is None:
+        raise ValueError("an array of runs needs its sample spacing dt")
     n = runs.shape[1]
     check_interior(n, margin)
     _check_runs(np.isfinite(runs).all(axis=1), "values must be finite")

@@ -16,8 +16,8 @@ the global null and conservative where signal is present.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,9 +61,9 @@ def bisect_decreasing(f, target, lo, hi):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class PalmParams:
-    """Coefficients of the peak-height survivor function, computed once.
+class _Stacked(NamedTuple):
+    """Coefficients of the survivor function: floats for one
+    :class:`NoiseMoments`, or arrays holding several, one entry each.
 
     With ``Delta = sigma2 * lambda4 - lambda2^2`` the survivor function is
     ``ndtr(-a1 u) + c1 phi(u / sigma) ndtr(a2 u)``, where
@@ -74,68 +74,65 @@ class PalmParams:
     - ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.
     """
 
-    moments: NoiseMoments
-    sigma: float = field(init=False, repr=False, compare=False)
-    a1: float = field(init=False, repr=False, compare=False)
-    a2: float = field(init=False, repr=False, compare=False)
-    c1: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = self.moments
-        delta = m.delta
-        c1 = math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
-        object.__setattr__(self, "sigma", m.sigma)
-        object.__setattr__(self, "a1", math.sqrt(m.lambda4 / delta))
-        object.__setattr__(self, "a2", math.sqrt(m.lambda2**2 / (delta * m.sigma2)))
-        object.__setattr__(self, "c1", c1)
-
-
-class _Stacked(NamedTuple):
-    """The coefficients of several :class:`PalmParams`, one array entry each."""
-
     sigma: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     c1: np.ndarray
 
     @classmethod
-    def of(cls, params: Sequence[PalmParams]) -> "_Stacked":
-        return cls(*(np.array([getattr(p, f) for p in params]) for f in cls._fields))
+    def of(cls, moments: Sequence[NoiseMoments]) -> "_Stacked":
+        coefs = [_coefficients(m) for m in moments]
+        return cls(*(np.array([c[i] for c in coefs]) for i in range(len(cls._fields))))
+
+
+@functools.lru_cache(maxsize=1024)
+def _coefficients(m: NoiseMoments) -> _Stacked:
+    """The coefficients of ``m`` as Python floats, cached per value.  The
+    formulas stay scalar on purpose: numpy's ``x * x`` and Python's
+    ``x**2`` can differ in the last bit, which would move the p-values."""
+    delta = m.delta
+    return _Stacked(
+        m.sigma,
+        math.sqrt(m.lambda4 / delta),
+        math.sqrt(m.lambda2**2 / (delta * m.sigma2)),
+        math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2)),
+    )
 
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
 
-def palm_survival(params: PalmParams, u):
+def palm_survival(moments: NoiseMoments, u):
     """P(height of a random local maximum > u); vectorized over ``u``.
 
     Evaluated in complementary form throughout, so there is no
     cancellation in the upper tail.  A float ``u`` is evaluated as a 0-d
     array and returns a float.
 
-    ``params`` may also hold arrays of coefficients, one entry per entry
-    of ``u`` (as :func:`palm_quantile` passes for a batch); every entry
-    is then evaluated with its own coefficients, by the same ufuncs in
-    the same order, so each entry has the bits of a call with its own
-    :class:`PalmParams`.
+    ``moments`` may also be stacked coefficients, one entry per entry of
+    ``u`` (as :func:`palm_quantile` passes for a batch); every entry is
+    then evaluated with its own coefficients, by the same ufuncs in the
+    same order, so each entry has the bits of a call with its own
+    :class:`NoiseMoments`.
     """
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    out = _survival(params, u)
+    coef = moments if isinstance(moments, _Stacked) else _coefficients(moments)
+    out = _survival(coef, u)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _survival(params, u: np.ndarray) -> np.ndarray:
+def _survival(coef: _Stacked, u: np.ndarray) -> np.ndarray:
     """:func:`palm_survival` of a finite array ``u``, unchecked."""
-    a1, a2, c1, sigma = params.a1, params.a2, params.c1, params.sigma
+    a1, a2, c1, sigma = coef.a1, coef.a2, coef.c1, coef.sigma
     return ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
 
 
-def palm_quantile(params, v):
+def palm_quantile(moments, v):
     """Height u with ``palm_survival(u) = v`` for v in (0, 1].
 
     ``v = 1`` returns ``-inf`` (every height exceeds the threshold).
@@ -143,7 +140,7 @@ def palm_quantile(params, v):
     is continuous and strictly decreasing, so this is unconditionally
     convergent.
 
-    ``v`` is a float with one :class:`PalmParams`, which returns a
+    ``v`` is a float with one :class:`NoiseMoments`, which returns a
     float, or a 1-D array with a sequence of them, one per entry, which
     returns an array.  Either way the entries are solved in step: each
     one expands its bracket from +-10 sigma and bisects it, stopping on
@@ -152,16 +149,16 @@ def palm_quantile(params, v):
     """
     scalar = not np.ndim(v)
     if scalar:
-        params, v = [params], [v]
+        moments, v = [moments], [v]
     v = np.asarray(v, dtype=np.float64)
     bad = ~((0.0 < v) & (v <= 1.0))
     if bad.any():
         raise ValueError(f"v must lie in (0, 1], got {float(v[bad][0])!r}")
-    if v.ndim != 1 or len(params) != v.size:
-        raise ValueError("v must be 1-D, with one PalmParams per entry")
+    if v.ndim != 1 or len(moments) != v.size:
+        raise ValueError("v must be 1-D, with one NoiseMoments per entry")
     out = np.full(v.shape, -np.inf)
     solve = v < 1.0
-    coef = _Stacked.of([p for p, s in zip(params, solve) if s])
+    coef = _Stacked.of([m for m, s in zip(moments, solve) if s])
     target = v[solve]
     hi = 10.0 * coef.sigma
     for _ in range(200):
@@ -188,11 +185,16 @@ def expected_maxima_density(moments: NoiseMoments) -> float:
 
 
 def candidate_pvalues(
-    candidates: CandidateSet, params: PalmParams | Sequence[PalmParams]
+    candidates: CandidateSet, moments: NoiseMoments | Sequence[NoiseMoments]
 ) -> CandidateSet:
-    """Attach peak-height p-values to a candidate set; with a sequence of
-    ``params``, one per row, each entry gets its row's coefficients."""
-    coef = _Stacked.of([params] if isinstance(params, PalmParams) else params)
-    if coef.a1.size > 1:  # else the one row's coefficients broadcast
+    """Attach peak-height p-values to a candidate set.  One
+    :class:`NoiseMoments` serves every entry; with a sequence, one per row,
+    each entry gets its row's, and a row past the sequence's end raises."""
+    if isinstance(moments, NoiseMoments):
+        moments = [moments]
+    else:
+        candidates.row_counts(len(moments))
+    coef = _Stacked.of(moments)
+    if len(moments) > 1:  # else the one row's coefficients broadcast
         coef = _Stacked(*(c[candidates.rows] for c in coef))
     return candidates.with_pvalues(clip_pvalues(palm_survival(coef, candidates.heights)))

@@ -13,7 +13,7 @@ from .grid import SampledRows, SampledSequence, strict_local_maxima
 from .kernels import Kernel, convolve
 from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
 from .noise import NoiseMoments
-from .palm import PalmParams, candidate_pvalues
+from .palm import candidate_pvalues
 
 
 def find_local_maxima(
@@ -77,9 +77,8 @@ def stem_detect(
     candidates = find_local_maxima(smoothed)
     if not len(candidates) and np.ptp(smoothed.interior) == 0:
         raise DegenerateSequenceError("sequence carries no usable variation")
-    params = PalmParams(moments)
-    candidates = candidate_pvalues(candidates, params)
-    report = run_procedure(candidates, alpha, params, procedure)
+    candidates = candidate_pvalues(candidates, moments)
+    report = run_procedure(candidates, alpha, moments, procedure)
     return StemResult(report=report, smoothed=smoothed, candidates=candidates)
 
 

@@ -25,17 +25,16 @@ from scipy import stats
 from stem1d import (
     CandidateSet,
     GaussianAcvfParams,
-    PalmParams,
+    Procedure,
     SampledSequence,
     asymptotic_thresholds,
-    benjamini_hochberg,
-    bonferroni,
     closed_form_moments,
     expected_maxima_density,
     find_local_maxima,
     generate_noise,
     palm_survival,
     preset_design,
+    run_procedure,
     run_sweep,
 )
 from stem1d.cli import main
@@ -76,7 +75,7 @@ def test_01_peak_height_distribution():
     dt = 0.2
     n = int(round(1e6 / dt))
     for gamma in (1.0, 3.0):
-        params = PalmParams(closed_form_moments(WHITE, gamma))
+        params = closed_form_moments(WHITE, gamma)
         assert palm_survival(params, 0.0) == pytest.approx(
             0.5 + 0.5 / math.sqrt(3.0), abs=1e-9
         )
@@ -188,7 +187,7 @@ def test_08_baseline_comparison(sweep_b):
 
 
 def test_09_correction_oracles_and_thresholds():
-    params = PalmParams(closed_form_moments(WHITE, 1.0))
+    params = closed_form_moments(WHITE, 1.0)
     rng = np.random.default_rng(2024)
     for trial in range(10_000):
         m = int(rng.integers(1, 51))
@@ -201,7 +200,7 @@ def test_09_correction_oracles_and_thresholds():
         cands = CandidateSet(
             np.arange(m), np.arange(m, dtype=float), 1.0 - p, p
         )
-        rep = benjamini_hochberg(cands, alpha, params)
+        rep = run_procedure(cands, alpha, params, Procedure.BH)
         ordered = np.sort(p)
         k = 0
         for i in range(1, m + 1):
@@ -210,19 +209,18 @@ def test_09_correction_oracles_and_thresholds():
         assert rep.step_index == k
         want = set(np.flatnonzero(p < k * alpha / m)) if k else set()
         assert set(rep.rejected.indices) == want
-        bon = bonferroni(cands, alpha, params)
+        bon = run_procedure(cands, alpha, params, Procedure.BONFERRONI)
         assert set(bon.rejected.indices) == set(np.flatnonzero(p < alpha / m))
     print("[09] 10000 p-vectors matched the enumeration oracle")
 
     # the asymptotic Bonferroni threshold exceeds the BH threshold
     for gamma in (1.0, 2.0, 4.0):
         moments = closed_form_moments(WHITE, gamma)
-        pp = PalmParams(moments)
         density = expected_maxima_density(moments)
         for alpha in (0.01, 0.05, 0.2):
             for peaks in (1.0, 5.0, 20.0):
                 for length in (100.0, 1000.0, 1e4):
-                    thr = asymptotic_thresholds(alpha, peaks / length, density, pp)
+                    thr = asymptotic_thresholds(alpha, peaks / length, density, moments)
                     assert thr.bonferroni_for_length(length) > thr.bh
 
 

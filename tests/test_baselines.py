@@ -14,8 +14,6 @@ from stem1d import (
     SampledRows,
     SampledSequence,
     SignalSpec,
-    benjamini_hochberg,
-    bonferroni,
     closed_form_moments,
     compute_regions,
     excursion_bound,
@@ -23,10 +21,10 @@ from stem1d import (
     height_rule_report,
     pointwise_correct,
     pointwise_pvalues,
+    run_procedure,
     score_trial,
     supremum_threshold,
 )
-from stem1d.palm import PalmParams
 
 UNIT_MOMENTS = NoiseMoments(sigma2=1.0, lambda2=1.0, lambda4=3.0)
 
@@ -112,7 +110,7 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
     # on identical p-values the pointwise corrections make the same
     # decisions as the peak-level ones; only the labels differ
     rng = np.random.default_rng(42)
-    params = PalmParams(closed_form_moments(GaussianAcvfParams(1.0), 1.0))
+    moments = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
     for _ in range(50):
         m = int(rng.integers(1, 25))
         p = rng.uniform(size=m) ** 3
@@ -123,8 +121,9 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
             cands, 0.05, Procedure.POINTWISE_BONFERRONI, UNIT_MOMENTS
         )
         pw_bh = pointwise_correct(cands, 0.05, Procedure.POINTWISE_BH, UNIT_MOMENTS)
-        assert pw_bon.pvalue_cutoff == bonferroni(cands, 0.05, params).pvalue_cutoff
-        bh = benjamini_hochberg(cands, 0.05, params)
+        bon = run_procedure(cands, 0.05, moments, Procedure.BONFERRONI)
+        assert pw_bon.pvalue_cutoff == bon.pvalue_cutoff
+        bh = run_procedure(cands, 0.05, moments, Procedure.BH)
         assert pw_bh.step_index == bh.step_index
         assert pw_bh.num_rejected == bh.num_rejected
         np.testing.assert_array_equal(pw_bh.rejected.indices, bh.rejected.indices)
@@ -173,8 +172,8 @@ _TWO_ROWS = CandidateSet(
     rows=np.array([0, 0, 1]),
 )
 _ONE_ROW_CALLS = {
-    "bonferroni": lambda c: bonferroni(c, 0.05, PalmParams(UNIT_MOMENTS)),
-    "bh": lambda c: benjamini_hochberg(c, 0.05, PalmParams(UNIT_MOMENTS)),
+    "bonferroni": lambda c: run_procedure(c, 0.05, UNIT_MOMENTS, Procedure.BONFERRONI),
+    "bh": lambda c: run_procedure(c, 0.05, UNIT_MOMENTS, Procedure.BH),
     "height_rule": lambda c: height_rule_report(c, 2.5, 0.05, Procedure.SUPREMUM),
     "pointwise": lambda c: pointwise_correct(
         c, 0.05, Procedure.POINTWISE_BONFERRONI, UNIT_MOMENTS

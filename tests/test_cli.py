@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stem1d
 from stem1d import (
     GaussianAcvfParams,
     SampledSequence,
@@ -40,10 +43,15 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package this process imported, whether that
+    # came from PYTHONPATH or from pytest's own pythonpath setting
+    root = str(Path(stem1d.__file__).parent.parent)
+    path = [root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "stem1d", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("stem1d ")

@@ -553,7 +553,7 @@ class _RefView:
     def __init__(self, band, smoothed):
         self.band = band
         self.smoothed = smoothed
-        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.palm)
+        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.moments)
 
     @property
     def samples(self):
@@ -562,7 +562,7 @@ class _RefView:
 
 def _ref_candidate_rule(views, proc, design):
     return [
-        run_procedure(view.cands, design.alpha, view.band.palm, proc) for view in views
+        run_procedure(view.cands, design.alpha, view.band.moments, proc) for view in views
     ]
 
 

@@ -25,7 +25,6 @@ from stem1d import (
     KernelFamily,
     LaplaceShape,
     NoiseMoments,
-    PalmParams,
     PeakSpec,
     Procedure,
     SignalSpec,
@@ -149,7 +148,7 @@ MOMENTS = {
     "near_degenerate": NoiseMoments(1.0, 1.0, 1.0000001),
 }
 
-# (moments, v) -> palm_quantile(PalmParams(moments), v).hex()
+# (moments, v) -> palm_quantile(moments, v).hex()
 QUANTILES = {
     ("unit", 0.999): "-0x1.003f832f6e0cap+1",
     ("unit", 0.5): "0x1.6ed336ae8219ep-1",
@@ -191,7 +190,7 @@ SUPREMUM = {
 
 def test_palm_quantile_bits():
     got = {
-        (name, v): palm_quantile(PalmParams(MOMENTS[name]), v).hex()
+        (name, v): palm_quantile(MOMENTS[name], v).hex()
         for name, v in QUANTILES
     }
     assert got == QUANTILES
@@ -200,8 +199,8 @@ def test_palm_quantile_bits():
 def test_palm_quantile_batched_bits():
     # every entry in one mixed batch: each keeps its float call's bits
     keys = list(QUANTILES)
-    params = [PalmParams(MOMENTS[name]) for name, _ in keys]
-    got = palm_quantile(params, np.array([v for _, v in keys]))
+    moments = [MOMENTS[name] for name, _ in keys]
+    got = palm_quantile(moments, np.array([v for _, v in keys]))
     assert {key: u.hex() for key, u in zip(keys, got.tolist())} == QUANTILES
 
 

@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from stem1d import (
     CandidateSet,
     GaussianAcvfParams,
-    PalmParams,
     Procedure,
     asymptotic_thresholds,
-    benjamini_hochberg,
-    bonferroni,
     closed_form_moments,
     expected_maxima_density,
     palm_quantile,
     palm_survival,
+    run_procedure,
 )
-from stem1d.multitest import run_procedure
 
-PARAMS = PalmParams(closed_form_moments(GaussianAcvfParams(1.0), 1.0))
+MOMENTS = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
+BON, BH = Procedure.BONFERRONI, Procedure.BH
 
 
 def _cands(pvalues):
@@ -31,7 +29,7 @@ def _cands(pvalues):
     n = p.size
     # heights consistent with the p-values so threshold checks line up,
     # solved in one batch
-    heights = palm_quantile([PARAMS] * n, p)
+    heights = palm_quantile([MOMENTS] * n, p)
     return CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights, p)
 
 
@@ -47,14 +45,14 @@ def _bh_brute_force(p, alpha):
 
 
 def test_bonferroni_small_cases():
-    rep = bonferroni(_cands([0.001, 0.012, 0.6]), alpha=0.05, params=PARAMS)
+    rep = run_procedure(_cands([0.001, 0.012, 0.6]), 0.05, MOMENTS, BON)
     assert rep.num_candidates == 3
     assert rep.pvalue_cutoff == pytest.approx(0.05 / 3)
     assert rep.num_rejected == 2
     assert rep.step_index == 0
     np.testing.assert_array_equal(rep.rejected.indices, [0, 1])
     # the height threshold is the quantile of the cutoff
-    assert palm_survival(PARAMS, rep.height_threshold) == pytest.approx(
+    assert palm_survival(MOMENTS, rep.height_threshold) == pytest.approx(
         rep.pvalue_cutoff, rel=1e-9
     )
     assert np.all(rep.rejected.heights > rep.height_threshold)
@@ -62,7 +60,7 @@ def test_bonferroni_small_cases():
 
 def test_bh_step_up_textbook_case():
     p = [0.001, 0.008, 0.035, 0.039, 0.6]
-    rep = benjamini_hochberg(_cands(p), alpha=0.05, params=PARAMS)
+    rep = run_procedure(_cands(p), 0.05, MOMENTS, BH)
     # steps i alpha/m are .01, .02, .03, .04, .05; step 3 fails
     # (0.035 > 0.03) but step 4 passes, so the step-up keeps all four
     assert rep.step_index == 4
@@ -82,7 +80,7 @@ def test_bh_matches_brute_force_enumeration():
         else:
             p = np.clip(rng.uniform(size=m) * 0.08, 1e-12, 1)  # near the cutoffs
         alpha = float(rng.uniform(0.01, 0.2))
-        rep = benjamini_hochberg(_cands(p), alpha=alpha, params=PARAMS)
+        rep = run_procedure(_cands(p), alpha, MOMENTS, BH)
         k = _bh_brute_force(p, alpha)
         assert rep.step_index == k
         want = int(np.sum(p < k * alpha / m)) if k else 0
@@ -94,8 +92,8 @@ def test_bonferroni_never_beats_bh():
     for _ in range(200):
         p = rng.uniform(size=int(rng.integers(1, 40))) ** 2
         cands = _cands(p)
-        bon = bonferroni(cands, 0.05, PARAMS)
-        bh = benjamini_hochberg(cands, 0.05, PARAMS)
+        bon = run_procedure(cands, 0.05, MOMENTS, BON)
+        bh = run_procedure(cands, 0.05, MOMENTS, BH)
         assert bon.num_rejected <= bh.num_rejected
         assert set(bon.rejected.indices) <= set(bh.rejected.indices)
 
@@ -125,15 +123,15 @@ PVALUES = st.lists(
 def test_rejected_set_grows_with_alpha(p, alpha, factor):
     cands = _cands_with_pvalues(p)
     for procedure in (Procedure.BONFERRONI, Procedure.BH):
-        small = run_procedure(cands, alpha, PARAMS, procedure)
-        large = run_procedure(cands, min(alpha * factor, 0.999), PARAMS, procedure)
+        small = run_procedure(cands, alpha, MOMENTS, procedure)
+        large = run_procedure(cands, min(alpha * factor, 0.999), MOMENTS, procedure)
         assert set(small.rejected.indices) <= set(large.rejected.indices)
 
 
 def test_order_invariance():
     p = [0.03, 0.001, 0.2, 0.012, 0.9]
-    forward = benjamini_hochberg(_cands(p), 0.05, PARAMS)
-    backward = benjamini_hochberg(_cands(p[::-1]), 0.05, PARAMS)
+    forward = run_procedure(_cands(p), 0.05, MOMENTS, BH)
+    backward = run_procedure(_cands(p[::-1]), 0.05, MOMENTS, BH)
     assert forward.num_rejected == backward.num_rejected
     assert forward.pvalue_cutoff == backward.pvalue_cutoff
     np.testing.assert_allclose(
@@ -142,8 +140,8 @@ def test_order_invariance():
 
 
 def test_empty_candidate_set():
-    for fn, proc in ((bonferroni, Procedure.BONFERRONI), (benjamini_hochberg, Procedure.BH)):
-        rep = fn(CandidateSet.empty(), 0.05, PARAMS)
+    for proc in (Procedure.BONFERRONI, Procedure.BH):
+        rep = run_procedure(CandidateSet.empty(), 0.05, MOMENTS, proc)
         assert rep.procedure is proc
         assert rep.num_candidates == 0
         assert rep.num_rejected == 0
@@ -152,7 +150,7 @@ def test_empty_candidate_set():
 
 
 def test_bh_rejecting_nothing():
-    rep = benjamini_hochberg(_cands([0.5, 0.8, 0.9]), 0.05, PARAMS)
+    rep = run_procedure(_cands([0.5, 0.8, 0.9]), 0.05, MOMENTS, BH)
     assert rep.step_index == 0
     assert rep.pvalue_cutoff == 0.0
     assert rep.height_threshold == math.inf
@@ -161,22 +159,22 @@ def test_bh_rejecting_nothing():
 
 def test_strict_inequality_at_cutoff():
     # a p-value exactly at alpha/m is not rejected
-    rep = bonferroni(_cands([0.05 / 2, 0.9]), alpha=0.05, params=PARAMS)
+    rep = run_procedure(_cands([0.05 / 2, 0.9]), 0.05, MOMENTS, BON)
     assert rep.num_rejected == 0
 
 
 def test_run_procedure_dispatch():
     cands = _cands([0.001])
-    assert run_procedure(cands, 0.05, PARAMS, Procedure.BONFERRONI).procedure is (
+    assert run_procedure(cands, 0.05, MOMENTS, Procedure.BONFERRONI).procedure is (
         Procedure.BONFERRONI
     )
-    assert run_procedure(cands, 0.05, PARAMS, Procedure.BH).procedure is Procedure.BH
+    assert run_procedure(cands, 0.05, MOMENTS, Procedure.BH).procedure is Procedure.BH
     with pytest.raises(ValueError):
-        run_procedure(cands, 0.05, PARAMS, Procedure.SUPREMUM)
+        run_procedure(cands, 0.05, MOMENTS, Procedure.SUPREMUM)
 
 
 def test_report_serialization():
-    rep = benjamini_hochberg(_cands([0.001, 0.7]), 0.05, PARAMS)
+    rep = run_procedure(_cands([0.001, 0.7]), 0.05, MOMENTS, BH)
     data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
     assert data["procedure"] == "bh"
     assert data["num_candidates"] == 2
@@ -187,17 +185,17 @@ def test_report_serialization():
     assert lines[0] == "index,time,height,pvalue"
     assert len(lines) == 2
     # infinities serialize as strings, not as invalid JSON tokens
-    empty = benjamini_hochberg(_cands([0.9]), 0.05, PARAMS)
+    empty = run_procedure(_cands([0.9]), 0.05, MOMENTS, BH)
     assert json.loads(json.dumps(empty.to_json_dict(), allow_nan=False))[
         "height_threshold"
     ] == "inf"
 
 
 def test_asymptotic_thresholds():
-    density = expected_maxima_density(PARAMS.moments)
-    thr = asymptotic_thresholds(0.05, peak_rate=0.01, maxima_density=density, params=PARAMS)
+    density = expected_maxima_density(MOMENTS)
+    thr = asymptotic_thresholds(0.05, peak_rate=0.01, maxima_density=density, moments=MOMENTS)
     want_bh = 0.05 * 0.01 / (0.01 + density * 0.95)
-    assert palm_survival(PARAMS, thr.bh) == pytest.approx(want_bh, rel=1e-9)
+    assert palm_survival(MOMENTS, thr.bh) == pytest.approx(want_bh, rel=1e-9)
     # Bonferroni keeps climbing with the domain, BH does not move
     lengths = [1e2, 1e3, 1e4, 1e5]
     bons = [thr.bonferroni_for_length(L) for L in lengths]
@@ -206,16 +204,16 @@ def test_asymptotic_thresholds():
     with pytest.raises(ValueError):
         thr.bonferroni_for_length(0.0)
     with pytest.raises(ValueError):
-        asymptotic_thresholds(0.05, peak_rate=0.0, maxima_density=density, params=PARAMS)
+        asymptotic_thresholds(0.05, peak_rate=0.0, maxima_density=density, moments=MOMENTS)
 
 
 def test_missing_pvalues_rejected():
     naked = CandidateSet(np.array([0]), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        bonferroni(naked, 0.05, PARAMS)
+        run_procedure(naked, 0.05, MOMENTS, BON)
 
 
-WIDE = PalmParams(closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0))
+WIDE = closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0)
 
 
 @PROPERTY
@@ -226,7 +224,7 @@ def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
     # rows are handed over shuffled, in one set
     cands = [_cands_with_pvalues(p) for p in pvalue_lists]
     cands += [CandidateSet.empty(), _cands_with_pvalues([0.5, 0.8, 0.9])]
-    params = [(PARAMS, WIDE)[i % 2] for i in range(len(cands))]
+    params = [(MOMENTS, WIDE)[i % 2] for i in range(len(cands))]
     fields = [
         np.concatenate([getattr(c, name) for c in cands])
         for name in ("indices", "locations", "heights", "pvalues")

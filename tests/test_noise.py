@@ -48,8 +48,6 @@ def test_moments_validation_and_scaling(tmp_path):
     with pytest.raises(ValueError):
         NoiseMoments(sigma2=0.0, lambda2=1.0, lambda4=1.0)
     m = NoiseMoments(sigma2=2.0, lambda2=1.0, lambda4=3.0)
-    s = m.scaled(2.0)
-    assert (s.sigma2, s.lambda2, s.lambda4) == (8.0, 4.0, 12.0)
     path = tmp_path / "moments.json"
     write_moments_json(m, path)
     again = read_moments_json(path)
@@ -170,6 +168,20 @@ def test_estimate_moments_degenerate_inputs():
         estimate_moments(SampledSequence(np.arange(8.0), dt=1.0))
     with pytest.raises(DegenerateSequenceError):
         estimate_moments(SampledSequence(np.arange(30.0), dt=1.0, margin=12))
+
+
+def test_estimate_moments_array_without_dt():
+    # refused before the runs are looked at: these are also too short
+    with pytest.raises(ValueError, match="array of runs needs its sample spacing dt"):
+        estimate_moments(np.zeros((2, 5)))
+    runs = np.random.default_rng(1).random((2, 50))
+    assert estimate_moments(runs, dt=1.0).shape == (2, 3)
+
+
+def test_estimate_moments_one_dimensional_array():
+    # refused before the runs are looked at: this one is also not finite
+    with pytest.raises(ValueError, match="a 2-D array, not 1-D"):
+        estimate_moments(np.full(50, np.nan), dt=1.0)
 
 
 def test_generate_noise_argument_checks():

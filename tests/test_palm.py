@@ -12,7 +12,6 @@ from stem1d import (
     CandidateSet,
     GaussianAcvfParams,
     NoiseMoments,
-    PalmParams,
     candidate_pvalues,
     closed_form_moments,
     expected_maxima_density,
@@ -27,7 +26,7 @@ UNIT = GaussianAcvfParams(sigma=1.0, nu=0.0)
 
 
 def _params(sigma=1.0, nu=0.0, gamma=1.0):
-    return PalmParams(closed_form_moments(GaussianAcvfParams(sigma, nu), gamma))
+    return closed_form_moments(GaussianAcvfParams(sigma, nu), gamma)
 
 
 def test_survival_at_zero_is_model_free_constant():
@@ -88,12 +87,11 @@ def moments(draw):
 @PROPERTY
 @given(moments(), st.floats(-60.0, 60.0))
 def test_survival_scalar_path_matches_array_path_bitwise(m, z):
-    params = PalmParams(m)
-    u = z * params.sigma
-    scalar = palm_survival(params, u)
+    u = z * m.sigma
+    scalar = palm_survival(m, u)
     assert isinstance(scalar, float)
-    assert scalar.hex() == float(palm_survival(params, np.array([u]))[0]).hex()
-    assert scalar.hex() == palm_survival(params, np.array(u)).hex()
+    assert scalar.hex() == float(palm_survival(m, np.array([u]))[0]).hex()
+    assert scalar.hex() == palm_survival(m, np.array(u)).hex()
 
 
 @PROPERTY
@@ -101,10 +99,7 @@ def test_survival_scalar_path_matches_array_path_bitwise(m, z):
 def test_survival_inverts_quantile(m, decades):
     v = 10.0 ** -decades
     assume(v < 1.0)
-    params = PalmParams(m)
-    assert palm_survival(params, palm_quantile(params, v)) == pytest.approx(
-        v, rel=1e-9
-    )
+    assert palm_survival(m, palm_quantile(m, v)) == pytest.approx(v, rel=1e-9)
 
 
 def _scalar_quantile(params, v):
@@ -153,7 +148,7 @@ def _scalar_quantile(params, v):
 def test_batched_quantile_matches_float_calls_bitwise(entries):
     # levels v in [1e-300, 1), then exactly 1, which must give -inf; the
     # batch and each float call must both land on the reference's bits
-    params = [PalmParams(m) for m, _ in entries] + [_params()]
+    params = [m for m, _ in entries] + [_params()]
     v = [10.0 ** -decades for _, decades in entries] + [1.0]
     got = palm_quantile(params, np.array(v))
     assert got.shape == (len(v),)
@@ -180,32 +175,30 @@ def test_quantile_strictly_decreasing(m, decades, gap):
     v_low = 10.0 ** -decades
     v_high = v_low * (1.0 + gap)
     assume(v_high < 1.0)
-    params = PalmParams(m)
-    assert palm_quantile(params, v_low) > palm_quantile(params, v_high)
+    assert palm_quantile(m, v_low) > palm_quantile(m, v_high)
 
 
 @PROPERTY
 @given(moments(), st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30))
 def test_pvalues_inside_unit_interval_and_fall_with_height(m, z):
-    params = PalmParams(m)
-    heights = np.unique(np.asarray(z)) * params.sigma
+    heights = np.unique(np.asarray(z)) * m.sigma
     n = heights.size
     cands = CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights)
-    p = candidate_pvalues(cands, params).pvalues
+    p = candidate_pvalues(cands, m).pvalues
     assert np.all((p > 0.0) & (p < 1.0))
     assert np.all(np.diff(p) <= 0.0)
 
 
 def test_scale_equivariance():
     base = closed_form_moments(UNIT, 2.0)
-    params = PalmParams(base)
-    scaled = PalmParams(base.scaled(2.0))
+    # the moments of the process doubled pointwise
+    scaled = NoiseMoments(4.0 * base.sigma2, 4.0 * base.lambda2, 4.0 * base.lambda4)
     u = np.linspace(-3.0, 4.0, 29)
     np.testing.assert_allclose(
-        palm_survival(scaled, 2.0 * u), palm_survival(params, u), rtol=1e-12
+        palm_survival(scaled, 2.0 * u), palm_survival(base, u), rtol=1e-12
     )
     assert palm_quantile(scaled, 0.01) == pytest.approx(
-        2.0 * palm_quantile(params, 0.01), rel=1e-9
+        2.0 * palm_quantile(base, 0.01), rel=1e-9
     )
 
 
@@ -242,8 +235,7 @@ def test_empirical_maxima_density_and_pvalue_uniformity():
     got_density = len(cands) / ((n - 1) * dt)
     assert got_density == pytest.approx(0.19493, rel=0.02)
     # under the null the heights' p-values are uniform
-    params = PalmParams(closed_form_moments(UNIT, gamma))
-    pvals = candidate_pvalues(cands, params).pvalues
+    pvals = candidate_pvalues(cands, closed_form_moments(UNIT, gamma)).pvalues
     ks = stats.kstest(pvals, "uniform").statistic
     assert ks < 0.03
 
@@ -331,7 +323,7 @@ def test_candidate_set_rows():
 
 
 def test_candidate_pvalues_per_row_coefficients_match_single_rows():
-    # each row's p-values are those of its own PalmParams, bit for bit
+    # each row's p-values are those of its own NoiseMoments, bit for bit
     rng = np.random.default_rng(5)
     params = [_params(gamma=g) for g in (1.0, 2.5, 6.0)]
     sizes = (4, 0, 7)
@@ -346,3 +338,25 @@ def test_candidate_pvalues_per_row_coefficients_match_single_rows():
         single = CandidateSet(one.indices, one.locations, one.heights)
         want = candidate_pvalues(single, p).pvalues
         assert one.pvalues.tobytes() == want.tobytes()
+
+
+def _three_rows():
+    heights = np.array([0.5, 1.5, -0.5, 2.0])
+    return CandidateSet(np.arange(4), np.arange(4.0), heights, rows=[0, 1, 2, 2])
+
+
+@pytest.mark.parametrize("given", [1, 2])
+def test_candidate_pvalues_refuses_fewer_moments_than_rows(given):
+    moments = [_params(gamma=g) for g in (1.0, 2.5)][:given]
+    with pytest.raises(ValueError, match=f"span 3 rows, but {given} per-row"):
+        candidate_pvalues(_three_rows(), moments)
+
+
+def test_candidate_pvalues_single_row_call_unchanged():
+    # one NoiseMoments, or a sequence of one, on a set of one row, keeps
+    # the bits these heights had when the coefficients had a type of their own
+    m = _params(gamma=2.5)
+    one_row = CandidateSet(np.arange(2), np.arange(2.0), np.array([-0.5, 2.0]))
+    for given in (m, [m]):
+        got = candidate_pvalues(one_row, given).pvalues.tolist()
+        assert [p.hex() for p in got] == ["0x1.fccbfb4917b58p-1", "0x1.8df13c33aaea8p-27"]

@@ -105,7 +105,8 @@ def test_stem_detect_scale_equivariance():
     kernel = gaussian_kernel(4.0, 1.0)
     moments = closed_form_moments(GaussianAcvfParams(sigma=0.05), 4.0)
     a = stem_detect(raw, kernel, moments, Procedure.BH)
-    b = stem_detect(doubled, kernel, moments.scaled(2.0), Procedure.BH)
+    doubled_moments = closed_form_moments(GaussianAcvfParams(sigma=0.10), 4.0)
+    b = stem_detect(doubled, kernel, doubled_moments, Procedure.BH)
     np.testing.assert_array_equal(a.report.rejected.indices, b.report.rejected.indices)
     np.testing.assert_allclose(
         a.candidates.pvalues, b.candidates.pvalues, rtol=1e-9
