@@ -19,7 +19,6 @@ from .kernels import (
 from .signals import (
     CauchyShape,
     EpanechnikovShape,
-    IntervalUnion,
     LaplaceShape,
     PeakSpec,
     RegionSet,
@@ -45,21 +44,17 @@ from .palm import (
     palm_survival,
 )
 from .multitest import (
-    AsymptoticThresholds,
     DetectionReport,
     Procedure,
     asymptotic_thresholds,
     run_procedure,
 )
 from .pipeline import (
-    BandwidthSelection,
     StemResult,
-    auto_bandwidth,
     find_local_maxima,
     stem_detect,
 )
 from .baselines import (
-    excursion_bound,
     height_rule_report,
     pointwise_correct,
     pointwise_pvalues,
@@ -95,7 +90,6 @@ __all__ = [
     "LaplaceShape",
     "TriangularShape",
     "TruncatedGaussianShape",
-    "IntervalUnion",
     "PeakSpec",
     "RegionSet",
     "SignalSpec",
@@ -112,17 +106,13 @@ __all__ = [
     "expected_maxima_density",
     "palm_quantile",
     "palm_survival",
-    "AsymptoticThresholds",
     "DetectionReport",
     "Procedure",
     "asymptotic_thresholds",
     "run_procedure",
-    "BandwidthSelection",
     "StemResult",
-    "auto_bandwidth",
     "find_local_maxima",
     "stem_detect",
-    "excursion_bound",
     "height_rule_report",
     "pointwise_correct",
     "pointwise_pvalues",

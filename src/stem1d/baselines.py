@@ -74,26 +74,9 @@ def pointwise_correct(
     return _report(samples, alpha, procedure, rejected, numbers, single)
 
 
-def excursion_bound(
-    moments: NoiseMoments,
-    domain_length: float,
-    u,
-    convention: str = "paper",
-) -> np.ndarray:
-    """Upper bound on P(sup of the smoothed noise over the domain > u).
-
-    The bound is the marginal tail at u plus the expected number of
-    upcrossings of u over the domain.  ``convention`` selects the
-    upcrossing-rate constant: "paper" uses
-    L * sqrt(lambda2)/sigma * phi(u/sigma), while "classical" is smaller
-    by a factor sqrt(2 pi).
-    """
-    rate = _upcrossing_rate(moments, domain_length, convention)
-    return _bound(moments.sigma, rate, np.asarray(u, dtype=np.float64))
-
-
 def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: str):
-    """The factor of phi(u/sigma) in :func:`excursion_bound`."""
+    """The factor of phi(u/sigma) in :func:`_bound`: L sqrt(lambda2) / sigma
+    under the "paper" ``convention``, sqrt(2 pi) smaller under "classical"."""
     if convention not in ("paper", "classical"):
         raise ValueError(f"unknown convention {convention!r}")
     rate = domain_length * math.sqrt(moments.lambda2) / moments.sigma
@@ -101,7 +84,8 @@ def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: st
 
 
 def _bound(sigma, rate, u):
-    """:func:`excursion_bound` from its coefficients, entry by entry."""
+    """Bound on P(sup of the smoothed noise over the domain > u), entry by
+    entry: the tail at u plus the expected upcrossings, rate * phi(u/sigma)."""
     x = u / sigma
     return ndtr(-x) + rate * np.exp(-0.5 * x * x) / SQRT_2PI
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .noise import (
     noise_rows,
 )
 from .palm import candidate_pvalues
-from .pipeline import find_local_maxima, most_rejections
+from .pipeline import find_local_maxima
 from .baselines import (
     _POINTWISE_RULES,
     height_rule_report,
@@ -551,6 +552,11 @@ def _block(
     # C-contiguous: a join of strided views may not be, and then a cell's
     # reduction would add its replications in another order
     return {name: np.ascontiguousarray(x) for name, x in metrics.items()}
+
+
+def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:
+    """Index of the largest rejection count; ties go to the smallest bandwidth."""
+    return min(range(len(counts)), key=lambda i: (-counts[i], bandwidths[i]))
 
 
 def _aggregate(

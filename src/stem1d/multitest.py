@@ -16,7 +16,7 @@ import numpy as np
 from .candidates import CandidateSet
 from .errors import ConfigurationError, positive_finite
 from .noise import NoiseMoments
-from .palm import palm_quantile
+from .palm import expected_maxima_density, palm_quantile
 
 
 def check_alpha(alpha: float) -> None:
@@ -128,11 +128,15 @@ def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_ro
     alpha / m for Bonferroni, m being the row's candidate count, and for BH
     k * alpha / m, k the largest i with the i-th smallest p-value below
     i * alpha / m.  The cutoff is 1 on a row with no candidates, and 0
-    where BH rejects nothing (k = 0)."""
+    where BH rejects nothing (k = 0).  An alpha / m (Bonferroni's cutoff, BH's
+    first step) below the smallest normal double raises, as it underflows."""
     if candidates.pvalues is None:
         raise ValueError("candidates carry no p-values")
     m = candidates.row_counts(num_rows)
     per_row = np.maximum(m, 1)
+    top = int(m.max(initial=0))  # the row with the smallest alpha / m
+    if top and alpha / top < np.finfo(np.float64).tiny:
+        raise ConfigurationError(f"alpha / m underflows: alpha={alpha!r}, m={top}")
     if procedure is Procedure.BONFERRONI:
         return np.where(m > 0, alpha / per_row, 1.0), np.zeros(num_rows, np.int64), m
     k = step_up_count(candidates.pvalues, alpha, m)
@@ -166,6 +170,8 @@ def run_procedure(
     single = isinstance(procedure, Procedure)
     if single:
         moments, procedure = [moments], [procedure]
+    elif isinstance(moments, NoiseMoments):
+        raise ValueError("a batch needs one NoiseMoments per row, as a sequence")
     for proc in procedure:
         if proc not in (Procedure.BONFERRONI, Procedure.BH):
             raise ValueError(f"{proc} is not a candidate-level procedure")
@@ -183,33 +189,16 @@ def run_procedure(
     return reports[0] if single else reports
 
 
-@dataclass(frozen=True)
-class AsymptoticThresholds:
-    """Large-domain height thresholds for the two procedures.
-
-    ``bh`` is a constant; the Bonferroni threshold grows with the domain
-    length and is exposed as a function of it.
-    """
-
-    bh: float
-    bonferroni_for_length: Callable[[float], float]
-
-
 def asymptotic_thresholds(
-    alpha: float,
-    peak_rate: float,
-    maxima_density: float,
-    moments: NoiseMoments,
-) -> AsymptoticThresholds:
-    """Limiting thresholds when peaks occur at ``peak_rate`` per unit length.
-
-    ``maxima_density`` is the expected number of null local maxima per
-    unit length.  The expected candidate count per unit length is their
-    sum: each true peak contributes one maximum.
-    """
+    alpha: float, peak_rate: float, moments: NoiseMoments
+) -> tuple[float, Callable[[float], float]]:
+    """``(bh, bonferroni_for_length)``, the limiting height thresholds when
+    peaks occur at ``peak_rate`` per unit length.  Each true peak adds one
+    maximum to the null maxima of ``moments`` (:func:`expected_maxima_density`).
+    Bonferroni's threshold grows with the domain, so it is a function of it."""
     check_alpha(alpha)
     positive_finite("peak_rate", peak_rate)
-    positive_finite("maxima_density", maxima_density)
+    maxima_density = expected_maxima_density(moments)
     bh_arg = alpha * peak_rate / (peak_rate + maxima_density * (1.0 - alpha))
     bh = palm_quantile(moments, bh_arg)
 
@@ -218,4 +207,4 @@ def asymptotic_thresholds(
         arg = (alpha / domain_length) / (peak_rate + maxima_density)
         return palm_quantile(moments, min(arg, 1.0))
 
-    return AsymptoticThresholds(bh=bh, bonferroni_for_length=bonferroni_for_length)
+    return bh, bonferroni_for_length

@@ -16,7 +16,6 @@ the global null and conservative where signal is present.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -81,15 +80,17 @@ class _Stacked(NamedTuple):
 
     @classmethod
     def of(cls, moments: Sequence[NoiseMoments]) -> "_Stacked":
-        coefs = [_coefficients(m) for m in moments]
-        return cls(*(np.array([c[i] for c in coefs]) for i in range(len(cls._fields))))
+        """One entry per entry of ``moments``, worked out once per object."""
+        first: dict[int, int] = {}  # id of each distinct object -> its row
+        rows = [first.setdefault(id(m), len(first)) for m in moments]
+        table = [_coefficients(m) for m in {id(m): m for m in moments}.values()]
+        return cls(*np.reshape(table, (-1, len(cls._fields)))[rows].T.copy())
 
 
-@functools.lru_cache(maxsize=1024)
 def _coefficients(m: NoiseMoments) -> _Stacked:
-    """The coefficients of ``m`` as Python floats, cached per value.  The
-    formulas stay scalar on purpose: numpy's ``x * x`` and Python's
-    ``x**2`` can differ in the last bit, which would move the p-values."""
+    """The coefficients of ``m`` as Python floats.  The formulas stay
+    scalar on purpose: numpy's ``x * x`` and Python's ``x**2`` can differ
+    in the last bit, which would move the p-values."""
     delta = m.delta
     return _Stacked(
         m.sigma,
@@ -154,8 +155,8 @@ def palm_quantile(moments, v):
     bad = ~((0.0 < v) & (v <= 1.0))
     if bad.any():
         raise ValueError(f"v must lie in (0, 1], got {float(v[bad][0])!r}")
-    if v.ndim != 1 or len(moments) != v.size:
-        raise ValueError("v must be 1-D, with one NoiseMoments per entry")
+    if v.ndim != 1 or isinstance(moments, NoiseMoments) or len(moments) != v.size:
+        raise ValueError("v must be 1-D, and a batch needs one NoiseMoments per entry")
     out = np.full(v.shape, -np.inf)
     solve = v < 1.0
     coef = _Stacked.of([m for m, s in zip(moments, solve) if s])

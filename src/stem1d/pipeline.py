@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -80,45 +79,3 @@ def stem_detect(
     candidates = candidate_pvalues(candidates, moments)
     report = run_procedure(candidates, alpha, moments, procedure)
     return StemResult(report=report, smoothed=smoothed, candidates=candidates)
-
-
-@dataclass(frozen=True, eq=False)
-class BandwidthSelection:
-    """Result of scanning a bandwidth grid for the most discoveries."""
-
-    chosen_index: int
-    result: StemResult
-    rejection_counts: tuple[int, ...]
-
-
-def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:
-    """Index of the largest rejection count; ties go to the smallest bandwidth."""
-    return min(range(len(counts)), key=lambda i: (-counts[i], bandwidths[i]))
-
-
-def auto_bandwidth(
-    raw: SampledSequence,
-    kernels: Sequence[Kernel],
-    moments_per_kernel: Sequence[NoiseMoments],
-    procedure: Procedure = Procedure.BONFERRONI,
-    alpha: float = 0.05,
-) -> BandwidthSelection:
-    """Run detection at every kernel and keep the one with most rejections.
-
-    Ties go to the smallest bandwidth.  The returned report is exactly
-    the one computed at the chosen kernel, so the selection step does not
-    alter any p-value.
-    """
-    if len(kernels) == 0:
-        raise ValueError("need at least one kernel")
-    if len(kernels) != len(moments_per_kernel):
-        raise ValueError("kernels and moments lists must align")
-    results = [
-        stem_detect(raw, kernel, moments, procedure, alpha)
-        for kernel, moments in zip(kernels, moments_per_kernel)
-    ]
-    counts = tuple(res.report.num_rejected for res in results)
-    best = most_rejections(counts, [kernel.bandwidth for kernel in kernels])
-    return BandwidthSelection(
-        chosen_index=best, result=results[best], rejection_counts=counts
-    )

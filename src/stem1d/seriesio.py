@@ -333,12 +333,8 @@ def _to_json(tp, value):
     hints = typing.get_type_hints(type(value))
     data = {name: _to_json(hints[name], getattr(value, name)) for name in hints}
     if isinstance(tp, types.UnionType):  # a peak shape
-        kinds = [kind for kind, cls in _SHAPE_KINDS.items() if cls is type(value)]
-        if not kinds:
-            raise ConfigurationError(
-                f"shape {type(value).__name__} is not expressible in a design file"
-            )
-        data = {"kind": kinds[0], **data}
+        kind = next(kind for kind, cls in _SHAPE_KINDS.items() if cls is type(value))
+        data = {"kind": kind, **data}
     return data
 
 

@@ -194,32 +194,15 @@ def synthesize_signal(spec: SignalSpec, dt: float) -> SampledSequence:
 # regions
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalUnion:
-    """A finite union of closed intervals, stored sorted and merged."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        merged: list[list[float]] = []
-        for lo, hi in sorted(self.intervals):
-            if hi < lo:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        object.__setattr__(
-            self, "intervals", tuple((lo, hi) for lo, hi in merged)
-        )
-
-    def dilate(self, left: float, right: float) -> "IntervalUnion":
-        """Minkowski sum with the interval [-left, right]."""
-        if left < 0 or right < 0:
-            raise ValueError("dilation extents must be non-negative")
-        return IntervalUnion(
-            tuple((lo - left, hi + right) for lo, hi in self.intervals)
-        )
+def _merged(intervals) -> tuple[tuple[float, float], ...]:
+    """The closed intervals ``(lo, hi)``, sorted and with overlaps merged."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +211,14 @@ class RegionSet:
 
     ``signal`` is the union of peak supports; ``smoothed_signal`` is the
     union of supports of the smoothed peaks (each support dilated by the
-    kernel's reach on either side).  The transition region is their set
-    difference, and the null core is everything else.  The full null
-    region (transition plus null core) is the complement of ``signal``.
+    kernel's reach on either side), each as sorted, merged ``(lo, hi)``
+    pairs.  The transition region is their set difference, and the null
+    core is everything else; the full null region (transition plus null
+    core) is the complement of ``signal``.
     """
 
-    signal: IntervalUnion
-    smoothed_signal: IntervalUnion
+    signal: tuple[tuple[float, float], ...]
+    smoothed_signal: tuple[tuple[float, float], ...]
     peak_supports: tuple[tuple[float, float], ...]
 
     @cached_property
@@ -242,7 +226,7 @@ class RegionSet:
         """(lo, hi, column) of the closed intervals a trial's score counts
         in: the merged signal's (column 0), the merged smoothed signal's
         (column 1), and each peak support in peak order (column 2 + peak)."""
-        parts = self.signal.intervals, self.smoothed_signal.intervals, self.peak_supports
+        parts = self.signal, self.smoothed_signal, self.peak_supports
         columns = np.repeat([0, 1], [len(parts[0]), len(parts[1])])
         peaks = 2 + np.arange(len(parts[2]))
         edges = np.array([iv for part in parts for iv in part], dtype=np.float64)
@@ -258,9 +242,9 @@ def compute_regions(spec: SignalSpec, kernel: Kernel) -> RegionSet:
     side (Minkowski sum), then overlapping pieces are merged.
     """
     supports = tuple(peak.support for peak in spec.peaks)
-    signal = IntervalUnion(supports)
+    signal = _merged(supports)
     k_left, k_right = kernel.support
-    smoothed = signal.dilate(left=-k_left, right=k_right)
+    smoothed = _merged((lo + k_left, hi + k_right) for lo, hi in signal)
     return RegionSet(
         signal=signal,
         smoothed_signal=smoothed,

@@ -216,12 +216,13 @@ def test_09_correction_oracles_and_thresholds():
     # the asymptotic Bonferroni threshold exceeds the BH threshold
     for gamma in (1.0, 2.0, 4.0):
         moments = closed_form_moments(WHITE, gamma)
-        density = expected_maxima_density(moments)
         for alpha in (0.01, 0.05, 0.2):
             for peaks in (1.0, 5.0, 20.0):
                 for length in (100.0, 1000.0, 1e4):
-                    thr = asymptotic_thresholds(alpha, peaks / length, density, moments)
-                    assert thr.bonferroni_for_length(length) > thr.bh
+                    bh, bonferroni_for_length = asymptotic_thresholds(
+                        alpha, peaks / length, moments
+                    )
+                    assert bonferroni_for_length(length) > bh
 
 
 def test_10_cli_determinism(tmp_path, capsys):

@@ -16,7 +16,6 @@ from stem1d import (
     SignalSpec,
     closed_form_moments,
     compute_regions,
-    excursion_bound,
     gaussian_kernel,
     height_rule_report,
     pointwise_correct,
@@ -29,16 +28,19 @@ from stem1d import (
 UNIT_MOMENTS = NoiseMoments(sigma2=1.0, lambda2=1.0, lambda4=3.0)
 
 
-def test_excursion_bound_formula():
-    u = np.array([0.0, 2.0, 4.0])
-    got = excursion_bound(UNIT_MOMENTS, 100.0, u, convention="paper")
-    want = stats.norm.sf(u) + 100.0 * stats.norm.pdf(u)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    classical = excursion_bound(UNIT_MOMENTS, 100.0, u, convention="classical")
-    want_c = stats.norm.sf(u) + 100.0 / math.sqrt(2 * math.pi) * stats.norm.pdf(u)
-    np.testing.assert_allclose(classical, want_c, rtol=1e-12)
-    with pytest.raises(ValueError):
-        excursion_bound(UNIT_MOMENTS, 100.0, u, convention="exact")
+@pytest.mark.parametrize(
+    "convention, rate",
+    [("paper", 100.0), ("classical", 100.0 / math.sqrt(2 * math.pi))],
+    ids=["paper", "classical"],
+)
+def test_supremum_threshold_solves_the_upcrossing_bound(convention, rate):
+    # unit moments: the bound is sf(u) + rate * pdf(u), rate L sqrt(lambda2) / sigma
+    # under the paper's convention and sqrt(2 pi) smaller under the classical one
+    u = supremum_threshold(UNIT_MOMENTS, 100.0, 0.05, convention=convention)
+    bound = stats.norm.sf(u) + rate * stats.norm.pdf(u)
+    assert bound == pytest.approx(0.05, rel=1e-9)
+    with pytest.raises(ValueError, match="unknown convention 'exact'"):
+        supremum_threshold(UNIT_MOMENTS, 100.0, 0.05, convention="exact")
 
 
 def test_supremum_threshold_against_grid_scan():
@@ -48,7 +50,7 @@ def test_supremum_threshold_against_grid_scan():
     scan = grid[np.argmax(bound <= 0.05)]
     assert thr == pytest.approx(scan, abs=2e-4)
     assert 3.65 < thr < 3.66
-    assert float(excursion_bound(UNIT_MOMENTS, 100.0, thr)) == pytest.approx(
+    assert stats.norm.sf(thr) + 100.0 * stats.norm.pdf(thr) == pytest.approx(
         0.05, rel=1e-6
     )
 

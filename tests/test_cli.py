@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -366,6 +367,26 @@ def test_detect_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha, pro
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
+
+
+@pytest.mark.parametrize("procedure", ["bonferroni", "bh"])
+def test_detect_alpha_underflowing_over_candidates_exits_2(tmp_path, capsys, procedure):
+    series, moments = tmp_path / "series.csv", tmp_path / "moments.json"
+    _write_spike_series(series, [100, 200, 300], height=2.0)
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 1.0), moments)
+    report = tmp_path / "report.json"
+    code = main(
+        [
+            "detect", "--input", str(series), "--gamma", "1",
+            "--moments", str(moments), "--procedure", procedure,
+            "--alpha", "5e-324", "--report-json", str(report),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    want = r"error: alpha / m underflows: alpha=5e-324, m=\d+\n"
+    assert re.fullmatch(want, captured.err)
+    assert captured.out == "" and not report.exists()
 
 
 def _write_training(path, dt=1.0):

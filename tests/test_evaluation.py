@@ -47,9 +47,9 @@ from stem1d.evaluation import (
     _block,
     _cell_moments,
     _cell_stats,
+    most_rejections,
 )
 from stem1d.multitest import run_procedure
-from stem1d.pipeline import most_rejections
 
 
 def _toy_regions():
@@ -389,6 +389,14 @@ def test_run_sweep_auto_bandwidth_layout():
     assert sum(fracs) == pytest.approx(1.0)
     summary = [c for c in res.cells if "chosen_gamma_mean" in c.metrics]
     assert all(math.isnan(c.gamma) for c in summary)
+
+
+def test_most_rejections_prefers_more_then_the_smaller_bandwidth():
+    assert most_rejections([2, 1], [3.0, 15.0]) == 0
+    assert most_rejections([1, 2], [3.0, 15.0]) == 1
+    # a tie, the wider bandwidth listed first
+    assert most_rejections([2, 2], [4.0, 3.0]) == 1
+    assert most_rejections([0, 3, 3, 1], [5.0, 4.0, 2.0, 1.0]) == 2
 
 
 def test_run_sweep_estimated_moments_close_to_closed_form():

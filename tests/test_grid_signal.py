@@ -8,7 +8,6 @@ import pytest
 from stem1d import (
     CauchyShape,
     EpanechnikovShape,
-    IntervalUnion,
     LaplaceShape,
     PeakSpec,
     SampledSequence,
@@ -183,24 +182,7 @@ def test_synthesize_rejects_unresolved_peak():
 
 
 # ---------------------------------------------------------------------------
-# interval unions and regions
-
-
-def test_interval_union_merges():
-    union = IntervalUnion(((3.0, 4.0), (0.0, 1.0), (0.5, 2.0)))
-    assert union.intervals == ((0.0, 2.0), (3.0, 4.0))
-    with pytest.raises(ValueError):
-        IntervalUnion(((2.0, 1.0),))
-
-
-def test_interval_union_dilate():
-    union = IntervalUnion(((0.0, 1.0), (5.0, 6.0)))
-    fat = union.dilate(left=2.0, right=1.0)
-    assert fat.intervals == ((-2.0, 2.0), (3.0, 7.0))
-    merged = union.dilate(left=2.5, right=2.5)
-    assert merged.intervals == ((-2.5, 8.5),)
-    with pytest.raises(ValueError):
-        union.dilate(left=-1.0, right=0.0)
+# regions
 
 
 def test_compute_regions_dilates_by_kernel_support():
@@ -210,8 +192,8 @@ def test_compute_regions_dilates_by_kernel_support():
     )
     kernel = gaussian_kernel(gamma=2.0, dt=1.0, trunc=3.0)
     regions = compute_regions(spec, kernel)
-    assert regions.signal.intervals == ((-3.0, 3.0),)
-    assert regions.smoothed_signal.intervals == ((-9.0, 9.0),)
+    assert regions.signal == ((-3.0, 3.0),)
+    assert regions.smoothed_signal == ((-9.0, 9.0),)
 
 
 def test_overlapping_peaks_merge_in_regions():
@@ -224,5 +206,22 @@ def test_overlapping_peaks_merge_in_regions():
         domain_length=40.0,
     )
     regions = compute_regions(spec, gaussian_kernel(1.0, 0.5))
-    assert regions.signal.intervals == ((-6.0, 6.0),)
+    assert regions.signal == ((-6.0, 6.0),)
     assert len(regions.peak_supports) == 2
+
+
+def test_regions_sort_and_merge_peaks_listed_out_of_order():
+    # the last two supports overlap, the first lies apart until smoothing
+    shape = TriangularShape(4.0)
+    spec = SignalSpec(
+        peaks=tuple(
+            PeakSpec(shape=shape, amplitude=1.0, center=c) for c in (20.0, -2.0, 2.0)
+        ),
+        domain_length=80.0,
+    )
+    kernel = gaussian_kernel(gamma=2.0, dt=1.0, trunc=3.0)
+    assert kernel.support == (-6.0, 6.0)
+    regions = compute_regions(spec, kernel)
+    assert regions.peak_supports == ((16.0, 24.0), (-6.0, 2.0), (-2.0, 6.0))
+    assert regions.signal == ((-6.0, 6.0), (16.0, 24.0))
+    assert regions.smoothed_signal == ((-12.0, 30.0),)

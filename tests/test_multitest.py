@@ -19,6 +19,7 @@ from stem1d import (
     palm_survival,
     run_procedure,
 )
+from stem1d.errors import ConfigurationError
 
 MOMENTS = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
 BON, BH = Procedure.BONFERRONI, Procedure.BH
@@ -193,24 +194,43 @@ def test_report_serialization():
 
 def test_asymptotic_thresholds():
     density = expected_maxima_density(MOMENTS)
-    thr = asymptotic_thresholds(0.05, peak_rate=0.01, maxima_density=density, moments=MOMENTS)
+    bh, bonferroni_for_length = asymptotic_thresholds(0.05, 0.01, MOMENTS)
     want_bh = 0.05 * 0.01 / (0.01 + density * 0.95)
-    assert palm_survival(MOMENTS, thr.bh) == pytest.approx(want_bh, rel=1e-9)
+    assert palm_survival(MOMENTS, bh) == pytest.approx(want_bh, rel=1e-9)
     # Bonferroni keeps climbing with the domain, BH does not move
     lengths = [1e2, 1e3, 1e4, 1e5]
-    bons = [thr.bonferroni_for_length(L) for L in lengths]
+    bons = [bonferroni_for_length(L) for L in lengths]
     assert all(b2 > b1 for b1, b2 in zip(bons, bons[1:]))
-    assert all(b > thr.bh for b in bons)
+    assert all(b > bh for b in bons)
     with pytest.raises(ValueError):
-        thr.bonferroni_for_length(0.0)
+        bonferroni_for_length(0.0)
     with pytest.raises(ValueError):
-        asymptotic_thresholds(0.05, peak_rate=0.0, maxima_density=density, moments=MOMENTS)
+        asymptotic_thresholds(0.05, peak_rate=0.0, moments=MOMENTS)
 
 
 def test_missing_pvalues_rejected():
     naked = CandidateSet(np.array([0]), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         run_procedure(naked, 0.05, MOMENTS, BON)
+
+
+def test_batch_refuses_one_bare_noise_moments():
+    with pytest.raises(ValueError, match="one NoiseMoments per row"):
+        run_procedure(_cands([0.01, 0.2]), 0.05, MOMENTS, [BH])
+
+
+@pytest.mark.parametrize("procedure", [BON, BH])
+def test_underflowing_alpha_over_m_raises(procedure):
+    cands = _cands([1e-310, 0.2, 0.5])
+    message = r"^alpha / m underflows: alpha=5e-324, m=3$"
+    with pytest.raises(ConfigurationError, match=message):
+        run_procedure(cands, 5e-324, MOMENTS, procedure)
+    # alpha / m at the smallest normal double still runs, as does no candidate
+    tiny = np.finfo(np.float64).tiny
+    report = run_procedure(cands, 3 * tiny, MOMENTS, procedure)
+    assert report.pvalue_cutoff == tiny and report.num_rejected == 1
+    empty = run_procedure(CandidateSet.empty(), 5e-324, MOMENTS, procedure)
+    assert empty.pvalue_cutoff == 1.0
 
 
 WIDE = closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0)

@@ -169,6 +169,11 @@ def test_batched_quantile_rejects_levels_as_float_call(bad):
     assert str(batched.value) == str(single.value)
 
 
+def test_batched_quantile_refuses_one_bare_noise_moments():
+    with pytest.raises(ValueError, match="one NoiseMoments per entry"):
+        palm_quantile(_params(), np.array([0.1, 0.2]))
+
+
 @PROPERTY
 @given(moments(), st.floats(0.0, 300.0), st.floats(1e-6, 1.0))
 def test_quantile_strictly_decreasing(m, decades, gap):

@@ -12,7 +12,6 @@ from stem1d import (
     Procedure,
     SampledRows,
     SampledSequence,
-    auto_bandwidth,
     closed_form_moments,
     find_local_maxima,
     gaussian_kernel,
@@ -166,38 +165,6 @@ def test_stem_detect_rejects_alpha_outside_unit_interval(alpha, procedure):
     moments = closed_form_moments(GaussianAcvfParams(sigma=1.0), 10.0)
     with pytest.raises(ConfigurationError, match=r"^alpha must lie in \(0, 1\), got "):
         stem_detect(_spike_train([7], n=15), kernel, moments, procedure, alpha)
-
-
-def test_auto_bandwidth_prefers_more_rejections():
-    raw = _spike_train([190, 210])
-    gammas = [3.0, 15.0]
-    kernels = [gaussian_kernel(g, 1.0) for g in gammas]
-    moments = [closed_form_moments(GaussianAcvfParams(sigma=0.01), g) for g in gammas]
-    sel = auto_bandwidth(raw, kernels, moments)
-    # the narrow kernel resolves both spikes, the wide one fuses them
-    assert sel.rejection_counts == (2, 1)
-    assert sel.chosen_index == 0
-    assert sel.result.report.num_rejected == 2
-
-
-def test_auto_bandwidth_tie_takes_smaller():
-    raw = _spike_train([150, 250])
-    gammas = [4.0, 3.0]  # wider listed first
-    kernels = [gaussian_kernel(g, 1.0) for g in gammas]
-    moments = [closed_form_moments(GaussianAcvfParams(sigma=0.01), g) for g in gammas]
-    sel = auto_bandwidth(raw, kernels, moments)
-    assert sel.rejection_counts == (2, 2)
-    assert sel.chosen_index == 1
-    assert kernels[sel.chosen_index].bandwidth == 3.0
-
-
-def test_auto_bandwidth_validation():
-    raw = _spike_train([100])
-    with pytest.raises(ValueError):
-        auto_bandwidth(raw, [], [])
-    kernel = gaussian_kernel(3.0, 1.0)
-    with pytest.raises(ValueError):
-        auto_bandwidth(raw, [kernel], [])
 
 
 def test_find_local_maxima_rows_match_single_sequences():
