@@ -2,7 +2,7 @@
 
 Pointwise methods test every interior sample of the smoothed sequence
 against the marginal Gaussian null, then correct over the number of
-samples.  The supremum method calibrates a single height threshold so
+samples.  The supremum method calibrates one height threshold so
 that the probability of the smoothed noise exceeding it anywhere on the
 domain is at most alpha, via the expected-upcrossings bound.  For
 comparison with peak-level procedures, both are also expressed as height
@@ -19,24 +19,18 @@ from scipy.special import ndtr, ndtri
 
 from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError, positive_finite
-from .grid import SQRT_2PI, SampledRows, SampledSequence
-from .multitest import DetectionReport, Procedure, _cutoff, _report, check_alpha
+from .grid import SQRT_2PI, SampledRows
+from .multitest import DetectionReport, Procedure, _cutoff, _per_row, check_alpha
 from .noise import NoiseMoments
 from .palm import bisect_decreasing, clip_pvalues
 
 
 def pointwise_pvalues(
-    smoothed: SampledSequence | SampledRows,
-    moments: NoiseMoments | Sequence[NoiseMoments],
+    smoothed: SampledRows, moments: Sequence[NoiseMoments]
 ) -> CandidateSet:
-    """One-sided Gaussian p-value at every interior sample.
-
-    Given :class:`SampledRows` and one :class:`NoiseMoments` per row, the
-    samples of every row, with its sigma, form one set of rows.
-    """
-    if isinstance(smoothed, SampledSequence):
-        seq, moments = smoothed, [moments]
-        smoothed = SampledRows(seq.values[np.newaxis], seq.dt, seq.t0, [seq.margin])
+    """One-sided Gaussian p-value at every interior sample of every row,
+    with the sigma of the row's :class:`NoiseMoments`, as one set of rows."""
+    _per_row(moments, "NoiseMoments")
     rows, idx, values = smoothed.entries(np.ones(smoothed.values.shape, dtype=bool))
     sigma = np.array([m.sigma for m in moments])[rows]
     p = clip_pvalues(ndtr(-values / sigma))
@@ -53,25 +47,24 @@ def pointwise_correct(
     samples: CandidateSet,
     alpha: float,
     procedure: Procedure,
-    moments: NoiseMoments | Sequence[NoiseMoments],
+    moments: Sequence[NoiseMoments],
 ) -> DetectionReport:
-    """Correct the per-sample p-values over the number of samples.
+    """Correct each row's per-sample p-values over its number of samples.
 
     The cutoff is the one Bonferroni or BH takes on candidate p-values.
-    The rejected entries are samples, not peaks.  The report's height
-    threshold is the sample value equivalent to the realized cutoff,
-    which lets peak-level scoring treat the method as a height rule.
-    Several rows, with one :class:`NoiseMoments` each, give a batch report.
+    The rejected entries are samples, not peaks.  The batch report's height
+    thresholds, one per row with its :class:`NoiseMoments`, are the sample
+    values equivalent to the realized cutoffs, which lets peak-level
+    scoring treat the method as a height rule.
     """
     if procedure not in _POINTWISE_RULES:
         raise ValueError(f"{procedure} is not a pointwise procedure")
-    single = isinstance(moments, NoiseMoments)
-    moments = [moments] if single else moments
+    _per_row(moments, "NoiseMoments")
     cutoff, k, m = _cutoff(samples, alpha, _POINTWISE_RULES[procedure], len(moments))
     # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
     threshold = -np.array([x.sigma for x in moments]) * ndtri(cutoff)
-    rejected, numbers = samples.pvalues < cutoff[samples.rows], (cutoff, threshold, m, k)
-    return _report(samples, alpha, procedure, rejected, numbers, single)
+    rejected = samples.select(samples.pvalues < cutoff[samples.rows])
+    return DetectionReport(procedure, alpha, rejected, cutoff, threshold, m, k)
 
 
 def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: str):
@@ -91,22 +84,21 @@ def _bound(sigma, rate, u):
 
 
 def supremum_threshold(
-    moments: NoiseMoments | Sequence[NoiseMoments],
+    moments: Sequence[NoiseMoments],
     domain_length: float,
     alpha: float,
     convention: str = "paper",
-) -> float | np.ndarray:
-    """Smallest height u whose excursion bound is at most alpha.
+) -> np.ndarray:
+    """Smallest height u whose excursion bound is at most alpha, one per
+    entry of ``moments``.
 
-    One :class:`NoiseMoments` gives a float.  A sequence of them gives an
-    array, one threshold per entry, solved in step as
-    :func:`~stem1d.palm.palm_quantile` solves a batch: each entry expands
-    and bisects its own bracket, and has the bits of its own call.
+    The entries are solved in step as :func:`~stem1d.palm.palm_quantile`
+    solves a batch: each entry expands and bisects its own bracket, and
+    has the bits of a batch of one.
     """
     check_alpha(alpha)
     positive_finite("domain_length", domain_length)
-    single = isinstance(moments, NoiseMoments)
-    moments = [moments] if single else moments
+    _per_row(moments, "NoiseMoments")
     sigma = np.array([m.sigma for m in moments])
     rate = np.array([_upcrossing_rate(m, domain_length, convention) for m in moments])
 
@@ -131,8 +123,7 @@ def supremum_threshold(
         if not low.any():
             break
         lo = np.where(low, lo - step, lo)
-    u = bisect_decreasing(bound, alpha, lo, hi)[1]
-    return float(u[0]) if single else u
+    return bisect_decreasing(bound, alpha, lo, hi)[1]
 
 
 def height_rule_report(
@@ -141,15 +132,14 @@ def height_rule_report(
     alpha: float,
     procedure: Procedure,
 ) -> DetectionReport:
-    """Report the candidates strictly above a fixed height threshold.
+    """Report the candidates strictly above each row's height threshold.
 
-    The p-value cutoff is not defined for a pure height rule and is
-    reported as NaN.  An array ``threshold``, one per row of
-    ``candidates``, gives a batch report.
+    ``threshold`` is an array, one per row of ``candidates``.  The p-value
+    cutoff is not defined for a pure height rule and is reported as NaN.
     """
-    single = not np.ndim(threshold)
+    _per_row(threshold, "height threshold")
     threshold = np.reshape(threshold, -1).astype(np.float64)
     m = candidates.row_counts(threshold.size)
-    numbers = (np.full(m.size, np.nan), threshold, m, np.zeros(m.size, np.int64))
-    rejected = candidates.heights > threshold[candidates.rows]
-    return _report(candidates, alpha, procedure, rejected, numbers, single)
+    rejected = candidates.select(candidates.heights > threshold[candidates.rows])
+    nan, zero = np.full(m.size, np.nan), np.zeros(m.size, np.int64)
+    return DetectionReport(procedure, alpha, rejected, nan, threshold, m, zero)

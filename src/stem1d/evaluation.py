@@ -33,7 +33,7 @@ from .kernels import (
     kernel_reach,
     quartic_kernel,
 )
-from .multitest import DetectionReport, Procedure, check_alpha, run_procedure
+from .multitest import DetectionReport, Procedure, _per_row, check_alpha, run_procedure
 from .noise import (
     MIN_INTERIOR_SAMPLES,
     GaussianAcvfParams,
@@ -83,21 +83,23 @@ _TRIAL_BLOCK = 8
 
 @dataclass(frozen=True, eq=False)
 class TrialOutcome:
-    """Peak-level score of one detection report against known regions."""
+    """Peak-level score of detection reports against known regions: each
+    count a (report, row) array, and the peak arrays with a last axis over
+    the peaks."""
 
-    rejected_in_signal: int
-    rejected_in_transition: int
-    rejected_in_null_core: int
+    rejected_in_signal: np.ndarray
+    rejected_in_transition: np.ndarray
+    rejected_in_null_core: np.ndarray
     detected_flags: np.ndarray
     locmax_per_peak: np.ndarray
 
     @property
-    def false_rejections(self) -> int:
+    def false_rejections(self) -> np.ndarray:
         """Rejections anywhere outside the true supports (V)."""
         return self.rejected_in_transition + self.rejected_in_null_core
 
     @property
-    def total_rejections(self) -> int:
+    def total_rejections(self) -> np.ndarray:
         return (
             self.rejected_in_signal
             + self.rejected_in_transition
@@ -105,45 +107,35 @@ class TrialOutcome:
         )
 
     @property
-    def false_discovery_proportion(self) -> float:
+    def false_discovery_proportion(self) -> np.ndarray:
         return self.false_rejections / np.maximum(self.total_rejections, 1)
 
     @property
-    def detected_fraction(self) -> float:
+    def detected_fraction(self) -> np.ndarray:
         flags = self.detected_flags
         if flags.shape[-1] == 0:
-            return np.full(flags.shape[:-1], np.nan)[()]
+            return np.full(flags.shape[:-1], np.nan)
         return np.count_nonzero(flags, axis=-1) / flags.shape[-1]
 
 
 def score_trial(
-    report: DetectionReport | list[DetectionReport],
+    reports: Sequence[DetectionReport],
     candidates: CandidateSet,
-    regions: RegionSet | list[RegionSet],
+    regions: Sequence[RegionSet],
 ) -> TrialOutcome:
     """Classify each rejection by region and tally per-peak detections.
 
-    Sample-level reports (pointwise procedures) are first converted to
-    the equivalent height rule on ``candidates`` so that all procedures
-    are scored on peaks.  ``locmax_per_peak`` counts every candidate
-    inside each support, significant or not.
-
-    ``report`` may also be a list of batch reports on the rows of
-    ``candidates``, one per procedure, with one :class:`RegionSet` (of
-    one signal) per row: every (procedure, row) is scored in one pass,
-    each count a (procedure, row) array, and the peak flags and
-    ``locmax_per_peak`` have a last axis over the peaks.
+    ``reports`` are batch reports on the rows of ``candidates``, one per
+    procedure, each rejecting candidates (a sample-level procedure enters
+    as its height rule, :func:`~stem1d.baselines.height_rule_report`), with
+    one :class:`RegionSet` (of one signal) per row.  Every (report, row) is
+    scored in one pass.  ``locmax_per_peak`` counts every candidate inside
+    each support, significant or not.
     """
-    single = isinstance(report, DetectionReport)
-    reports, regions = ([report], [regions]) if single else (report, regions)
+    _per_row(reports, "DetectionReport")
+    _per_row(regions, "RegionSet")
     candidates.row_counts(len(regions))  # checks the rows before they index
-    rows, heights = candidates.rows, candidates.heights
-    sets = [
-        candidates.select(heights > np.reshape(r.height_threshold, -1)[rows])
-        if r.procedure in _POINTWISE_RULES
-        else r.rejected
-        for r in reports
-    ]
+    sets = [r.rejected for r in reports]
     # each (row, location) as an exact integer key: row * G + the rank of
     # the location among the G distinct values compared
     intervals = [r.scored_intervals for r in regions]
@@ -169,11 +161,7 @@ def score_trial(
     n = np.array([tally(s) for s in sets])
     # the smoothed signal holds the signal: transition = smoothed - signal
     fields = [n[..., 0], n[..., 1] - n[..., 0], n[..., -1] - n[..., 1], n[..., 2:-1] > 0]
-    locmax = tally(candidates)[:, 2:-1]
-    if single:
-        fields = [*(int(f[0, 0]) for f in fields[:3]), fields[3][0, 0]]
-        locmax = locmax[0]
-    return TrialOutcome(*fields, locmax)
+    return TrialOutcome(*fields, tally(candidates)[:, 2:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,10 @@ def estimate_template(
     if usable.size == 0:
         raise NoQualifyingPeaksError(count=0)
     snippets = np.stack([v[i - half:i - half + window] for i in usable])
-    template = snippets.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        template = snippets.mean(axis=0)
+    if not np.isfinite(template).all():
+        raise DegenerateSequenceError("averaged template is not finite")
     top = template.max()
     if not (top > 0):
         raise DegenerateSequenceError("averaged template has no positive peak")

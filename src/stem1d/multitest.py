@@ -144,11 +144,10 @@ def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_ro
     return np.where(m > 0, cutoff, 1.0), k, m
 
 
-def _report(candidates, alpha, procedure, rejected, numbers, single) -> DetectionReport:
-    """The report rejecting mask ``rejected``; ``numbers`` per row, or row 0's."""
-    if single:
-        numbers = (x[0].item() for x in numbers)
-    return DetectionReport(procedure, alpha, candidates.select(rejected), *numbers)
+def _per_row(x, what: str) -> None:
+    """Refuse a lone value where a batch needs a sequence, one ``what`` per row."""
+    if not (isinstance(x, Sequence) or np.ndim(x) > 0):
+        raise ValueError(f"a batch needs one {what} per row, as a sequence")
 
 
 def run_procedure(
@@ -170,8 +169,8 @@ def run_procedure(
     single = isinstance(procedure, Procedure)
     if single:
         moments, procedure = [moments], [procedure]
-    elif isinstance(moments, NoiseMoments):
-        raise ValueError("a batch needs one NoiseMoments per row, as a sequence")
+    else:
+        _per_row(moments, "NoiseMoments")
     for proc in procedure:
         if proc not in (Procedure.BONFERRONI, Procedure.BH):
             raise ValueError(f"{proc} is not a candidate-level procedure")
@@ -181,11 +180,13 @@ def run_procedure(
     solve = cutoffs > 0.0
     rows = np.nonzero(solve)[1]
     thresholds[solve] = palm_quantile([moments[r] for r in rows], cutoffs[solve])
-    reports = [
-        _report(candidates, alpha, proc, candidates.pvalues < cutoff[candidates.rows],
-                (cutoff, threshold, m, k), single)
-        for proc, (cutoff, k, m), threshold in zip(procedure, cuts, thresholds)
-    ]
+    reports = []
+    for proc, (cutoff, k, m), threshold in zip(procedure, cuts, thresholds):
+        numbers = (cutoff, threshold, m, k)
+        if single:  # a lone set's report holds its one row's numbers as scalars
+            numbers = [x[0].item() for x in numbers]
+        rejected = candidates.select(candidates.pvalues < cutoff[candidates.rows])
+        reports.append(DetectionReport(proc, alpha, rejected, *numbers))
     return reports[0] if single else reports
 
 

@@ -200,21 +200,25 @@ def estimate_moments(
     check_interior(n, margin)
     _check_runs(np.isfinite(runs).all(axis=1), "values must be finite")
     v = runs[:, margin:n - margin]
-    d1 = np.diff(v, axis=1)
-    d2 = np.diff(d1, axis=1)
-    if zero_mean:
-        moments = np.stack([np.mean(x * x, axis=1) for x in (v, d1, d2)], axis=1)
-    else:
-        moments = np.stack([np.var(x, axis=1, ddof=1) for x in (v, d1, d2)], axis=1)
-    moments[:, 1] /= dt**2
-    moments[:, 2] /= dt**4
+    # values near the largest doubles, or a dt**4 that underflows to 0,
+    # give inf or nan, which the checks below refuse
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d1 = np.diff(v, axis=1)
+        d2 = np.diff(d1, axis=1)
+        if zero_mean:
+            moments = np.stack([np.mean(x * x, axis=1) for x in (v, d1, d2)], axis=1)
+        else:
+            moments = np.stack([np.var(x, axis=1, ddof=1) for x in (v, d1, d2)], axis=1)
+        moments[:, 1] /= dt**2
+        moments[:, 2] /= dt**4
+        sigma2, lambda2, lambda4 = moments.T
+        delta = sigma2 * lambda4 - lambda2**2
     _check_runs(
         ((moments > 0) & np.isfinite(moments)).all(axis=1),
         "sequence carries no usable variation",
     )
-    sigma2, lambda2, lambda4 = moments.T
     _check_runs(
-        sigma2 * lambda4 - lambda2**2 > 0,
+        delta > 0,
         "moments are incompatible: sigma2 * lambda4 must exceed lambda2^2",
     )
     return moments

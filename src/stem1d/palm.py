@@ -121,7 +121,8 @@ def palm_survival(moments: NoiseMoments, u):
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
     coef = moments if isinstance(moments, _Stacked) else _coefficients(moments)
-    out = _survival(coef, u)
+    with np.errstate(over="ignore"):  # phi of a huge u is exp(-inf), exactly 0
+        out = _survival(coef, u)
     if out.ndim == 0:
         return float(out)
     return out

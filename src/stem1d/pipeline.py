@@ -15,23 +15,18 @@ from .noise import NoiseMoments
 from .palm import candidate_pvalues
 
 
-def find_local_maxima(
-    seq: SampledSequence | SampledRows, margin: int | None = None
-) -> CandidateSet:
-    """Strict local maxima of the sequence, away from the margins.
+def find_local_maxima(seq: SampledSequence | SampledRows) -> CandidateSet:
+    """Strict local maxima of the sequence, away from its margin.
 
     Sample i qualifies when values[i] exceeds both neighbours, so plateau
     samples are never maxima.  Only indices with
-    ``margin <= i < len - margin`` are returned; neighbours just inside a
-    margin still participate in the comparisons.  ``margin`` defaults to
-    the sequence's own validity margin.  Given :class:`SampledRows`, the
+    ``margin <= i < len - margin`` are returned, ``margin`` being the
+    sequence's own validity margin; neighbours just inside it still
+    participate in the comparisons.  Given :class:`SampledRows`, the
     maxima of every row, outside its own margin, form one set of rows.
     """
     if isinstance(seq, SampledSequence):
-        margin = seq.margin if margin is None else int(margin)
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        seq = SampledRows(seq.values[None], seq.dt, seq.t0, [margin])
+        seq = SampledRows(seq.values[None], seq.dt, seq.t0, [seq.margin])
     rows, idx, heights = seq.entries(strict_local_maxima(seq.values))
     return CandidateSet(idx, seq.t0 + seq.dt * idx, heights, rows=rows)
 

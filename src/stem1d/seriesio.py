@@ -41,9 +41,10 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
     """Read a series file; flag values must agree with any header values.
 
     Every data line must hold one finite number, a header ``dt`` or ``t0``
-    a finite number (``dt`` a positive one), and a header ``center`` an
-    integer.  Anything else raises :class:`InputFileError` naming the file
-    and the line number, as does a file with no data line.
+    a finite number (``dt`` a positive one), repeated only with the same
+    value, and a header ``center`` an integer.  Anything else raises
+    :class:`InputFileError` naming the file and the line number, as does
+    a file with no data line.
 
     The file is opened once here.  A regular file that numpy will not take
     for a compressed one, with no ``#`` after its data starts, is then
@@ -148,16 +149,22 @@ def _read_lines(fh, path):
 
 def _header_values(line: str, path, lineno: int, header: dict) -> None:
     """Record in ``header`` the ``dt=``, ``t0=`` and ``center=`` tokens of
-    the stripped comment or blank ``line``, each checked here."""
+    the stripped comment or blank ``line``, each checked here.  A ``dt`` or
+    ``t0`` that differs from one recorded before raises."""
     for token in line[1:].split():
-        if token.startswith("dt="):
-            header["dt"] = finite_number(token[3:], path, lineno, "dt")
-            if header["dt"] <= 0:
+        key, equals, text = token.partition("=")
+        if equals and key in ("dt", "t0"):
+            value = finite_number(text, path, lineno, key)
+            if key == "dt" and value <= 0:
                 raise InputFileError(
-                    f"{path}, line {lineno}: dt={header['dt']!r} must be positive"
+                    f"{path}, line {lineno}: dt={value!r} must be positive"
                 )
-        elif token.startswith("t0="):
-            header["t0"] = finite_number(token[3:], path, lineno, "t0")
+            if key in header and not nearly_equal(header[key], value):
+                raise InputFileError(
+                    f"{path}, line {lineno}: {key}={value!r} conflicts with "
+                    f"{key}={header[key]!r} given before"
+                )
+            header[key] = value
         elif token.startswith("center="):
             try:
                 header["center"] = int(token[7:])

@@ -218,6 +218,11 @@ def test_detect_bad_series_header_exits_3(tmp_path, capsys):
     assert _detect_exit(tmp_path, series=series) == 3
     err = capsys.readouterr().err
     assert str(series) in err and "line 1" in err and "dt='abc'" in err
+    # a second dt, even after the data starts, must repeat the first
+    series.write_text("# dt=1.0\n0.0\n1.0\n# dt=2\n0.0\n")
+    assert _detect_exit(tmp_path, series=series) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "line 4: dt=2.0 conflicts with dt=1.0" in err
 
 
 @pytest.mark.parametrize(
@@ -343,6 +348,44 @@ def test_detect_constant_series_exits_4(tmp_path, capsys):
     assert "sequence carries no usable variation" in captured.err
     assert "candidates:" not in captured.out
     assert not report.exists() and not peaks.exists()
+
+
+@pytest.mark.parametrize(
+    "command, scale, want",
+    [
+        ("detect", 1e300, 0),
+        ("calibration", 1e300, 4),
+        ("estimate-noise", 1e300, 4),
+        ("estimate-template", 1.7e308, 4),
+    ],
+)
+def test_extreme_finite_series_exit_without_warnings(
+    tmp_path, capsys, command, scale, want
+):
+    # squares and sums of values this large overflow: the moments and the
+    # averaged template are refused, and the heights' p-values are exact
+    series, moments = tmp_path / "series.csv", tmp_path / "moments.json"
+    signs = np.where(np.random.default_rng(5).random(400) < 0.5, -1.0, 1.0)
+    write_series(SampledSequence(signs * scale, dt=1.0), series)
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 2.0), moments)
+    out, smooth = str(tmp_path / "out"), ["--input", str(series), "--gamma", "2"]
+    argv = {
+        "detect": ["detect", *smooth, "--moments", str(moments), "--alpha", "0.05"],
+        "calibration": [
+            "detect", *smooth, "--calibration", str(series), "--alpha", "0.05"
+        ],
+        "estimate-noise": ["estimate-noise", *smooth, "--output", out],
+        "estimate-template": [
+            "estimate-template", "--input", str(series), "--threshold", "0",
+            "--window", "5", "--output", out,
+        ],
+    }[command]
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    if want == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_detect_series_without_data_lines_exits_3(tmp_path, capsys):

@@ -14,10 +14,12 @@ from stem1d import (
     KernelFamily,
     PeakSpec,
     Procedure,
+    SampledRows,
     SampledSequence,
     SignalSpec,
     SimulationDesign,
     TriangularShape,
+    TrialOutcome,
     TruncatedGaussianShape,
     candidate_pvalues,
     compute_regions,
@@ -74,12 +76,28 @@ def _cands_at(locations, heights=None):
     )
 
 
+def _first(outcome):
+    """The score of the first report on the first row, as its own outcome."""
+    counts = (
+        outcome.rejected_in_signal,
+        outcome.rejected_in_transition,
+        outcome.rejected_in_null_core,
+        outcome.detected_flags,
+    )
+    return TrialOutcome(*(x[0, 0] for x in counts), outcome.locmax_per_peak[0])
+
+
+def _score_height_rule(cands, threshold, regions):
+    """One height rule scored on a one-row set, as a batch of one."""
+    report = height_rule_report(cands, np.array([threshold]), 0.05, Procedure.SUPREMUM)
+    return _first(score_trial([report], cands, [regions]))
+
+
 def test_score_trial_classifies_rejections():
     regions = _toy_regions()
     # one inside each peak support, one in the transition ring, two far out
     cands = _cands_at([-30.0, 30.5, 35.0, 0.0, 10.0])
-    report = height_rule_report(cands, -math.inf, 0.05, Procedure.SUPREMUM)
-    outcome = score_trial(report, cands, regions)
+    outcome = _score_height_rule(cands, -math.inf, regions)
     assert outcome.rejected_in_signal == 2
     assert outcome.rejected_in_transition == 1
     assert outcome.rejected_in_null_core == 2
@@ -114,8 +132,7 @@ def test_score_trial_boundary_precedence():
     }
     for t, where in expected.items():
         cands = _cands_at([t])
-        report = height_rule_report(cands, -math.inf, 0.05, Procedure.SUPREMUM)
-        outcome = score_trial(report, cands, regions)
+        outcome = _score_height_rule(cands, -math.inf, regions)
         got = (
             outcome.rejected_in_signal,
             outcome.rejected_in_transition,
@@ -128,8 +145,7 @@ def test_score_trial_counts_all_candidates_per_support():
     regions = _toy_regions()
     cands = _cands_at([-31.0, -30.0, -29.0, 28.0], heights=[5.0, 1.0, 5.0, 5.0])
     # threshold cuts out the middle candidate but locmax still counts it
-    report = height_rule_report(cands, 2.0, 0.05, Procedure.SUPREMUM)
-    outcome = score_trial(report, cands, regions)
+    outcome = _score_height_rule(cands, 2.0, regions)
     np.testing.assert_array_equal(outcome.locmax_per_peak, [3, 1])
     assert outcome.rejected_in_signal == 3
     assert outcome.detected_fraction == 1.0
@@ -138,25 +154,10 @@ def test_score_trial_counts_all_candidates_per_support():
 def test_score_trial_zero_rejections():
     regions = _toy_regions()
     cands = _cands_at([0.0])
-    report = height_rule_report(cands, math.inf, 0.05, Procedure.SUPREMUM)
-    outcome = score_trial(report, cands, regions)
+    outcome = _score_height_rule(cands, math.inf, regions)
     assert outcome.total_rejections == 0
     assert outcome.false_discovery_proportion == 0.0  # 0/max(0,1)
     assert outcome.detected_fraction == 0.0
-
-
-def test_score_trial_converts_pointwise_reports_to_height_rule():
-    regions = _toy_regions()
-    cands = _cands_at([-30.0, 10.0], heights=[4.0, 1.0])
-    # a sample-level report whose rejected set is empty; only its height
-    # threshold matters for peak-level scoring
-    report = height_rule_report(
-        _cands_at([0.0]), 3.0, 0.05, Procedure.POINTWISE_BONFERRONI
-    )
-    outcome = score_trial(report, cands, regions)
-    assert outcome.rejected_in_signal == 1
-    assert outcome.rejected_in_null_core == 0
-    np.testing.assert_array_equal(outcome.detected_flags, [True, False])
 
 
 def _per_support_count(locations, supports):
@@ -195,8 +196,7 @@ def test_score_trial_matches_per_support_count(seed, threshold):
     heights = rng.normal(size=locations.size)
     cands = CandidateSet(np.arange(locations.size), locations, heights)
     cut = {"random": rng.normal(), "inf": math.inf, "-inf": -math.inf}[threshold]
-    report = height_rule_report(cands, cut, 0.05, Procedure.SUPREMUM)
-    outcome = score_trial(report, cands, regions)
+    outcome = _score_height_rule(cands, cut, regions)
     rejected = locations[heights > cut]
     want_detected = _per_support_count(rejected, regions.peak_supports) > 0
     want_locmax = _per_support_count(locations, regions.peak_supports)
@@ -565,7 +565,9 @@ class _RefView:
 
     @property
     def samples(self):
-        return pointwise_pvalues(self.smoothed, self.band.moments)
+        z = self.smoothed
+        rows = SampledRows(z.values[np.newaxis], z.dt, z.t0, [z.margin])
+        return pointwise_pvalues(rows, [self.band.moments])
 
 
 def _ref_candidate_rule(views, proc, design):
@@ -575,19 +577,23 @@ def _ref_candidate_rule(views, proc, design):
 
 
 def _ref_pointwise_rule(views, proc, design):
+    # each view's sample-level correction, scored as its height rule
+    alpha = design.alpha
+    reports = [
+        pointwise_correct(v.samples, alpha, proc, [v.band.moments]) for v in views
+    ]
     return [
-        pointwise_correct(view.samples, design.alpha, proc, view.band.moments)
-        for view in views
+        height_rule_report(view.cands, r.height_threshold, alpha, proc)
+        for view, r in zip(views, reports)
     ]
 
 
 def _ref_supremum_rule(views, proc, design):
     length, alpha = design.signal.domain_length, design.alpha
+    thresholds = [supremum_threshold([v.band.moments], length, alpha) for v in views]
     return [
-        height_rule_report(
-            view.cands, supremum_threshold(view.band.moments, length, alpha), alpha, proc
-        )
-        for view in views
+        height_rule_report(view.cands, u, alpha, proc)
+        for view, u in zip(views, thresholds)
     ]
 
 
@@ -602,7 +608,7 @@ _REF_RULES = {
 
 def _reference_trial(design, seed, base_mu, bands, rep):
     """The per-view trial loop, one report and one score per view and
-    procedure, with its single-set calls."""
+    procedure, each view a batch of one."""
     noise = generate_noise(
         design.noise,
         0.0,
@@ -636,7 +642,9 @@ def _reference_trial(design, seed, base_mu, bands, rep):
             else:
                 scored = range(len(bands))
             for c, k in enumerate(scored):
-                outcome = score_trial(reports[k], row_views[k].cands, bands[k].regions)
+                outcome = _first(
+                    score_trial([reports[k]], row_views[k].cands, [bands[k].regions])
+                )
                 locmax = outcome.locmax_per_peak
                 record["fwer"][c, a, p] = outcome.false_rejections > 0
                 record["fdr"][c, a, p] = outcome.false_discovery_proportion
@@ -745,7 +753,7 @@ def test_sweep_bits_do_not_depend_on_the_block_size(auto, reps, seed):
 def test_score_trial_batch_matches_single_reports():
     # three rows scored against two region sets (two kernels), with one
     # rejected-set report and one height-rule (pointwise-style) report:
-    # every (procedure, row) equals the score of the row alone
+    # every (procedure, row) equals the score of the row alone, a batch of one
     rng = np.random.default_rng(8)
     shape = TruncatedGaussianShape(b=2.0, c=2.0)
     spec = SignalSpec(
@@ -771,9 +779,9 @@ def test_score_trial_batch_matches_single_reports():
         for row in range(3):
             one = cands.select(cands.rows == row)
             single = CandidateSet(one.indices, one.locations, one.heights)
-            threshold = report.height_threshold[row]
+            threshold = report.height_threshold[row:row + 1]
             rule = height_rule_report(single, threshold, 0.05, report.procedure)
-            want = score_trial(rule, single, regions[row])
+            want = _first(score_trial([rule], single, [regions[row]]))
             got_fdr = batch.false_discovery_proportion[p, row]
             assert batch.rejected_in_signal[p, row] == want.rejected_in_signal
             assert batch.rejected_in_transition[p, row] == want.rejected_in_transition

@@ -206,8 +206,8 @@ def test_palm_quantile_batched_bits():
 
 def test_supremum_threshold_bits():
     got = {
-        (name, length, alpha, conv): supremum_threshold(
-            MOMENTS[name], length, alpha, conv
+        (name, length, alpha, conv): float(
+            supremum_threshold([MOMENTS[name]], length, alpha, conv)[0]
         ).hex()
         for name, length, alpha, conv in SUPREMUM
     }

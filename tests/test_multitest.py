@@ -12,12 +12,21 @@ from stem1d import (
     CandidateSet,
     GaussianAcvfParams,
     Procedure,
+    SampledRows,
+    SignalSpec,
     asymptotic_thresholds,
     closed_form_moments,
+    compute_regions,
     expected_maxima_density,
+    gaussian_kernel,
+    height_rule_report,
     palm_quantile,
     palm_survival,
+    pointwise_correct,
+    pointwise_pvalues,
     run_procedure,
+    score_trial,
+    supremum_threshold,
 )
 from stem1d.errors import ConfigurationError
 
@@ -215,8 +224,25 @@ def test_missing_pvalues_rejected():
 
 
 def test_batch_refuses_one_bare_noise_moments():
+    cands = _cands([0.01, 0.2])
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        run_procedure(_cands([0.01, 0.2]), 0.05, MOMENTS, [BH])
+        run_procedure(cands, 0.05, MOMENTS, [BH])
+    rows = SampledRows(np.zeros((1, 5)), 1.0, 0.0, [1])
+    with pytest.raises(ValueError, match="one NoiseMoments per row"):
+        pointwise_pvalues(rows, MOMENTS)
+    with pytest.raises(ValueError, match="one NoiseMoments per row"):
+        pointwise_correct(cands, 0.05, Procedure.POINTWISE_BH, MOMENTS)
+    with pytest.raises(ValueError, match="one NoiseMoments per row"):
+        supremum_threshold(MOMENTS, 100.0, 0.05)
+    # the other rows-only entries refuse a lone threshold, report or region set
+    with pytest.raises(ValueError, match="one height threshold per row"):
+        height_rule_report(cands, 1.0, 0.05, Procedure.SUPREMUM)
+    report = height_rule_report(cands, np.array([1.0]), 0.05, Procedure.SUPREMUM)
+    regions = compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))
+    with pytest.raises(ValueError, match="one DetectionReport per row"):
+        score_trial(report, cands, [regions])
+    with pytest.raises(ValueError, match="one RegionSet per row"):
+        score_trial([report], cands, regions)
 
 
 @pytest.mark.parametrize("procedure", [BON, BH])

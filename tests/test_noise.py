@@ -168,6 +168,11 @@ def test_estimate_moments_degenerate_inputs():
         estimate_moments(SampledSequence(np.arange(8.0), dt=1.0))
     with pytest.raises(DegenerateSequenceError):
         estimate_moments(SampledSequence(np.arange(30.0), dt=1.0, margin=12))
+    # lambda4 past the largest double, as dt**4 underflows to 0: refused,
+    # with no divide-by-zero warning
+    noise = np.random.default_rng(2).standard_normal(100)
+    with pytest.raises(DegenerateSequenceError, match="no usable variation"):
+        estimate_moments(SampledSequence(noise, dt=1e-100))
 
 
 def test_estimate_moments_array_without_dt():

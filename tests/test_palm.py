@@ -50,6 +50,15 @@ def test_survival_is_decreasing_and_bounded():
         palm_survival(params, np.array([0.0, np.inf]))
 
 
+def test_survival_of_huge_finite_heights_needs_no_overflow():
+    # past about 1e154 sigma, phi(u / sigma) squares to inf and exp(-inf)
+    # is exactly 0; the suite turns an overflow warning into an error
+    params = _params()
+    assert palm_survival(params, 1e200) == 0.0
+    huge = np.array([1e200, -1e300, np.finfo(np.float64).max])
+    np.testing.assert_array_equal(palm_survival(params, huge), [0.0, 1.0, 0.0])
+
+
 def test_survival_dominates_marginal():
     # a randomly picked maximum sits higher than a randomly picked sample
     params = _params(gamma=3.0)

@@ -63,6 +63,13 @@ def test_series_flag_header_interplay(tmp_path):
         read_series(bare)  # no dt anywhere
     seq = read_series(bare, dt=1.0)
     assert seq.t0 + seq.dt * (len(seq) - 1) == 1.0
+    # a header key given twice must agree with itself
+    twice = tmp_path / "twice.csv"
+    twice.write_text("# dt=0.5 t0=1\n1.0\n# t0=1.0000000000001\n2.0\n")
+    assert read_series(twice).t0 == 1.0000000000001
+    twice.write_text("# dt=0.5 t0=1\n1.0\n# t0=3\n2.0\n")
+    with pytest.raises(InputFileError, match="line 3: t0=3.0 conflicts with t0=1.0"):
+        read_series(twice)
 
 
 def test_series_rejects_empty_and_parses_comments(tmp_path):
@@ -187,6 +194,9 @@ def _outcome(read, path):
 @example("# a\r# dt=0.5\n1.0\n2.0\n")
 @example("\ufeff# dt=0.5\n1.0\n")
 @example("# dt=0.5\n1.0\n# dt=0.5\n2.0\n")
+@example("# dt=0.5 dt=1\n1.0\n")  # a repeat must agree, on one line
+@example("# dt=0.5\n1.0\n# dt=4\n2.0\n")  # or after the data starts
+@example("# t0=1\n# note t0=2\n1.0\n")
 @example("# dt=0.5\n1_0\n\u0661\u0662\n")
 @example("# dt=0.5\n1.0\n1.0 2.0\n")
 @example("1.0 2.0")
