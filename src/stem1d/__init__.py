@@ -61,9 +61,9 @@ from .baselines import (
     supremum_threshold,
 )
 from .evaluation import (
-    CellStats,
     SimulationDesign,
     SweepResult,
+    SweepRow,
     TrialOutcome,
     preset_design,
     run_sweep,
@@ -117,9 +117,9 @@ __all__ = [
     "pointwise_correct",
     "pointwise_pvalues",
     "supremum_threshold",
-    "CellStats",
     "SimulationDesign",
     "SweepResult",
+    "SweepRow",
     "TrialOutcome",
     "preset_design",
     "run_sweep",

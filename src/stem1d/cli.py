@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -196,12 +197,10 @@ def _figure_files(result, tag: str):
         "locmax": ("locmax_per_peak",),
         "bandwidth_hist": ("chosen_fraction", "chosen_gamma_mean"),
     }
-    header, *lines = result.csv_lines()
-    rows = result.to_rows()
     for label, metrics in groups.items():
-        body = [line for line, row in zip(lines, rows) if row["metric"] in metrics]
-        if body:
-            yield f"{tag}_{label}.csv", [header, *body]
+        rows = tuple(row for row in result.rows if row.metric in metrics)
+        if rows:
+            yield f"{tag}_{label}.csv", replace(result, rows=rows).csv_lines()
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -223,7 +222,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_lines(args.output, [*prov, *result.csv_lines()])
     print(f"design: {design.name}")
     print(f"replications: {design.replications}")
-    print(f"cells: {len(result.cells)}")
+    print(f"rows: {len(result.rows)}")
     print(f"wrote: {args.output}")
     if args.emit_figure_data:
         outdir = Path(args.output).resolve().parent

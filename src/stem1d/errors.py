@@ -74,12 +74,6 @@ class DegenerateSequenceError(NumericFailureError):
 class NoQualifyingPeaksError(NumericFailureError):
     """Template estimation found no usable spikes in the training data."""
 
-    def __init__(self, count: int = 0, message: str | None = None):
-        self.count = count
-        if message is None:
-            message = f"no usable spikes found (count={count})"
-        super().__init__(message)
-
 
 class ThresholdInfeasibleError(NumericFailureError):
     """No finite threshold attains the requested error level."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -288,69 +288,52 @@ class SimulationDesign:
 # sweep results
 
 
-@dataclass(frozen=True, eq=False)
-class CellStats:
-    """Aggregated metrics for one (gamma, amplitude, procedure) cell.
-
-    ``metrics`` maps metric name to (value, standard error).  ``gamma``
-    is NaN for auto-bandwidth cells, where no single bandwidth applies.
-    """
+class SweepRow(NamedTuple):
+    """One line of a sweep's CSV: a metric's value and standard error in a
+    (gamma, amplitude, procedure) cell.  ``gamma`` is NaN in an
+    auto-bandwidth cell, where no single bandwidth applies."""
 
     gamma: float
     amplitude: float
     procedure: str
+    metric: str
+    value: float
+    se: float
     replications: int
-    metrics: dict[str, tuple[float, float]]
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's table: one row per cell and metric, in CSV order."""
+
     design: SimulationDesign
     seed: int
-    cells: tuple[CellStats, ...]
+    rows: tuple[SweepRow, ...]
 
     def lookup(self, metric: str, procedure: str, gamma=None, amplitude=None):
         """(value, se) of a metric, selecting cells by coordinates."""
-        for cell in self.cells:
-            if cell.procedure != procedure or metric not in cell.metrics:
+        for row in self.rows:
+            if row.metric != metric or row.procedure != procedure:
                 continue
-            if gamma is not None and not nearly_equal(cell.gamma, gamma):
+            if gamma is not None and not nearly_equal(row.gamma, gamma):
                 continue
-            if amplitude is not None and not nearly_equal(cell.amplitude, amplitude):
+            if amplitude is not None and not nearly_equal(row.amplitude, amplitude):
                 continue
-            return cell.metrics[metric]
+            return row.value, row.se
         raise KeyError(
             f"no cell with metric={metric!r} procedure={procedure!r} "
             f"gamma={gamma!r} amplitude={amplitude!r}"
         )
 
-    def to_rows(self) -> list[dict]:
-        """Tidy rows: one per cell x procedure x metric."""
-        rows = []
-        for cell in self.cells:
-            for metric, (value, se) in sorted(cell.metrics.items()):
-                rows.append(
-                    {
-                        "gamma": cell.gamma,
-                        "amplitude": cell.amplitude,
-                        "procedure": cell.procedure,
-                        "metric": metric,
-                        "value": value,
-                        "se": se,
-                        "replications": cell.replications,
-                    }
-                )
-        return rows
-
     def csv_lines(self) -> list[str]:
-        lines = ["gamma,amplitude,procedure,metric,value,se,replications"]
-        for row in self.to_rows():
-            gamma = "" if math.isnan(row["gamma"]) else repr(row["gamma"])
-            value = "" if math.isnan(row["value"]) else repr(row["value"])
-            se = "" if math.isnan(row["se"]) else repr(row["se"])
+        def text(x: float) -> str:
+            return "" if math.isnan(x) else repr(x)
+
+        lines = [",".join(SweepRow._fields)]
+        for r in self.rows:
             lines.append(
-                f"{gamma},{row['amplitude']!r},{row['procedure']},"
-                f"{row['metric']},{value},{se},{row['replications']}"
+                f"{text(r.gamma)},{r.amplitude!r},{r.procedure},{r.metric},"
+                f"{text(r.value)},{text(r.se)},{r.replications}"
             )
         return lines
 
@@ -452,8 +435,7 @@ def run_sweep(design: SimulationDesign, seed: int) -> SweepResult:
         _block(design, seed, base_mu, bands, sup, range(r, min(r + _TRIAL_BLOCK, reps)))
         for r in range(0, reps, _TRIAL_BLOCK)
     ]
-    cells = tuple(_aggregate(design, blocks))
-    return SweepResult(design=design, seed=seed, cells=cells)
+    return SweepResult(design=design, seed=seed, rows=_aggregate(design, blocks))
 
 
 def _block(
@@ -470,7 +452,7 @@ def _block(
     ``fwer``, ``fdr`` and ``power`` are indexed [column, amplitude,
     procedure, replication].  Columns are the bandwidths; an auto-bandwidth
     design has one column, scoring in each cell the bandwidth with the most
-    rejections, whose value is ``chosen_gamma``.  A fixed design adds
+    rejections, whose index is ``chosen``.  A fixed design adds
     ``locmax_per_peak``, indexed [column, amplitude, replication].  Every
     (replication, amplitude, bandwidth) view is a row of one array, and
     each stage runs once, except the pointwise corrections: their sets
@@ -525,14 +507,13 @@ def _block(
     }
     if design.auto_bandwidth:
         # per procedure, replication and amplitude: the most rejecting band
-        counts = [r.rejected.row_counts(len(views)) for r in reports]
-        counts = np.reshape(counts, (-1, len(bands)))
+        counts = np.reshape(outcome.total_rejections, (-1, len(bands)))
         chosen = [most_rejections(c, design.gamma_grid) for c in counts]
         chosen = np.reshape(chosen, (*shape[:3], 1)).transpose(order)
         metrics = {
             name: np.take_along_axis(x, chosen, axis=0) for name, x in metrics.items()
         }
-        metrics["chosen_gamma"] = np.array(design.gamma_grid)[chosen]
+        metrics["chosen"] = chosen
     else:
         locmax = outcome.locmax_per_peak
         locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
@@ -549,35 +530,38 @@ def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:
 
 def _aggregate(
     design: SimulationDesign, blocks: list[dict[str, np.ndarray]]
-) -> list[CellStats]:
-    """Cells in output order.  Each metric is reduced once for every cell,
-    its blocks joined along the replication axis."""
+) -> tuple[SweepRow, ...]:
+    """The sweep's rows, each cell's metrics in name order.  Each metric is
+    reduced once for every cell, its blocks joined along the replication
+    axis."""
     x = {name: np.concatenate([b[name] for b in blocks], axis=-1) for name in blocks[0]}
     names = ("fwer", "fdr", "power")
     stats = {name: _cell_stats(x[name], proportion=name == "fwer") for name in names}
     auto = design.auto_bandwidth
     if auto:
-        stats["chosen_gamma_mean"] = _cell_stats(x["chosen_gamma"])
-        grid = np.array(design.gamma_grid)[:, np.newaxis]
+        chosen, grid = x["chosen"], np.array(design.gamma_grid)
+        stats["chosen_gamma_mean"] = _cell_stats(grid[chosen])
         # [column, amplitude, procedure, bandwidth, replication]
-        hits = np.abs(x["chosen_gamma"][..., np.newaxis, :] - grid) < 1e-9
+        hits = chosen[..., np.newaxis, :] == np.arange(grid.size)[:, np.newaxis]
         fractions = _cell_stats(hits.astype(float), proportion=True)
     else:
         locmax = _cell_stats(x["locmax_per_peak"])
-    cells = []  # (gamma, amplitude, procedure, metrics)
-    for c, gamma in enumerate((float("nan"),) if auto else design.gamma_grid):
+    rows = []
+
+    def add(gamma, amp, procedure, metric, stat):
+        rows.append(SweepRow(gamma, amp, procedure, metric, *stat, design.replications))
+
+    for c, gamma in enumerate((math.nan,) if auto else design.gamma_grid):
         for a, amp in enumerate(design.amplitude_grid):
             for p, proc in enumerate(design.procedures):
-                metrics = {name: tuple(v[c][a][p]) for name, v in stats.items()}
-                cells.append((gamma, amp, proc.value, metrics))
+                for name in sorted(stats):
+                    add(gamma, amp, proc.value, name, stats[name][c][a][p])
                 if auto:
                     for g, frac in zip(design.gamma_grid, fractions[c][a][p]):
-                        metrics = {"chosen_fraction": tuple(frac)}
-                        cells.append((g, amp, proc.value, metrics))
+                        add(g, amp, proc.value, "chosen_fraction", frac)
             if not auto:
-                metrics = {"locmax_per_peak": tuple(locmax[c][a])}
-                cells.append((gamma, amp, "candidates", metrics))
-    return [CellStats(g, a, p, design.replications, m) for g, a, p, m in cells]
+                add(gamma, amp, "candidates", "locmax_per_peak", locmax[c][a])
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def estimate_template(
     half = window // 2
     usable = idx[(idx - half >= 0) & (idx - half + window <= n)]
     if usable.size == 0:
-        raise NoQualifyingPeaksError(count=0)
+        raise NoQualifyingPeaksError("no usable spikes found (count=0)")
     snippets = np.stack([v[i - half:i - half + window] for i in usable])
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         template = snippets.mean(axis=0)

@@ -170,14 +170,15 @@ def estimate_moments(
     runs: SampledSequence | np.ndarray,
     zero_mean: bool = False,
     dt: float | None = None,
-    margin: int = 0,
+    margin: int | None = None,
 ) -> NoiseMoments | np.ndarray:
     """Empirical moments from calibration runs.
 
-    ``runs`` is one calibration sequence, or a 2-D array holding one run
-    per row, every run sampled at ``dt`` with ``margin`` distorted
-    samples at each end.  A sequence gives its :class:`NoiseMoments`; a
-    block gives one (sigma2, lambda2, lambda4) row per run.
+    ``runs`` is one calibration sequence, which carries its own spacing
+    and margin, or a 2-D array holding one run per row, every run sampled
+    at ``dt`` with ``margin`` (default 0) distorted samples at each end.
+    A sequence gives its :class:`NoiseMoments`; a block gives one
+    (sigma2, lambda2, lambda4) row per run.
 
     Uses the sample variance of each run's interior values and of their
     first and second forward differences, scaled by dt^2 and dt^4.  The
@@ -190,18 +191,21 @@ def estimate_moments(
     correlated sequences, so skip it when the mean is known to be zero.
     """
     if isinstance(runs, SampledSequence):
+        if dt is not None or margin is not None:
+            raise ValueError("a sequence carries its own dt and margin; pass neither")
         row = estimate_moments(runs.values[np.newaxis], zero_mean, runs.dt, runs.margin)
         return NoiseMoments(*row[0].tolist())
     if np.ndim(runs) != 2:
         raise ValueError(f"runs must be a sequence or a 2-D array, not {np.ndim(runs)}-D")
     if dt is None:
         raise ValueError("an array of runs needs its sample spacing dt")
-    n = runs.shape[1]
+    n, margin = runs.shape[1], margin or 0
     check_interior(n, margin)
     _check_runs(np.isfinite(runs).all(axis=1), "values must be finite")
     v = runs[:, margin:n - margin]
     # values near the largest doubles, or a dt**4 that underflows to 0,
-    # give inf or nan, which the checks below refuse
+    # give inf or nan, which the checks below refuse; so do finite moments
+    # whose products overflow in delta (inf - inf is nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1 = np.diff(v, axis=1)
         d2 = np.diff(d1, axis=1)
@@ -216,6 +220,10 @@ def estimate_moments(
     _check_runs(
         ((moments > 0) & np.isfinite(moments)).all(axis=1),
         "sequence carries no usable variation",
+    )
+    _check_runs(
+        np.isfinite(delta),
+        "moments overflow: sigma2 * lambda4 - lambda2^2 is not finite",
     )
     _check_runs(
         delta > 0,

@@ -37,12 +37,12 @@ from .evaluation import SimulationDesign
 DESIGN_SCHEMA = 1
 
 
-def read_series(path, dt: float | None = None, t0: float | None = None) -> SampledSequence:
-    """Read a series file; flag values must agree with any header values.
+def read_series(path, dt: float | None = None) -> SampledSequence:
+    """Read a series file; a ``dt`` flag must agree with any header ``dt``.
 
     Every data line must hold one finite number, a header ``dt`` or ``t0``
-    a finite number (``dt`` a positive one), repeated only with the same
-    value, and a header ``center`` an integer.  Anything else raises
+    a finite number (``dt`` a positive one), and a header ``center`` an
+    integer, each repeated only with the same value.  Anything else raises
     :class:`InputFileError` naming the file and the line number, as does
     a file with no data line.
 
@@ -62,7 +62,7 @@ def read_series(path, dt: float | None = None, t0: float | None = None) -> Sampl
         parsed = None if source is None else _read_series_bulk(fh, path, source)
         if parsed is None:
             parsed = _read_lines(fh, path)
-    return _sequence(path, *parsed, dt, t0)
+    return _sequence(path, *parsed, dt)
 
 
 # suffixes np.loadtxt takes to mean a compressed file, whatever it holds
@@ -149,45 +149,43 @@ def _read_lines(fh, path):
 
 def _header_values(line: str, path, lineno: int, header: dict) -> None:
     """Record in ``header`` the ``dt=``, ``t0=`` and ``center=`` tokens of
-    the stripped comment or blank ``line``, each checked here.  A ``dt`` or
-    ``t0`` that differs from one recorded before raises."""
+    the stripped comment or blank ``line``, each checked here.  A value
+    that differs from one recorded before for its key raises."""
     for token in line[1:].split():
         key, equals, text = token.partition("=")
-        if equals and key in ("dt", "t0"):
+        if not equals or key not in ("dt", "t0", "center"):
+            continue
+        if key == "center":
+            try:
+                value = int(text)
+            except ValueError:
+                raise InputFileError(
+                    f"{path}, line {lineno}: center={text!r} is not an integer"
+                ) from None
+        else:
             value = finite_number(text, path, lineno, key)
             if key == "dt" and value <= 0:
                 raise InputFileError(
                     f"{path}, line {lineno}: dt={value!r} must be positive"
                 )
-            if key in header and not nearly_equal(header[key], value):
-                raise InputFileError(
-                    f"{path}, line {lineno}: {key}={value!r} conflicts with "
-                    f"{key}={header[key]!r} given before"
-                )
-            header[key] = value
-        elif token.startswith("center="):
-            try:
-                header["center"] = int(token[7:])
-            except ValueError:
-                raise InputFileError(
-                    f"{path}, line {lineno}: center={token[7:]!r} is not an integer"
-                ) from None
-
-
-def _sequence(path, values, header: dict, dt, t0) -> SampledSequence:
-    """The series from its parsed values, header values and flags."""
-    grid = {"t0": 0.0, **header}
-    for key, flag in (("dt", dt), ("t0", t0)):
-        if flag is None:
-            continue
-        if key in header and not nearly_equal(flag, header[key]):
-            raise ConfigurationError(
-                f"{path}: {key} flag {flag} conflicts with header {key} {header[key]}"
+        if key in header and not nearly_equal(header[key], value):
+            raise InputFileError(
+                f"{path}, line {lineno}: {key}={value!r} conflicts with "
+                f"{key}={header[key]!r} given before"
             )
-        grid[key] = flag
-    if "dt" not in grid:
+        header[key] = value
+
+
+def _sequence(path, values, header: dict, dt) -> SampledSequence:
+    """The series from its parsed values, header values and ``dt`` flag."""
+    if dt is not None and "dt" in header and not nearly_equal(dt, header["dt"]):
+        raise ConfigurationError(
+            f"{path}: dt flag {dt} conflicts with header dt {header['dt']}"
+        )
+    dt = header.get("dt") if dt is None else dt
+    if dt is None:
         raise ConfigurationError(f"{path}: dt not given by flag or header")
-    return SampledSequence(values, grid["dt"], grid["t0"])
+    return SampledSequence(values, dt, header.get("t0", 0.0))
 
 
 def load_kernel_csv(path) -> Kernel:

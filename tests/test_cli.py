@@ -233,8 +233,10 @@ def test_detect_bad_series_header_exits_3(tmp_path, capsys):
         ("# dt=abc center=1\n0.5\n1.0\n0.5\n", 1),
         ("# dt=1.0 center=x\n0.5\n1.0\n0.5\n", 1),
         ("# dt=-1 center=1\n0.5\n1.0\n0.5\n", 1),
+        ("# dt=1.0 center=1\n# center=2\n0.5\n1.0\n0.5\n", 2),
     ],
-    ids=["nan-weight", "text-weight", "bad-dt", "bad-center", "negative-dt"],
+    ids=["nan-weight", "text-weight", "bad-dt", "bad-center", "negative-dt",
+         "repeated-center"],
 )
 def test_detect_bad_template_file_exits_3(tmp_path, capsys, text, line):
     template = tmp_path / "template.csv"

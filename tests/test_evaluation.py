@@ -18,6 +18,7 @@ from stem1d import (
     SampledSequence,
     SignalSpec,
     SimulationDesign,
+    SweepRow,
     TriangularShape,
     TrialOutcome,
     TruncatedGaussianShape,
@@ -343,18 +344,18 @@ def test_run_sweep_refuses_a_negative_seed():
 def test_run_sweep_cell_layout_and_lookup():
     design = _tiny_design(replications=10)
     res = run_sweep(design, seed=1)
-    # 2 gammas x 2 amplitudes x (2 procedures + candidates row)
-    assert len(res.cells) == 2 * 2 * 3
+    # 2 gammas x 2 amplitudes x (2 procedures x 3 metrics + candidates row)
+    assert len(res.rows) == 2 * 2 * (2 * 3 + 1)
+    assert all(isinstance(row, SweepRow) for row in res.rows)
     power, se = res.lookup("power", "bh", gamma=4.0, amplitude=15.0)
     assert 0.0 <= power <= 1.0
     locmax, _ = res.lookup("locmax_per_peak", "candidates", gamma=2.0, amplitude=9.0)
     assert locmax >= 1.0 or math.isnan(locmax)
     with pytest.raises(KeyError):
         res.lookup("power", "supremum")
-    rows = res.to_rows()
     header = res.csv_lines()[0]
     assert header == "gamma,amplitude,procedure,metric,value,se,replications"
-    assert len(res.csv_lines()) == len(rows) + 1
+    assert len(res.csv_lines()) == len(res.rows) + 1
 
 
 def test_run_sweep_detects_strong_signal():
@@ -378,8 +379,8 @@ def test_run_sweep_auto_bandwidth_layout():
     res = run_sweep(design, seed=3)
     same = run_sweep(design, seed=3)
     assert res.csv_lines() == same.csv_lines()
-    # per procedure: one summary cell with NaN gamma + one fraction per gamma
-    assert len(res.cells) == 2 * (1 + 3)
+    # per procedure: four summary rows with NaN gamma + one fraction per gamma
+    assert len(res.rows) == 2 * (4 + 3)
     mean_gamma, _ = res.lookup("chosen_gamma_mean", "bh", amplitude=15.0)
     assert 2.0 <= mean_gamma <= 4.0
     fracs = [
@@ -387,8 +388,9 @@ def test_run_sweep_auto_bandwidth_layout():
         for g in (2.0, 3.0, 4.0)
     ]
     assert sum(fracs) == pytest.approx(1.0)
-    summary = [c for c in res.cells if "chosen_gamma_mean" in c.metrics]
-    assert all(math.isnan(c.gamma) for c in summary)
+    summary = [row for row in res.rows if row.metric == "chosen_gamma_mean"]
+    assert len(summary) == 2
+    assert all(math.isnan(row.gamma) for row in summary)
 
 
 def test_most_rejections_prefers_more_then_the_smaller_bandwidth():
@@ -622,7 +624,7 @@ def _reference_trial(design, seed, base_mu, bands, rep):
     shape = (columns, len(design.amplitude_grid), len(design.procedures))
     record = {name: np.empty(shape) for name in ("fwer", "fdr", "power")}
     if design.auto_bandwidth:
-        record["chosen_gamma"] = np.empty(shape)
+        record["chosen"] = np.empty(shape, dtype=int)
     else:
         record["locmax_per_peak"] = np.empty(shape[:2])
     # every amplitude's views, amplitude-major, so each rule runs once
@@ -650,7 +652,7 @@ def _reference_trial(design, seed, base_mu, bands, rep):
                 record["fdr"][c, a, p] = outcome.false_discovery_proportion
                 record["power"][c, a, p] = outcome.detected_fraction
                 if design.auto_bandwidth:
-                    record["chosen_gamma"][c, a, p] = bands[k].gamma
+                    record["chosen"][c, a, p] = k
                 else:
                     record["locmax_per_peak"][c, a] = (
                         locmax.mean() if locmax.size else float("nan")

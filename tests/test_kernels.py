@@ -21,6 +21,7 @@ from stem1d.errors import (
     BandwidthTooSmallError,
     DegenerateSequenceError,
     GridMismatchError,
+    InputFileError,
     NoQualifyingPeaksError,
 )
 
@@ -171,7 +172,7 @@ def test_estimate_template_failure_modes():
     quiet = SampledSequence(np.zeros(100), dt=1.0)
     with pytest.raises(NoQualifyingPeaksError) as info:
         estimate_template(quiet, height_threshold=0.5, window=5)
-    assert info.value.count == 0
+    assert str(info.value) == "no usable spikes found (count=0)"
     with pytest.raises(ValueError):
         estimate_template(quiet, height_threshold=0.5, window=2)
     # maxima exist but the averaged window never rises above zero
@@ -202,4 +203,10 @@ def test_kernel_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5\n1.0\n")  # no header
     with pytest.raises(ValueError):
+        load_kernel_csv(path)
+    # center= given twice must repeat itself, or the last would be kept
+    path.write_text("# dt=1.0 center=1\n# center=1\n0.5\n1.0\n0.5\n")
+    assert load_kernel_csv(path).center_index == 1
+    path.write_text("# dt=1.0 center=1\n# center=2\n0.5\n1.0\n0.5\n")
+    with pytest.raises(InputFileError, match="line 2: center=2 conflicts with center=1"):
         load_kernel_csv(path)

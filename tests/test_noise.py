@@ -173,6 +173,12 @@ def test_estimate_moments_degenerate_inputs():
     noise = np.random.default_rng(2).standard_normal(100)
     with pytest.raises(DegenerateSequenceError, match="no usable variation"):
         estimate_moments(SampledSequence(noise, dt=1e-100))
+    # finite moments whose product sigma2 * lambda4 overflows: inf - inf
+    # is nan, which is not an incompatibility of the moments
+    signs = np.where(np.arange(400) % 2, 1.0, -1.0)
+    wild = signs * np.random.default_rng(3).uniform(0.5, 1.0, 400) * 1e150
+    with pytest.raises(DegenerateSequenceError, match="^moments overflow"):
+        estimate_moments(SampledSequence(wild, dt=1.0))
 
 
 def test_estimate_moments_array_without_dt():
@@ -181,6 +187,11 @@ def test_estimate_moments_array_without_dt():
         estimate_moments(np.zeros((2, 5)))
     runs = np.random.default_rng(1).random((2, 50))
     assert estimate_moments(runs, dt=1.0).shape == (2, 3)
+    # a sequence carries its own dt and margin, so neither may be passed
+    seq = SampledSequence(runs[0], dt=1.0, margin=2)
+    for extra in ({"dt": 2.0}, {"margin": 10}, {"margin": 0}):
+        with pytest.raises(ValueError, match="sequence carries its own dt and margin"):
+            estimate_moments(seq, **extra)
 
 
 def test_estimate_moments_one_dimensional_array():

@@ -56,7 +56,6 @@ def test_series_flag_header_interplay(tmp_path):
     with pytest.raises(ConfigurationError):
         read_series(path, dt=0.4)
     # flag may supply what the header lacks
-    assert read_series(path, t0=7.0).t0 == 7.0
     bare = tmp_path / "bare.csv"
     bare.write_text("1.0\n2.0\n")
     with pytest.raises(ConfigurationError):
@@ -69,6 +68,11 @@ def test_series_flag_header_interplay(tmp_path):
     assert read_series(twice).t0 == 1.0000000000001
     twice.write_text("# dt=0.5 t0=1\n1.0\n# t0=3\n2.0\n")
     with pytest.raises(InputFileError, match="line 3: t0=3.0 conflicts with t0=1.0"):
+        read_series(twice)
+    twice.write_text("# dt=0.5 center=1\n1.0\n# center=1\n2.0\n")
+    assert read_series(twice).values.tolist() == [1.0, 2.0]
+    twice.write_text("# dt=0.5 center=1\n1.0\n# center=2\n2.0\n")
+    with pytest.raises(InputFileError, match="line 3: center=2 conflicts with center=1"):
         read_series(twice)
 
 
@@ -212,7 +216,7 @@ def test_bulk_parse_matches_per_line_reader(tmp_path_factory, text):
 def _read_per_line(path):
     with open(path, "r", encoding="utf-8") as fh:
         parsed = seriesio._read_lines(fh, path)
-    return seriesio._sequence(path, *parsed, 0.5, None)
+    return seriesio._sequence(path, *parsed, 0.5)
 
 
 def _long_series_text(n):
