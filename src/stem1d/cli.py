@@ -144,10 +144,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.peaks_csv:
         lines = [*_provenance_lines("detect", args), *report.rejected_csv_lines()]
         write_lines(args.peaks_csv, lines)
-    print(f"candidates: {report.num_candidates}")
+    print(f"candidates: {report.num_candidates[0]}")
     print(f"rejected: {report.num_rejected}")
-    print(f"pvalue_cutoff: {report.pvalue_cutoff!r}")
-    print(f"height_threshold: {report.height_threshold!r}")
+    print(f"pvalue_cutoff: {report.pvalue_cutoff[0].item()!r}")
+    print(f"height_threshold: {report.height_threshold[0].item()!r}")
     return 0
 
 

@@ -468,14 +468,14 @@ def _block(
     if not np.isfinite(views).all():
         raise ValueError("smoothed values must be finite")
     rep_bands = bands * len(design.amplitude_grid)  # the rows of one replication
-    row_bands = rep_bands * len(reps)
     margins = [band.kernel.half_support_samples for band in rep_bands]
     grid = SampledRows(views, dt, base_mu.t0, margins * len(reps))
-    row_moments = [band.moments for band in row_bands]
-    cands = candidate_pvalues(find_local_maxima(grid), row_moments)
+    laws = [band.moments for band in bands]  # row r has law r % len(bands)
+    law = np.tile(np.arange(len(bands)), len(views) // len(bands))
+    cands = candidate_pvalues(find_local_maxima(grid), laws, law)
     procs, alpha = design.procedures, design.alpha
     peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
-    reports = dict(zip(peak, run_procedure(cands, alpha, row_moments, peak))) if peak else {}
+    reports = dict(zip(peak, run_procedure(cands, alpha, laws, law, peak))) if peak else {}
     # the other rules are scored as height rules, by each row's threshold
     thresholds = {p: [] for p in procs if p in _POINTWISE_RULES}
     if thresholds:
@@ -491,7 +491,7 @@ def _block(
     for p, per_rep in thresholds.items():
         reports[p] = height_rule_report(cands, np.concatenate(per_rep), alpha, p)
     reports = [reports[p] for p in procs]
-    outcome = score_trial(reports, cands, [band.regions for band in row_bands])
+    outcome = score_trial(reports, cands, [bands[i].regions for i in law])
 
     # each metric as a [bandwidth, amplitude, procedure, replication] array
     shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))

@@ -180,11 +180,14 @@ def estimate_template(
     Local maxima of the raw training data exceeding ``height_threshold``
     are aligned on their peak sample, windows of ``window`` samples are
     averaged, and the result is normalized to a maximum of 1.  Maxima too
-    close to the ends to yield a full window are skipped.
+    close to the ends to yield a full window are skipped.  A threshold of
+    ``-inf`` takes every maximum and ``inf`` none; NaN raises.
     """
     window = int(window)
     if window < 3:
         raise ValueError("window must be at least 3 samples")
+    if math.isnan(height_threshold):
+        raise ValueError("threshold must not be NaN")
     v = training.values
     n = v.size
     idx = np.flatnonzero(strict_local_maxima(v) & (v > height_threshold))

@@ -35,27 +35,32 @@ class Procedure(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Outcome of one testing procedure on one candidate set.
+    """Outcome of one testing procedure on a candidate set of one or more
+    rows, each row corrected on its own.
 
-    ``pvalue_cutoff`` is the realized rejection cutoff (1 when there were
-    no candidates, 0 when a step-up procedure rejected nothing) and
-    ``height_threshold`` is the equivalent threshold on peak heights
-    (``-inf`` when everything would be rejected, ``+inf`` when nothing
-    is).  ``step_index`` is the step-up count k for BH-type procedures
-    and 0 otherwise.  A report on a set of several rows (a batch) holds
-    these numbers as arrays, one entry per row.
+    The numbers are arrays, one entry per row.  ``pvalue_cutoff`` is the
+    realized rejection cutoff (1 on a row with no candidates, 0 where a
+    step-up procedure rejected nothing) and ``height_threshold`` is the
+    equivalent threshold on peak heights (``-inf`` when everything would
+    be rejected, ``+inf`` when nothing is).  ``step_index`` is the step-up
+    count k for BH-type procedures and 0 otherwise.
     """
 
     procedure: Procedure
     alpha: float
     rejected: CandidateSet
-    pvalue_cutoff: float
-    height_threshold: float
-    num_candidates: int
-    step_index: int = 0
+    pvalue_cutoff: np.ndarray
+    height_threshold: np.ndarray
+    num_candidates: np.ndarray
+    step_index: np.ndarray
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        numbers = (self.pvalue_cutoff, self.height_threshold, self.step_index)
+        if np.ndim(self.num_candidates) != 1 or any(
+            np.shape(x) != np.shape(self.num_candidates) for x in numbers
+        ):
+            raise ValueError("report numbers must be 1-D arrays, one entry per row")
         if np.any(np.less(self.num_candidates, 0)):
             raise ValueError("num_candidates must be non-negative")
         if len(self.rejected) > np.sum(self.num_candidates):
@@ -65,49 +70,55 @@ class DetectionReport:
     def num_rejected(self) -> int:
         return len(self.rejected)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, row: int | None = None) -> dict:
+        """One row's numbers and rejections; ``row`` may be left out on a
+        one-row report only."""
+        row = self._row(row)
+        entries = self._entries(row)
         return {
             "procedure": self.procedure.value,
             "alpha": self.alpha,
-            "num_candidates": self.num_candidates,
-            "num_rejected": self.num_rejected,
-            "pvalue_cutoff": _json_float(self.pvalue_cutoff),
-            "height_threshold": _json_float(self.height_threshold),
-            "step_index": self.step_index,
+            "num_candidates": int(self.num_candidates[row]),
+            "num_rejected": len(entries),
+            "pvalue_cutoff": _json_float(self.pvalue_cutoff[row]),
+            "height_threshold": _json_float(self.height_threshold[row]),
+            "step_index": int(self.step_index[row]),
             "rejected": [
-                {
-                    "index": int(i),
-                    "time": float(t),
-                    "height": float(h),
-                    "pvalue": None if p is None else float(p),
-                }
-                for i, t, h, p in _iter_entries(self.rejected)
+                {"index": i, "time": t, "height": h, "pvalue": p}
+                for i, t, h, p in entries
             ],
         }
 
-    def rejected_csv_lines(self) -> list[str]:
-        """Rows of the rejected-peaks table (index, time, height, pvalue)."""
+    def rejected_csv_lines(self, row: int | None = None) -> list[str]:
+        """The rejected-peaks table (index, time, height, pvalue) of one
+        row; ``row`` may be left out on a one-row report only."""
         lines = ["index,time,height,pvalue"]
-        for i, t, h, p in _iter_entries(self.rejected):
-            ptxt = "" if p is None else repr(float(p))
-            lines.append(f"{int(i)},{float(t)!r},{float(h)!r},{ptxt}")
+        for i, t, h, p in self._entries(self._row(row)):
+            lines.append(f"{i},{t!r},{h!r},{'' if p is None else repr(p)}")
         return lines
 
+    def _row(self, row: int | None) -> int:
+        rows = len(self.num_candidates)
+        if row is None and rows != 1:
+            raise ValueError(f"the report has {rows} rows; name the row to write")
+        row = 0 if row is None else row
+        if not 0 <= row < rows:
+            raise ValueError(f"row {row} is outside the report's {rows} rows")
+        return row
 
-def _iter_entries(cands: CandidateSet):
-    pv = cands.pvalues
-    for row in range(len(cands)):
-        yield (
-            cands.indices[row],
-            cands.locations[row],
-            cands.heights[row],
-            None if pv is None else pv[row],
-        )
+    def _entries(self, row: int) -> list[tuple]:
+        """``(index, time, height, pvalue)`` of each rejection in ``row``, as
+        Python numbers; the p-value is None where none is attached."""
+        chosen = self.rejected.select(self.rejected.rows == row)
+        p = [None] * len(chosen) if chosen.pvalues is None else chosen.pvalues.tolist()
+        fields = (chosen.indices, chosen.locations, chosen.heights)
+        return list(zip(*(f.tolist() for f in fields), p))
 
 
-def _json_float(x: float):
+def _json_float(x):
+    x = float(x)
     if np.isfinite(x):
-        return float(x)
+        return x
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
@@ -153,41 +164,36 @@ def _per_row(x, what: str) -> None:
 def run_procedure(
     candidates: CandidateSet,
     alpha: float,
-    moments: NoiseMoments | Sequence[NoiseMoments],
-    procedure: Procedure | Sequence[Procedure],
-) -> DetectionReport | list[DetectionReport]:
-    """Bonferroni or BH on a candidate set, as a :class:`DetectionReport`.
+    moments: Sequence[NoiseMoments],
+    law,
+    procedures: Sequence[Procedure],
+) -> list[DetectionReport]:
+    """Bonferroni or BH on a candidate set: one :class:`DetectionReport`
+    per entry of ``procedures``, each row corrected on its own.
 
-    Each row rejects the p-values strictly below its :func:`_cutoff`, so
-    ties at the cutoff never are.  ``candidates`` may also hold several
-    rows, with ``moments`` one :class:`NoiseMoments` per row and
-    ``procedure`` a sequence: the result is then one batch report per
-    procedure, each row corrected on its own.  The height thresholds of
-    every (procedure, row) pair come from one :func:`palm_quantile` call.
-    A single set and procedure run as a batch of one.
+    ``law`` holds one index into ``moments`` per row, naming the row's
+    null law.  Each row rejects the p-values strictly below its
+    :func:`_cutoff`, so ties at the cutoff never are.  The height
+    thresholds of every (procedure, row) pair come from one
+    :func:`palm_quantile` call.
     """
-    single = isinstance(procedure, Procedure)
-    if single:
-        moments, procedure = [moments], [procedure]
-    else:
-        _per_row(moments, "NoiseMoments")
-    for proc in procedure:
+    _per_row(law, "law index")
+    if isinstance(procedures, Procedure):
+        raise ValueError("procedures must be a sequence of Procedure")
+    for proc in procedures:
         if proc not in (Procedure.BONFERRONI, Procedure.BH):
             raise ValueError(f"{proc} is not a candidate-level procedure")
-    cuts = [_cutoff(candidates, alpha, proc, len(moments)) for proc in procedure]
+    cuts = [_cutoff(candidates, alpha, proc, len(law)) for proc in procedures]
     cutoffs = np.array([cutoff for cutoff, _, _ in cuts])
     thresholds = np.full(cutoffs.shape, np.inf)
     solve = cutoffs > 0.0
     rows = np.nonzero(solve)[1]
-    thresholds[solve] = palm_quantile([moments[r] for r in rows], cutoffs[solve])
+    thresholds[solve] = palm_quantile(moments, np.asarray(law)[rows], cutoffs[solve])
     reports = []
-    for proc, (cutoff, k, m), threshold in zip(procedure, cuts, thresholds):
-        numbers = (cutoff, threshold, m, k)
-        if single:  # a lone set's report holds its one row's numbers as scalars
-            numbers = [x[0].item() for x in numbers]
+    for proc, (cutoff, k, m), threshold in zip(procedures, cuts, thresholds):
         rejected = candidates.select(candidates.pvalues < cutoff[candidates.rows])
-        reports.append(DetectionReport(proc, alpha, rejected, *numbers))
-    return reports[0] if single else reports
+        reports.append(DetectionReport(proc, alpha, rejected, cutoff, threshold, m, k))
+    return reports
 
 
 def asymptotic_thresholds(
@@ -201,11 +207,11 @@ def asymptotic_thresholds(
     positive_finite("peak_rate", peak_rate)
     maxima_density = expected_maxima_density(moments)
     bh_arg = alpha * peak_rate / (peak_rate + maxima_density * (1.0 - alpha))
-    bh = palm_quantile(moments, bh_arg)
+    bh = palm_quantile([moments], 0, [bh_arg]).item()
 
     def bonferroni_for_length(domain_length: float) -> float:
         positive_finite("domain_length", domain_length)
         arg = (alpha / domain_length) / (peak_rate + maxima_density)
-        return palm_quantile(moments, min(arg, 1.0))
+        return palm_quantile([moments], 0, [min(arg, 1.0)]).item()
 
     return bh, bonferroni_for_length

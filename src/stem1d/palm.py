@@ -17,7 +17,7 @@ the global null and conservative where signal is present.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -60,125 +60,111 @@ def bisect_decreasing(f, target, lo, hi):
     return lo, hi
 
 
-class _Stacked(NamedTuple):
-    """Coefficients of the survivor function: floats for one
-    :class:`NoiseMoments`, or arrays holding several, one entry each.
+def _coefficients(moments: Sequence[NoiseMoments], law) -> np.ndarray:
+    """The survivor function's coefficients ``(sigma, a1, a2, c1)`` of each
+    entry of ``law``, an index into ``moments``, as four contiguous rows of
+    one array.
 
     With ``Delta = sigma2 * lambda4 - lambda2^2`` the survivor function is
     ``ndtr(-a1 u) + c1 phi(u / sigma) ndtr(a2 u)``, where
-
-    - ``sigma = sqrt(sigma2)``;
-    - ``a1 = sqrt(lambda4 / Delta)``;
-    - ``a2 = sqrt(lambda2^2 / (Delta sigma2))``;
-    - ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.
+    ``a1 = sqrt(lambda4 / Delta)``, ``a2 = sqrt(lambda2^2 / (Delta sigma2))``
+    and ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.  Each law's are
+    worked out once, with Python floats on purpose: numpy's ``x * x`` and
+    Python's ``x**2`` can differ in the last bit, which would move the
+    p-values.  A lone :class:`NoiseMoments`, or an index that is not an
+    integer in ``[0, len(moments))``, raises.
     """
-
-    sigma: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    c1: np.ndarray
-
-    @classmethod
-    def of(cls, moments: Sequence[NoiseMoments]) -> "_Stacked":
-        """One entry per entry of ``moments``, worked out once per object."""
-        first: dict[int, int] = {}  # id of each distinct object -> its row
-        rows = [first.setdefault(id(m), len(first)) for m in moments]
-        table = [_coefficients(m) for m in {id(m): m for m in moments}.values()]
-        return cls(*np.reshape(table, (-1, len(cls._fields)))[rows].T.copy())
-
-
-def _coefficients(m: NoiseMoments) -> _Stacked:
-    """The coefficients of ``m`` as Python floats.  The formulas stay
-    scalar on purpose: numpy's ``x * x`` and Python's ``x**2`` can differ
-    in the last bit, which would move the p-values."""
-    delta = m.delta
-    return _Stacked(
-        m.sigma,
-        math.sqrt(m.lambda4 / delta),
-        math.sqrt(m.lambda2**2 / (delta * m.sigma2)),
-        math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2)),
+    if isinstance(moments, NoiseMoments):
+        raise ValueError("moments must be a sequence of NoiseMoments, indexed by law")
+    law = np.asarray(law)
+    if law.size and not (
+        law.dtype.kind in "iu" and 0 <= law.min() and law.max() < len(moments)
+    ):
+        raise ValueError(f"law indices must be integers in [0, {len(moments)})")
+    table = np.array(
+        [
+            [m.sigma for m in moments],
+            [math.sqrt(m.lambda4 / m.delta) for m in moments],
+            [math.sqrt(m.lambda2**2 / (m.delta * m.sigma2)) for m in moments],
+            [
+                math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
+                for m in moments
+            ],
+        ]
     )
+    # take, not table[:, law], whose rows would be strided; an empty law may be float
+    return np.take(table, law.astype(np.intp, copy=False), axis=1)
 
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
 
-def palm_survival(moments: NoiseMoments, u):
-    """P(height of a random local maximum > u); vectorized over ``u``.
+def palm_survival(moments: Sequence[NoiseMoments], law, u):
+    """P(height of a random local maximum > u), under the law
+    ``moments[law]``; ``law`` broadcasts against ``u``, so each entry of
+    ``u`` may have a law of its own.
 
     Evaluated in complementary form throughout, so there is no
-    cancellation in the upper tail.  A float ``u`` is evaluated as a 0-d
-    array and returns a float.
-
-    ``moments`` may also be stacked coefficients, one entry per entry of
-    ``u`` (as :func:`palm_quantile` passes for a batch); every entry is
-    then evaluated with its own coefficients, by the same ufuncs in the
-    same order, so each entry has the bits of a call with its own
-    :class:`NoiseMoments`.
+    cancellation in the upper tail.  Every entry is evaluated by the same
+    ufuncs in the same order, so it has the bits of a call on it alone.
+    A 0-d ``u`` and ``law`` return a float.
     """
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    coef = moments if isinstance(moments, _Stacked) else _coefficients(moments)
     with np.errstate(over="ignore"):  # phi of a huge u is exp(-inf), exactly 0
-        out = _survival(coef, u)
+        out = _survival(_coefficients(moments, law), u)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _survival(coef: _Stacked, u: np.ndarray) -> np.ndarray:
+def _survival(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`palm_survival` of a finite array ``u``, unchecked."""
-    a1, a2, c1, sigma = coef.a1, coef.a2, coef.c1, coef.sigma
+    sigma, a1, a2, c1 = coef
     return ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
 
 
-def palm_quantile(moments, v):
-    """Height u with ``palm_survival(u) = v`` for v in (0, 1].
+def palm_quantile(moments: Sequence[NoiseMoments], law, v) -> np.ndarray:
+    """Heights u with ``palm_survival(moments, law, u) = v``, one per entry
+    of the 1-D array ``v``, each in (0, 1]; ``law`` broadcasts against it.
 
-    ``v = 1`` returns ``-inf`` (every height exceeds the threshold).
-    Solved by bisection on an expanding bracket; the survivor function
-    is continuous and strictly decreasing, so this is unconditionally
-    convergent.
-
-    ``v`` is a float with one :class:`NoiseMoments`, which returns a
-    float, or a 1-D array with a sequence of them, one per entry, which
-    returns an array.  Either way the entries are solved in step: each
-    one expands its bracket from +-10 sigma and bisects it, stopping on
-    its own, while every step evaluates the survivor function for all
-    entries in one array pass.  Any entry outside (0, 1] raises.
+    ``v = 1`` gives ``-inf`` (every height exceeds the threshold).  The
+    other entries are solved in step: each one expands its bracket from
+    +-10 sigma by doubling and bisects it, stopping on its own, while every
+    step evaluates the survivor function for all entries in one array
+    pass.  The survivor function is continuous and strictly decreasing, so
+    this always converges.  Any entry outside (0, 1] raises.
     """
-    scalar = not np.ndim(v)
-    if scalar:
-        moments, v = [moments], [v]
     v = np.asarray(v, dtype=np.float64)
     bad = ~((0.0 < v) & (v <= 1.0))
     if bad.any():
         raise ValueError(f"v must lie in (0, 1], got {float(v[bad][0])!r}")
-    if v.ndim != 1 or isinstance(moments, NoiseMoments) or len(moments) != v.size:
-        raise ValueError("v must be 1-D, and a batch needs one NoiseMoments per entry")
-    out = np.full(v.shape, -np.inf)
+    if v.ndim != 1:
+        raise ValueError("v must be 1-D")
     solve = v < 1.0
-    coef = _Stacked.of([m for m, s in zip(moments, solve) if s])
-    target = v[solve]
-    hi = 10.0 * coef.sigma
+    law = np.broadcast_to(law, v.shape)
+    coef = _coefficients(moments, law).compress(solve, axis=1)
+    law, target = law[solve], v[solve]
+    hi = 10.0 * coef[0]
     for _ in range(200):
-        done = palm_survival(coef, hi) < target
+        done = palm_survival(moments, law, hi) < target
         if done.all():
             break
         hi = np.where(done, hi, hi * 2.0)
-    lo = -10.0 * coef.sigma
+    lo = -10.0 * coef[0]
     for _ in range(200):
-        done = palm_survival(coef, lo) > target
+        done = palm_survival(moments, law, lo) > target
         if done.all():
             break
         lo = np.where(done, lo, lo * 2.0)
     if not np.isfinite(lo + hi).all():  # then every midpoint is finite
         raise ValueError("no finite bracket for the quantile")
     lo, hi = bisect_decreasing(lambda u: _survival(coef, u), target, lo, hi)
+    out = np.full(v.shape, -np.inf)
     out[solve] = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def expected_maxima_density(moments: NoiseMoments) -> float:
@@ -187,16 +173,13 @@ def expected_maxima_density(moments: NoiseMoments) -> float:
 
 
 def candidate_pvalues(
-    candidates: CandidateSet, moments: NoiseMoments | Sequence[NoiseMoments]
+    candidates: CandidateSet, moments: Sequence[NoiseMoments], law
 ) -> CandidateSet:
-    """Attach peak-height p-values to a candidate set.  One
-    :class:`NoiseMoments` serves every entry; with a sequence, one per row,
-    each entry gets its row's, and a row past the sequence's end raises."""
-    if isinstance(moments, NoiseMoments):
-        moments = [moments]
-    else:
-        candidates.row_counts(len(moments))
-    coef = _Stacked.of(moments)
-    if len(moments) > 1:  # else the one row's coefficients broadcast
-        coef = _Stacked(*(c[candidates.rows] for c in coef))
-    return candidates.with_pvalues(clip_pvalues(palm_survival(coef, candidates.heights)))
+    """Attach peak-height p-values to a candidate set.  ``law`` holds one
+    index into ``moments`` per row; a row past its end raises."""
+    law = np.asarray(law)
+    if law.ndim != 1:
+        raise ValueError("law must hold one index per row")
+    candidates.row_counts(law.size)
+    p = palm_survival(moments, law[candidates.rows], candidates.heights)
+    return candidates.with_pvalues(clip_pvalues(p))

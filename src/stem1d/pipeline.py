@@ -71,6 +71,6 @@ def stem_detect(
     candidates = find_local_maxima(smoothed)
     if not len(candidates) and np.ptp(smoothed.interior) == 0:
         raise DegenerateSequenceError("sequence carries no usable variation")
-    candidates = candidate_pvalues(candidates, moments)
-    report = run_procedure(candidates, alpha, moments, procedure)
+    candidates = candidate_pvalues(candidates, [moments], [0])
+    (report,) = run_procedure(candidates, alpha, [moments], [0], [procedure])
     return StemResult(report=report, smoothed=smoothed, candidates=candidates)

@@ -76,12 +76,13 @@ def test_01_peak_height_distribution():
     n = int(round(1e6 / dt))
     for gamma in (1.0, 3.0):
         params = closed_form_moments(WHITE, gamma)
-        assert palm_survival(params, 0.0) == pytest.approx(
+        assert palm_survival([params], 0, 0.0) == pytest.approx(
             0.5 + 0.5 / math.sqrt(3.0), abs=1e-9
         )
         seq = generate_noise(WHITE, gamma, n, dt, seed=7)
         heights = find_local_maxima(seq).heights
-        ks = stats.kstest(heights, lambda u: 1.0 - palm_survival(params, u)).statistic
+        law = lambda u: 1.0 - palm_survival([params], 0, u)  # noqa: E731
+        ks = stats.kstest(heights, law).statistic
         print(f"[01] gamma={gamma}: {heights.size} maxima, KS={ks:.5f}")
         assert ks < 0.01
     elapsed = time.monotonic() - start
@@ -200,16 +201,17 @@ def test_09_correction_oracles_and_thresholds():
         cands = CandidateSet(
             np.arange(m), np.arange(m, dtype=float), 1.0 - p, p
         )
-        rep = run_procedure(cands, alpha, params, Procedure.BH)
+        rep, bon = run_procedure(
+            cands, alpha, [params], [0], [Procedure.BH, Procedure.BONFERRONI]
+        )
         ordered = np.sort(p)
         k = 0
         for i in range(1, m + 1):
             if ordered[i - 1] < i * alpha / m:
                 k = i
-        assert rep.step_index == k
+        assert rep.step_index[0] == k
         want = set(np.flatnonzero(p < k * alpha / m)) if k else set()
         assert set(rep.rejected.indices) == want
-        bon = run_procedure(cands, alpha, params, Procedure.BONFERRONI)
         assert set(bon.rejected.indices) == set(np.flatnonzero(p < alpha / m))
     print("[09] 10000 p-vectors matched the enumeration oracle")
 

@@ -123,10 +123,11 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
             cands, 0.05, Procedure.POINTWISE_BONFERRONI, [UNIT_MOMENTS]
         )
         pw_bh = pointwise_correct(cands, 0.05, Procedure.POINTWISE_BH, [UNIT_MOMENTS])
-        bon = run_procedure(cands, 0.05, moments, Procedure.BONFERRONI)
-        assert pw_bon.pvalue_cutoff[0] == bon.pvalue_cutoff
-        bh = run_procedure(cands, 0.05, moments, Procedure.BH)
-        assert pw_bh.step_index[0] == bh.step_index
+        bon, bh = run_procedure(
+            cands, 0.05, [moments], [0], [Procedure.BONFERRONI, Procedure.BH]
+        )
+        assert pw_bon.pvalue_cutoff[0] == bon.pvalue_cutoff[0]
+        assert pw_bh.step_index[0] == bh.step_index[0]
         assert pw_bh.num_rejected == bh.num_rejected
         np.testing.assert_array_equal(pw_bh.rejected.indices, bh.rejected.indices)
 
@@ -174,8 +175,10 @@ _TWO_ROWS = CandidateSet(
     rows=np.array([0, 0, 1]),
 )
 _ONE_ROW_CALLS = {
-    "bonferroni": lambda c: run_procedure(c, 0.05, UNIT_MOMENTS, Procedure.BONFERRONI),
-    "bh": lambda c: run_procedure(c, 0.05, UNIT_MOMENTS, Procedure.BH),
+    "bonferroni": lambda c: run_procedure(
+        c, 0.05, [UNIT_MOMENTS], [0], [Procedure.BONFERRONI]
+    ),
+    "bh": lambda c: run_procedure(c, 0.05, [UNIT_MOMENTS], [0], [Procedure.BH]),
     "height_rule": lambda c: height_rule_report(
         c, np.array([2.5]), 0.05, Procedure.SUPREMUM
     ),

@@ -493,6 +493,26 @@ def test_estimate_template_failures(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold,code", [("-inf", 0), ("inf", 4)])
+def test_estimate_template_infinite_threshold(tmp_path, capsys, threshold, code):
+    # -inf takes every maximum (the four spikes here), inf takes none
+    train = tmp_path / "train.csv"
+    _write_training(train)
+    out = tmp_path / "template.csv"
+    argv = [
+        "estimate-template", "--input", str(train),
+        f"--threshold={threshold}", "--window", "11", "--output", str(out),
+    ]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == "error: no usable spikes found (count=0)\n"
+        assert not out.exists()
+    else:
+        assert "template_samples: 11" in captured.out
+        assert load_kernel_csv(out).center_index == 5
+
+
 def test_template_grid_mismatch(tmp_path, capsys):
     train = tmp_path / "train.csv"
     _write_training(train, dt=0.5)
@@ -664,6 +684,11 @@ _INF_PEAK = {
         ("detect", ["--kernel", "quartic", "--gamma", "inf"], "gamma must be positive"),
         ("detect", ["--gamma", "3", "--trunc", "inf"], "trunc must be positive"),
         ("estimate-noise", ["--gamma", "inf"], "gamma must be positive"),
+        (
+            "estimate-template",
+            ["--threshold", "nan", "--window", "11"],
+            "threshold must not be NaN",
+        ),
         ("simulate", {"gamma_grid": [math.inf]}, "gamma_grid[0] must be positive"),
         ("simulate", {"domain_length": math.inf}, "domain_length must be positive"),
         ("simulate", {"amplitude_grid": [math.nan]}, "amplitude_grid[0] must be positive"),
@@ -673,6 +698,7 @@ _INF_PEAK = {
     ],
     ids=[
         "gaussian-gamma", "quartic-gamma", "trunc", "estimate-noise-gamma",
+        "estimate-template-threshold",
         "gamma-grid", "domain-length", "amplitude-grid-nan", "amplitude-grid-inf",
         "peak-amplitude", "noise-nu",
     ],

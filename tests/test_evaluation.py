@@ -563,7 +563,7 @@ class _RefView:
     def __init__(self, band, smoothed):
         self.band = band
         self.smoothed = smoothed
-        self.cands = candidate_pvalues(find_local_maxima(smoothed), band.moments)
+        self.cands = candidate_pvalues(find_local_maxima(smoothed), [band.moments], [0])
 
     @property
     def samples(self):
@@ -574,7 +574,8 @@ class _RefView:
 
 def _ref_candidate_rule(views, proc, design):
     return [
-        run_procedure(view.cands, design.alpha, view.band.moments, proc) for view in views
+        run_procedure(view.cands, design.alpha, [view.band.moments], [0], [proc])[0]
+        for view in views
     ]
 
 

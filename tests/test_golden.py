@@ -1,5 +1,5 @@
 """Golden outputs, bit for bit: sweep CSVs, root finders, moment estimates,
-preset designs and peak-shape densities.
+preset designs, peak-shape densities and the outputs of CLI ``detect``.
 
 The digests are sha256 of ``"\\n".join(csv_lines())`` for a preset at a
 small replication count and seed 7; those at 4 and 10 replications also
@@ -27,10 +27,12 @@ from stem1d import (
     NoiseMoments,
     PeakSpec,
     Procedure,
+    SampledSequence,
     SignalSpec,
     SimulationDesign,
     TriangularShape,
     TruncatedGaussianShape,
+    closed_form_moments,
     convolve,
     estimate_moments,
     gaussian_kernel,
@@ -40,8 +42,9 @@ from stem1d import (
     run_sweep,
     supremum_threshold,
 )
+from stem1d.cli import main
 from stem1d.evaluation import _cell_moments
-from stem1d.seriesio import design_to_json_dict
+from stem1d.seriesio import design_to_json_dict, write_moments_json, write_series
 
 SWEEP_DIGESTS = {
     ("sim31", 4): "dc4541ae65b852144f6b9e0d1d33f0f91c8376cc2f4de9aeeebb86fc018b114b",
@@ -148,7 +151,7 @@ MOMENTS = {
     "near_degenerate": NoiseMoments(1.0, 1.0, 1.0000001),
 }
 
-# (moments, v) -> palm_quantile(moments, v).hex()
+# (moments, v) -> palm_quantile([moments], 0, [v])[0] as hex
 QUANTILES = {
     ("unit", 0.999): "-0x1.003f832f6e0cap+1",
     ("unit", 0.5): "0x1.6ed336ae8219ep-1",
@@ -190,17 +193,19 @@ SUPREMUM = {
 
 def test_palm_quantile_bits():
     got = {
-        (name, v): palm_quantile(MOMENTS[name], v).hex()
+        (name, v): palm_quantile([MOMENTS[name]], 0, [v]).item().hex()
         for name, v in QUANTILES
     }
     assert got == QUANTILES
 
 
 def test_palm_quantile_batched_bits():
-    # every entry in one mixed batch: each keeps its float call's bits
+    # every entry in one mixed batch, each naming its law: each keeps the
+    # bits of its one-entry call
     keys = list(QUANTILES)
-    moments = [MOMENTS[name] for name, _ in keys]
-    got = palm_quantile(moments, np.array([v for _, v in keys]))
+    names = sorted(MOMENTS)
+    law = [names.index(name) for name, _ in keys]
+    got = palm_quantile([MOMENTS[n] for n in names], law, np.array([v for _, v in keys]))
     assert {key: u.hex() for key, u in zip(keys, got.tolist())} == QUANTILES
 
 
@@ -335,3 +340,63 @@ def test_shape_density_bits(index):
     got = shape.density(t)
     assert got.dtype == np.float64
     assert got.tobytes() == reference(t).tobytes()
+
+
+# CLI ``detect`` on one seeded series: three Gaussian bumps of mass 20
+# in unit white noise, smoothed at gamma=3.  Each case runs in its own
+# directory with relative paths, so the provenance in both files is fixed.
+# case -> (flags, stdout, sha256 of the report JSON, sha256 of the peaks CSV)
+DETECT_CASES = {
+    "bh": (
+        ["--procedure", "bh", "--alpha", "0.05"],
+        "candidates: 36\nrejected: 4\n"
+        "pvalue_cutoff: 0.005555555555555556\nheight_threshold: 0.9346541552760661\n",
+        "202d660e686465a6d1f3860a1013d972dcab01cb714ddfff67a6d687e8841c7d",
+        "b7bcbc6c753937ca8aae0aa563b995d02aefe3340f1a25d61e3e4d8b1d7d50d9",
+    ),
+    "bonferroni": (
+        ["--procedure", "bonferroni", "--alpha", "0.05"],
+        "candidates: 36\nrejected: 2\n"
+        "pvalue_cutoff: 0.001388888888888889\nheight_threshold: 1.0649482373976111\n",
+        "4ac2bd07f514bb1e8697d2d7a127c4f13aaf14de89d19d9a12a5c734c8324e98",
+        "2c1ad8011c3a606722302fee6caa1c9419b0761d14d8964727192a03fde49b41",
+    ),
+    "bh-rejects-nothing": (
+        ["--procedure", "bh", "--alpha", "1e-12"],
+        "candidates: 36\nrejected: 0\npvalue_cutoff: 0.0\nheight_threshold: inf\n",
+        "d137f79396217451af01a5a08c6ad82460d4c3e4a6ad384e6e50690ec5d7f3c9",
+        "d0bd8179eab4897b99c2fa7409c37aebbdbd5f73bbd1a27a135b4a67bde98a1f",
+    ),
+}
+
+
+def _detect_series() -> SampledSequence:
+    raw = generate_noise(GaussianAcvfParams(1.0, 0.0), 0.0, 600, 1.0, seed=51)
+    values = raw.values.copy()
+    k = np.arange(-9, 10)
+    for center in (150, 320, 470):
+        values[center - 9:center + 10] += 20.0 * np.exp(-((k / 3.0) ** 2) / 2) / (
+            3.0 * math.sqrt(2.0 * math.pi)
+        )
+    return raw.with_values(values)
+
+
+@pytest.mark.parametrize("case", sorted(DETECT_CASES))
+def test_cli_detect_outputs(case, tmp_path, monkeypatch, capsys):
+    flags, stdout, report_digest, peaks_digest = DETECT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_series(_detect_series(), "series.csv")
+    moments = closed_form_moments(GaussianAcvfParams(1.0, 0.0), 3.0)
+    write_moments_json(moments, "moments.json")
+    argv = [
+        "detect", "--input", "series.csv", "--gamma", "3", "--moments", "moments.json",
+        *flags, "--report-json", "report.json", "--peaks-csv", "peaks.csv",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == report_digest
+    peaks = (tmp_path / "peaks.csv").read_bytes()
+    assert hashlib.sha256(peaks).hexdigest() == peaks_digest
+    threshold = json.loads(report)["height_threshold"]
+    assert (threshold == "inf") == (case == "bh-rejects-nothing")

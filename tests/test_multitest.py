@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stem1d import (
     CandidateSet,
+    DetectionReport,
     GaussianAcvfParams,
     Procedure,
     SampledRows,
@@ -39,8 +40,14 @@ def _cands(pvalues):
     n = p.size
     # heights consistent with the p-values so threshold checks line up,
     # solved in one batch
-    heights = palm_quantile([MOMENTS] * n, p)
+    heights = palm_quantile([MOMENTS], 0, p)
     return CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights, p)
+
+
+def _run(cands, alpha, procedure):
+    """The report of one procedure on a one-row set under MOMENTS."""
+    (report,) = run_procedure(cands, alpha, [MOMENTS], [0], [procedure])
+    return report
 
 
 def _bh_brute_force(p, alpha):
@@ -55,26 +62,26 @@ def _bh_brute_force(p, alpha):
 
 
 def test_bonferroni_small_cases():
-    rep = run_procedure(_cands([0.001, 0.012, 0.6]), 0.05, MOMENTS, BON)
-    assert rep.num_candidates == 3
-    assert rep.pvalue_cutoff == pytest.approx(0.05 / 3)
+    rep = _run(_cands([0.001, 0.012, 0.6]), 0.05, BON)
+    assert rep.num_candidates[0] == 3
+    assert rep.pvalue_cutoff[0] == pytest.approx(0.05 / 3)
     assert rep.num_rejected == 2
-    assert rep.step_index == 0
+    assert rep.step_index[0] == 0
     np.testing.assert_array_equal(rep.rejected.indices, [0, 1])
     # the height threshold is the quantile of the cutoff
-    assert palm_survival(MOMENTS, rep.height_threshold) == pytest.approx(
-        rep.pvalue_cutoff, rel=1e-9
+    assert palm_survival([MOMENTS], 0, rep.height_threshold[0]) == pytest.approx(
+        rep.pvalue_cutoff[0], rel=1e-9
     )
-    assert np.all(rep.rejected.heights > rep.height_threshold)
+    assert np.all(rep.rejected.heights > rep.height_threshold[0])
 
 
 def test_bh_step_up_textbook_case():
     p = [0.001, 0.008, 0.035, 0.039, 0.6]
-    rep = run_procedure(_cands(p), 0.05, MOMENTS, BH)
+    rep = _run(_cands(p), 0.05, BH)
     # steps i alpha/m are .01, .02, .03, .04, .05; step 3 fails
     # (0.035 > 0.03) but step 4 passes, so the step-up keeps all four
-    assert rep.step_index == 4
-    assert rep.pvalue_cutoff == pytest.approx(4 * 0.05 / 5)
+    assert rep.step_index[0] == 4
+    assert rep.pvalue_cutoff[0] == pytest.approx(4 * 0.05 / 5)
     assert rep.num_rejected == 4
 
 
@@ -90,9 +97,9 @@ def test_bh_matches_brute_force_enumeration():
         else:
             p = np.clip(rng.uniform(size=m) * 0.08, 1e-12, 1)  # near the cutoffs
         alpha = float(rng.uniform(0.01, 0.2))
-        rep = run_procedure(_cands(p), alpha, MOMENTS, BH)
+        rep = _run(_cands(p), alpha, BH)
         k = _bh_brute_force(p, alpha)
-        assert rep.step_index == k
+        assert rep.step_index[0] == k
         want = int(np.sum(p < k * alpha / m)) if k else 0
         assert rep.num_rejected == want
 
@@ -102,8 +109,8 @@ def test_bonferroni_never_beats_bh():
     for _ in range(200):
         p = rng.uniform(size=int(rng.integers(1, 40))) ** 2
         cands = _cands(p)
-        bon = run_procedure(cands, 0.05, MOMENTS, BON)
-        bh = run_procedure(cands, 0.05, MOMENTS, BH)
+        bon = _run(cands, 0.05, BON)
+        bh = _run(cands, 0.05, BH)
         assert bon.num_rejected <= bh.num_rejected
         assert set(bon.rejected.indices) <= set(bh.rejected.indices)
 
@@ -133,17 +140,17 @@ PVALUES = st.lists(
 def test_rejected_set_grows_with_alpha(p, alpha, factor):
     cands = _cands_with_pvalues(p)
     for procedure in (Procedure.BONFERRONI, Procedure.BH):
-        small = run_procedure(cands, alpha, MOMENTS, procedure)
-        large = run_procedure(cands, min(alpha * factor, 0.999), MOMENTS, procedure)
+        small = _run(cands, alpha, procedure)
+        large = _run(cands, min(alpha * factor, 0.999), procedure)
         assert set(small.rejected.indices) <= set(large.rejected.indices)
 
 
 def test_order_invariance():
     p = [0.03, 0.001, 0.2, 0.012, 0.9]
-    forward = run_procedure(_cands(p), 0.05, MOMENTS, BH)
-    backward = run_procedure(_cands(p[::-1]), 0.05, MOMENTS, BH)
+    forward = _run(_cands(p), 0.05, BH)
+    backward = _run(_cands(p[::-1]), 0.05, BH)
     assert forward.num_rejected == backward.num_rejected
-    assert forward.pvalue_cutoff == backward.pvalue_cutoff
+    assert forward.pvalue_cutoff[0] == backward.pvalue_cutoff[0]
     np.testing.assert_allclose(
         np.sort(forward.rejected.pvalues), np.sort(backward.rejected.pvalues)
     )
@@ -151,40 +158,40 @@ def test_order_invariance():
 
 def test_empty_candidate_set():
     for proc in (Procedure.BONFERRONI, Procedure.BH):
-        rep = run_procedure(CandidateSet.empty(), 0.05, MOMENTS, proc)
+        rep = _run(CandidateSet.empty(), 0.05, proc)
         assert rep.procedure is proc
-        assert rep.num_candidates == 0
+        assert rep.num_candidates[0] == 0
         assert rep.num_rejected == 0
-        assert rep.pvalue_cutoff == 1.0
-        assert rep.height_threshold == -math.inf
+        assert rep.pvalue_cutoff[0] == 1.0
+        assert rep.height_threshold[0] == -math.inf
 
 
 def test_bh_rejecting_nothing():
-    rep = run_procedure(_cands([0.5, 0.8, 0.9]), 0.05, MOMENTS, BH)
-    assert rep.step_index == 0
-    assert rep.pvalue_cutoff == 0.0
-    assert rep.height_threshold == math.inf
+    rep = _run(_cands([0.5, 0.8, 0.9]), 0.05, BH)
+    assert rep.step_index[0] == 0
+    assert rep.pvalue_cutoff[0] == 0.0
+    assert rep.height_threshold[0] == math.inf
     assert rep.num_rejected == 0
 
 
 def test_strict_inequality_at_cutoff():
     # a p-value exactly at alpha/m is not rejected
-    rep = run_procedure(_cands([0.05 / 2, 0.9]), 0.05, MOMENTS, BON)
+    rep = _run(_cands([0.05 / 2, 0.9]), 0.05, BON)
     assert rep.num_rejected == 0
 
 
 def test_run_procedure_dispatch():
     cands = _cands([0.001])
-    assert run_procedure(cands, 0.05, MOMENTS, Procedure.BONFERRONI).procedure is (
+    assert _run(cands, 0.05, Procedure.BONFERRONI).procedure is (
         Procedure.BONFERRONI
     )
-    assert run_procedure(cands, 0.05, MOMENTS, Procedure.BH).procedure is Procedure.BH
+    assert _run(cands, 0.05, Procedure.BH).procedure is Procedure.BH
     with pytest.raises(ValueError):
-        run_procedure(cands, 0.05, MOMENTS, Procedure.SUPREMUM)
+        _run(cands, 0.05, Procedure.SUPREMUM)
 
 
 def test_report_serialization():
-    rep = run_procedure(_cands([0.001, 0.7]), 0.05, MOMENTS, BH)
+    rep = _run(_cands([0.001, 0.7]), 0.05, BH)
     data = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
     assert data["procedure"] == "bh"
     assert data["num_candidates"] == 2
@@ -195,7 +202,7 @@ def test_report_serialization():
     assert lines[0] == "index,time,height,pvalue"
     assert len(lines) == 2
     # infinities serialize as strings, not as invalid JSON tokens
-    empty = run_procedure(_cands([0.9]), 0.05, MOMENTS, BH)
+    empty = _run(_cands([0.9]), 0.05, BH)
     assert json.loads(json.dumps(empty.to_json_dict(), allow_nan=False))[
         "height_threshold"
     ] == "inf"
@@ -205,7 +212,7 @@ def test_asymptotic_thresholds():
     density = expected_maxima_density(MOMENTS)
     bh, bonferroni_for_length = asymptotic_thresholds(0.05, 0.01, MOMENTS)
     want_bh = 0.05 * 0.01 / (0.01 + density * 0.95)
-    assert palm_survival(MOMENTS, bh) == pytest.approx(want_bh, rel=1e-9)
+    assert palm_survival([MOMENTS], 0, bh) == pytest.approx(want_bh, rel=1e-9)
     # Bonferroni keeps climbing with the domain, BH does not move
     lengths = [1e2, 1e3, 1e4, 1e5]
     bons = [bonferroni_for_length(L) for L in lengths]
@@ -220,13 +227,24 @@ def test_asymptotic_thresholds():
 def test_missing_pvalues_rejected():
     naked = CandidateSet(np.array([0]), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        run_procedure(naked, 0.05, MOMENTS, BON)
+        _run(naked, 0.05, BON)
 
 
 def test_batch_refuses_one_bare_noise_moments():
     cands = _cands([0.01, 0.2])
-    with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        run_procedure(cands, 0.05, MOMENTS, [BH])
+    # the laws come as a sequence, with one law index per row and a
+    # sequence of procedures
+    with pytest.raises(ValueError, match="sequence of NoiseMoments"):
+        run_procedure(cands, 0.05, MOMENTS, [0], [BH])
+    with pytest.raises(ValueError, match="one law index per row"):
+        run_procedure(cands, 0.05, [MOMENTS], 0, [BH])
+    with pytest.raises(ValueError, match="sequence of Procedure"):
+        run_procedure(cands, 0.05, [MOMENTS], [0], BH)
+    with pytest.raises(ValueError, match=r"law indices must be integers in \[0, 1\)"):
+        run_procedure(cands, 0.05, [MOMENTS], [1], [BH])
+    # a set of no rows gives a report of no rows
+    (none,) = run_procedure(CandidateSet.empty(), 0.05, [MOMENTS], [], [BH])
+    assert none.num_candidates.shape == none.height_threshold.shape == (0,)
     rows = SampledRows(np.zeros((1, 5)), 1.0, 0.0, [1])
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
         pointwise_pvalues(rows, MOMENTS)
@@ -250,13 +268,13 @@ def test_underflowing_alpha_over_m_raises(procedure):
     cands = _cands([1e-310, 0.2, 0.5])
     message = r"^alpha / m underflows: alpha=5e-324, m=3$"
     with pytest.raises(ConfigurationError, match=message):
-        run_procedure(cands, 5e-324, MOMENTS, procedure)
+        _run(cands, 5e-324, procedure)
     # alpha / m at the smallest normal double still runs, as does no candidate
     tiny = np.finfo(np.float64).tiny
-    report = run_procedure(cands, 3 * tiny, MOMENTS, procedure)
-    assert report.pvalue_cutoff == tiny and report.num_rejected == 1
-    empty = run_procedure(CandidateSet.empty(), 5e-324, MOMENTS, procedure)
-    assert empty.pvalue_cutoff == 1.0
+    report = _run(cands, 3 * tiny, procedure)
+    assert report.pvalue_cutoff[0] == tiny and report.num_rejected == 1
+    empty = _run(CandidateSet.empty(), 5e-324, procedure)
+    assert empty.pvalue_cutoff[0] == 1.0
 
 
 WIDE = closed_form_moments(GaussianAcvfParams(2.0, 1.0), 3.0)
@@ -270,7 +288,7 @@ def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
     # rows are handed over shuffled, in one set
     cands = [_cands_with_pvalues(p) for p in pvalue_lists]
     cands += [CandidateSet.empty(), _cands_with_pvalues([0.5, 0.8, 0.9])]
-    params = [(MOMENTS, WIDE)[i % 2] for i in range(len(cands))]
+    law = [i % 2 for i in range(len(cands))]
     fields = [
         np.concatenate([getattr(c, name) for c in cands])
         for name in ("indices", "locations", "heights", "pvalues")
@@ -279,18 +297,50 @@ def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
     order = np.random.default_rng(len(rows)).permutation(len(rows))
     batch = CandidateSet(*(f[order] for f in fields), rows=rows[order])
     procedures = (Procedure.BONFERRONI, Procedure.BH)
-    batch_reports = run_procedure(batch, alpha, params, procedures)
+    batch_reports = run_procedure(batch, alpha, [MOMENTS, WIDE], law, procedures)
     for procedure, got in zip(procedures, batch_reports):
         assert got.procedure is procedure and got.alpha == alpha
         np.testing.assert_array_equal(got.num_candidates, [len(c) for c in cands])
-        for row, (c, p) in enumerate(zip(cands, params)):
-            want = run_procedure(c, alpha, p, procedure)
-            assert float(got.pvalue_cutoff[row]).hex() == want.pvalue_cutoff.hex()
-            assert float(got.height_threshold[row]).hex() == want.height_threshold.hex()
-            assert got.step_index[row] == want.step_index
+        for row, (c, index) in enumerate(zip(cands, law)):
+            (want,) = run_procedure(c, alpha, [(MOMENTS, WIDE)[index]], [0], [procedure])
+            assert got.pvalue_cutoff[row].hex() == want.pvalue_cutoff[0].hex()
+            assert got.height_threshold[row].hex() == want.height_threshold[0].hex()
+            assert got.step_index[row] == want.step_index[0]
             rejected = got.rejected.select(got.rejected.rows == row)
             for name in ("indices", "locations", "heights", "pvalues"):
                 np.testing.assert_array_equal(
                     getattr(rejected, name), getattr(want.rejected, name)
                 )
     assert got.step_index[-1] == 0 and got.num_candidates[-2] == 0
+
+
+def test_multi_row_report_writes_each_row_as_its_one_row_report():
+    # two rows of one BH batch, each written on its own: the JSON and the
+    # CSV of a row are those of the row's one-row report
+    rng = np.random.default_rng(11)
+    p = [rng.uniform(size=30) ** 3, rng.uniform(size=20) ** 2]
+    singles = [_cands(x) for x in p]
+    fields = [
+        np.concatenate([getattr(c, name) for c in singles])
+        for name in ("indices", "locations", "heights", "pvalues")
+    ]
+    rows = np.repeat([0, 1], [len(c) for c in singles])
+    (batch,) = run_procedure(
+        CandidateSet(*fields, rows=rows), 0.05, [MOMENTS], [0, 0], [BH]
+    )
+    for row, single in enumerate(singles):
+        want = _run(single, 0.05, BH)
+        assert want.num_rejected > 0
+        assert batch.to_json_dict(row) == want.to_json_dict()
+        assert batch.rejected_csv_lines(row) == want.rejected_csv_lines()
+    for write in (batch.to_json_dict, batch.rejected_csv_lines):
+        with pytest.raises(ValueError, match="the report has 2 rows"):
+            write()
+        for row in (2, -1):
+            with pytest.raises(ValueError, match=f"row {row} is outside"):
+                write(row)
+    # a report holds arrays only, all of one length
+    empty = CandidateSet.empty()
+    for numbers in ((1.0, math.inf, 0, 0), ([1.0], [math.inf], [0], [0, 0])):
+        with pytest.raises(ValueError, match="1-D arrays, one entry per row"):
+            DetectionReport(BH, 0.05, empty, *map(np.array, numbers))

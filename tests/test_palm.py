@@ -34,7 +34,7 @@ def test_survival_at_zero_is_model_free_constant():
     # F(0) = 1/2 + 1/(2 sqrt(3)) at every scale
     want = 0.5 + 0.5 / math.sqrt(3.0)
     for sigma, nu, gamma in [(1, 0, 1), (2, 0, 3), (1.5, 2.0, 0.5), (0.3, 0, 8)]:
-        assert palm_survival(_params(sigma, nu, gamma), 0.0) == pytest.approx(
+        assert palm_survival([_params(sigma, nu, gamma)], 0, 0.0) == pytest.approx(
             want, abs=1e-9
         )
 
@@ -42,41 +42,46 @@ def test_survival_at_zero_is_model_free_constant():
 def test_survival_is_decreasing_and_bounded():
     params = _params(gamma=2.0)
     u = np.linspace(-6.0, 6.0, 241) * params.sigma
-    out = palm_survival(params, u)
+    out = palm_survival([params], 0, u)
     assert out.shape == u.shape
     assert np.all(np.diff(out) < 0)
     assert np.all((out > 0) & (out < 1))
     with pytest.raises(ValueError):
-        palm_survival(params, np.array([0.0, np.inf]))
+        palm_survival([params], 0, np.array([0.0, np.inf]))
 
 
 def test_survival_of_huge_finite_heights_needs_no_overflow():
     # past about 1e154 sigma, phi(u / sigma) squares to inf and exp(-inf)
     # is exactly 0; the suite turns an overflow warning into an error
     params = _params()
-    assert palm_survival(params, 1e200) == 0.0
+    assert palm_survival([params], 0, 1e200) == 0.0
     huge = np.array([1e200, -1e300, np.finfo(np.float64).max])
-    np.testing.assert_array_equal(palm_survival(params, huge), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(palm_survival([params], 0, huge), [0.0, 1.0, 0.0])
 
 
 def test_survival_dominates_marginal():
     # a randomly picked maximum sits higher than a randomly picked sample
     params = _params(gamma=3.0)
     u = np.linspace(-5.0, 5.0, 101) * params.sigma
-    palm = palm_survival(params, u)
+    palm = palm_survival([params], 0, u)
     marginal = stats.norm.sf(u / params.sigma)
     assert np.all(palm >= marginal - 1e-12)
 
 
 def test_quantile_inverts_survival():
     params = _params(gamma=1.0)
-    for v in (1e-10, 1e-6, 1e-3, 0.05, 0.5, 0.7886751, 0.99, 0.9999999):
-        u = palm_quantile(params, v)
-        assert palm_survival(params, u) == pytest.approx(v, rel=1e-9)
-    assert palm_quantile(params, 1.0) == -math.inf
+    v = np.array([1e-10, 1e-6, 1e-3, 0.05, 0.5, 0.7886751, 0.99, 0.9999999])
+    u = palm_quantile([params], 0, v)
+    np.testing.assert_allclose(palm_survival([params], 0, u), v, rtol=1e-9)
+    assert palm_quantile([params], 0, [1.0]).tolist() == [-math.inf]
     for bad in (0.0, -0.1, 1.0000001):
         with pytest.raises(ValueError):
-            palm_quantile(params, bad)
+            palm_quantile([params], 0, [bad])
+
+
+def _quantile(m, v):
+    """The quantile of one level under one law, as a Python float."""
+    return palm_quantile([m], 0, [v]).item()
 
 
 PROPERTY = settings(max_examples=200)
@@ -97,10 +102,10 @@ def moments(draw):
 @given(moments(), st.floats(-60.0, 60.0))
 def test_survival_scalar_path_matches_array_path_bitwise(m, z):
     u = z * m.sigma
-    scalar = palm_survival(m, u)
+    scalar = palm_survival([m], 0, u)
     assert isinstance(scalar, float)
-    assert scalar.hex() == float(palm_survival(m, np.array([u]))[0]).hex()
-    assert scalar.hex() == palm_survival(m, np.array(u)).hex()
+    assert scalar.hex() == float(palm_survival([m], 0, np.array([u]))[0]).hex()
+    assert scalar.hex() == palm_survival([m], 0, np.array(u)).hex()
 
 
 @PROPERTY
@@ -108,7 +113,7 @@ def test_survival_scalar_path_matches_array_path_bitwise(m, z):
 def test_survival_inverts_quantile(m, decades):
     v = 10.0 ** -decades
     assume(v < 1.0)
-    assert palm_survival(m, palm_quantile(m, v)) == pytest.approx(v, rel=1e-9)
+    assert palm_survival([m], 0, _quantile(m, v)) == pytest.approx(v, rel=1e-9)
 
 
 def _scalar_quantile(params, v):
@@ -120,19 +125,19 @@ def _scalar_quantile(params, v):
     sigma = params.sigma
     hi = 10.0 * sigma
     for _ in range(200):
-        if palm_survival(params, hi) < v:
+        if palm_survival([params], 0, hi) < v:
             break
         hi *= 2.0
     lo = -10.0 * sigma
     for _ in range(200):
-        if palm_survival(params, lo) > v:
+        if palm_survival([params], 0, lo) > v:
             break
         lo *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if palm_survival(params, mid) > v:
+        if palm_survival([params], 0, mid) > v:
             lo = mid
         else:
             hi = mid
@@ -156,31 +161,54 @@ def _scalar_quantile(params, v):
 )
 def test_batched_quantile_matches_float_calls_bitwise(entries):
     # levels v in [1e-300, 1), then exactly 1, which must give -inf; the
-    # batch and each float call must both land on the reference's bits
+    # batch, each entry under its own law, and each one-entry call must
+    # all land on the reference's bits
     params = [m for m, _ in entries] + [_params()]
     v = [10.0 ** -decades for _, decades in entries] + [1.0]
-    got = palm_quantile(params, np.array(v))
+    got = palm_quantile(params, np.arange(len(v)), np.array(v))
     assert got.shape == (len(v),)
     assert got[-1] == -math.inf
     for p, level, u in zip(params, v, got.tolist()):
         want = _scalar_quantile(p, level).hex()
         assert u.hex() == want
-        assert palm_quantile(p, level).hex() == want
+        assert _quantile(p, level).hex() == want
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
 def test_batched_quantile_rejects_levels_as_float_call(bad):
     params = _params()
     with pytest.raises(ValueError) as single:
-        palm_quantile(params, bad)
+        palm_quantile([params], 0, [bad])
     with pytest.raises(ValueError) as batched:
-        palm_quantile([params, _params(gamma=3.0), params], np.array([0.5, bad, 0.1]))
+        palm_quantile([params, _params(gamma=3.0)], [0, 1, 0], np.array([0.5, bad, 0.1]))
     assert str(batched.value) == str(single.value)
 
 
 def test_batched_quantile_refuses_one_bare_noise_moments():
-    with pytest.raises(ValueError, match="one NoiseMoments per entry"):
-        palm_quantile(_params(), np.array([0.1, 0.2]))
+    # the laws come as a sequence, and every index must name one of them
+    m = _params()
+    cands = CandidateSet(np.arange(2), np.arange(2.0), np.array([0.5, 1.5]))
+    lone = "moments must be a sequence of NoiseMoments"
+    with pytest.raises(ValueError, match=lone):
+        palm_quantile(m, 0, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match=lone):
+        palm_survival(m, 0, 1.0)
+    with pytest.raises(ValueError, match=lone):
+        candidate_pvalues(cands, m, [0])
+    outside = r"law indices must be integers in \[0, 2\)"
+    with pytest.raises(ValueError, match=outside):
+        palm_quantile([m, m], [0, 2], np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match=outside):
+        palm_survival([m, m], -1, 1.0)
+    with pytest.raises(ValueError, match=outside):
+        candidate_pvalues(cands, [m, m], [2])
+    with pytest.raises(ValueError, match=outside):
+        palm_quantile([m, m], [0.0, 1.0], np.array([0.1, 0.2]))
+    # no rows, given as an empty list: nothing to index, nothing raised
+    assert len(candidate_pvalues(CandidateSet.empty(), [m], [])) == 0
+    assert palm_quantile([m], [], []).shape == (0,)
+    with pytest.raises(ValueError, match="one index per row"):
+        candidate_pvalues(cands, [m], 0)
 
 
 @PROPERTY
@@ -189,7 +217,8 @@ def test_quantile_strictly_decreasing(m, decades, gap):
     v_low = 10.0 ** -decades
     v_high = v_low * (1.0 + gap)
     assume(v_high < 1.0)
-    assert palm_quantile(m, v_low) > palm_quantile(m, v_high)
+    low, high = palm_quantile([m], 0, [v_low, v_high])
+    assert low > high
 
 
 @PROPERTY
@@ -198,7 +227,7 @@ def test_pvalues_inside_unit_interval_and_fall_with_height(m, z):
     heights = np.unique(np.asarray(z)) * m.sigma
     n = heights.size
     cands = CandidateSet(np.arange(n), np.arange(n, dtype=np.float64), heights)
-    p = candidate_pvalues(cands, m).pvalues
+    p = candidate_pvalues(cands, [m], [0]).pvalues
     assert np.all((p > 0.0) & (p < 1.0))
     assert np.all(np.diff(p) <= 0.0)
 
@@ -209,11 +238,9 @@ def test_scale_equivariance():
     scaled = NoiseMoments(4.0 * base.sigma2, 4.0 * base.lambda2, 4.0 * base.lambda4)
     u = np.linspace(-3.0, 4.0, 29)
     np.testing.assert_allclose(
-        palm_survival(scaled, 2.0 * u), palm_survival(base, u), rtol=1e-12
+        palm_survival([scaled], 0, 2.0 * u), palm_survival([base], 0, u), rtol=1e-12
     )
-    assert palm_quantile(scaled, 0.01) == pytest.approx(
-        2.0 * palm_quantile(base, 0.01), rel=1e-9
-    )
+    assert _quantile(scaled, 0.01) == pytest.approx(2.0 * _quantile(base, 0.01), rel=1e-9)
 
 
 def test_expected_maxima_density_closed_form():
@@ -249,7 +276,7 @@ def test_empirical_maxima_density_and_pvalue_uniformity():
     got_density = len(cands) / ((n - 1) * dt)
     assert got_density == pytest.approx(0.19493, rel=0.02)
     # under the null the heights' p-values are uniform
-    pvals = candidate_pvalues(cands, closed_form_moments(UNIT, gamma)).pvalues
+    pvals = candidate_pvalues(cands, [closed_form_moments(UNIT, gamma)], [0]).pvalues
     ks = stats.kstest(pvals, "uniform").statistic
     assert ks < 0.03
 
@@ -261,11 +288,11 @@ def test_candidate_pvalues_clamped_and_attached():
         locations=np.array([5.0, 1.0]),
         heights=np.array([100.0, -100.0]),
     )
-    out = candidate_pvalues(cands, params)
+    out = candidate_pvalues(cands, [params], [0])
     assert out.locations[0] == 1.0  # canonical ordering by location
     assert 0.0 < out.pvalues[1] < 1e-300
     assert out.pvalues[0] < 1.0
-    empty = candidate_pvalues(CandidateSet.empty(), params)
+    empty = candidate_pvalues(CandidateSet.empty(), [params], [0])
     assert len(empty) == 0
 
 
@@ -337,20 +364,22 @@ def test_candidate_set_rows():
 
 
 def test_candidate_pvalues_per_row_coefficients_match_single_rows():
-    # each row's p-values are those of its own NoiseMoments, bit for bit
+    # a mixed-law batch, two rows sharing a law and one law unused: each
+    # row's p-values are those of a one-law call on that row, bit for bit
     rng = np.random.default_rng(5)
-    params = [_params(gamma=g) for g in (1.0, 2.5, 6.0)]
-    sizes = (4, 0, 7)
-    rows = np.repeat(np.arange(3), sizes)
+    params = [_params(gamma=g) for g in (1.0, 2.5, 6.0, 9.0)]
+    law = [2, 0, 2, 1]
+    sizes = (4, 0, 7, 5)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
     heights = rng.normal(0.0, 2.0, size=rows.size)
     locations = np.concatenate([np.arange(n, dtype=float) for n in sizes])
     batch = candidate_pvalues(
-        CandidateSet(np.arange(rows.size), locations, heights, rows=rows), params
+        CandidateSet(np.arange(rows.size), locations, heights, rows=rows), params, law
     )
-    for row, p in enumerate(params):
+    for row, index in enumerate(law):
         one = batch.select(batch.rows == row)
         single = CandidateSet(one.indices, one.locations, one.heights)
-        want = candidate_pvalues(single, p).pvalues
+        want = candidate_pvalues(single, [params[index]], [0]).pvalues
         assert one.pvalues.tobytes() == want.tobytes()
 
 
@@ -361,16 +390,17 @@ def _three_rows():
 
 @pytest.mark.parametrize("given", [1, 2])
 def test_candidate_pvalues_refuses_fewer_moments_than_rows(given):
-    moments = [_params(gamma=g) for g in (1.0, 2.5)][:given]
+    # one law index per row is needed, however many laws there are
+    moments = [_params(gamma=g) for g in (1.0, 2.5)]
     with pytest.raises(ValueError, match=f"span 3 rows, but {given} per-row"):
-        candidate_pvalues(_three_rows(), moments)
+        candidate_pvalues(_three_rows(), moments, [0, 1][:given])
 
 
 def test_candidate_pvalues_single_row_call_unchanged():
-    # one NoiseMoments, or a sequence of one, on a set of one row, keeps
-    # the bits these heights had when the coefficients had a type of their own
+    # a set of one row keeps the bits these heights had when the
+    # coefficients had a type of their own, whichever index names its law
     m = _params(gamma=2.5)
     one_row = CandidateSet(np.arange(2), np.arange(2.0), np.array([-0.5, 2.0]))
-    for given in (m, [m]):
-        got = candidate_pvalues(one_row, given).pvalues.tolist()
+    for moments, law in (([m], [0]), ([_params(), m], [1])):
+        got = candidate_pvalues(one_row, moments, law).pvalues.tolist()
         assert [p.hex() for p in got] == ["0x1.fccbfb4917b58p-1", "0x1.8df13c33aaea8p-27"]
