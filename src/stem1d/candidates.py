@@ -49,11 +49,14 @@ class CandidateSet:
                 raise ValueError("pvalues must match the other fields")
             if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
                 raise ValueError("pvalues must lie strictly inside (0, 1)")
-        order = np.lexsort((locations, rows))
         fields = [indices, locations, heights, pvalues, rows]
-        fields = [None if f is None else f[order] for f in fields]
-        if np.any((np.diff(fields[4]) == 0) & (np.diff(fields[1]) <= 0)):
-            raise ValueError("locations must be distinct within a row")
+        if _ordered(rows, locations):  # copies, so the caller's arrays stay writable
+            fields = [None if f is None else f.copy() for f in fields]
+        else:
+            order = np.lexsort((locations, rows))
+            fields = [None if f is None else f[order] for f in fields]
+            if not _ordered(fields[4], fields[1]):  # sorted, so only a repeat fails
+                raise ValueError("locations must be distinct within a row")
         self._set(*fields)
 
     def __len__(self) -> int:
@@ -62,13 +65,24 @@ class CandidateSet:
     def row_counts(self, num_rows: int) -> np.ndarray:
         """Entries in each of ``num_rows`` rows, for a call given one
         argument per row; a set with an entry in a later row raises."""
-        counts = np.bincount(self.rows, minlength=num_rows)
-        if counts.size > num_rows:
+        ends = self.rows.searchsorted(np.arange(num_rows + 1))  # the rows are sorted
+        if ends[-1] < self.rows.size:
             raise ValueError(
-                f"candidates span {counts.size} rows, but {num_rows} "
+                f"candidates span {self.rows[-1] + 1} rows, but {num_rows} "
                 "per-row argument(s) were given"
             )
-        return counts
+        return np.diff(ends)
+
+    def take_rows(self, rows) -> "CandidateSet":
+        """A set of ``len(rows)`` rows, row j holding the entries of row
+        ``rows[j]`` (a row may be taken twice).  The rows are sorted, so
+        each is found by binary search."""
+        start = self.rows.searchsorted(rows, "left")
+        size = self.rows.searchsorted(rows, "right") - start
+        out_rows = np.repeat(np.arange(size.size), size)
+        at = np.arange(out_rows.size) + np.repeat(start - (np.cumsum(size) - size), size)
+        fields = (getattr(self, name) for name in _FIELDS[:-1])
+        return CandidateSet._canonical(*(None if f is None else f[at] for f in fields), out_rows)
 
     def with_pvalues(self, pvalues: np.ndarray) -> "CandidateSet":
         pvalues = np.array(pvalues, dtype=np.float64)
@@ -82,8 +96,11 @@ class CandidateSet:
 
     def select(self, mask: np.ndarray) -> "CandidateSet":
         mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.locations.shape:
+            raise ValueError("mask must match the other fields")
+        at = np.flatnonzero(mask)  # found once, not once per field
         fields = (getattr(self, name) for name in _FIELDS)
-        return CandidateSet._canonical(*(None if f is None else f[mask] for f in fields))
+        return CandidateSet._canonical(*(None if f is None else f[at] for f in fields))
 
     def _set(self, *fields) -> None:
         for name, arr in zip(_FIELDS, fields):
@@ -108,3 +125,10 @@ class CandidateSet:
 
 
 _FIELDS = ("indices", "locations", "heights", "pvalues", "rows")
+
+
+def _ordered(rows: np.ndarray, locations: np.ndarray) -> bool:
+    """Whether entries are sorted by row, and strictly by location within
+    a row: canonical order, with no location repeated in a row."""
+    step = np.diff(rows)
+    return bool(((step > 0) | ((step == 0) & (np.diff(locations) > 0))).all())

@@ -33,7 +33,7 @@ from .kernels import (
     kernel_reach,
     quartic_kernel,
 )
-from .multitest import DetectionReport, Procedure, _per_row, check_alpha, run_procedure
+from .multitest import Procedure, _per_row, check_alpha, run_procedure
 from .noise import (
     MIN_INTERIOR_SAMPLES,
     GaussianAcvfParams,
@@ -119,29 +119,29 @@ class TrialOutcome:
 
 
 def score_trial(
-    reports: Sequence[DetectionReport],
+    rejected: Sequence[CandidateSet],
     candidates: CandidateSet,
     regions: Sequence[RegionSet],
 ) -> TrialOutcome:
     """Classify each rejection by region and tally per-peak detections.
 
-    ``reports`` are batch reports on the rows of ``candidates``, one per
-    procedure, each rejecting candidates (a sample-level procedure enters
-    as its height rule, :func:`~stem1d.baselines.height_rule_report`), with
-    one :class:`RegionSet` (of one signal) per row.  Every (report, row) is
-    scored in one pass.  ``locmax_per_peak`` counts every candidate inside
-    each support, significant or not.
+    ``rejected`` holds one set per procedure, the candidates it rejected
+    on the rows of ``candidates`` (a report's ``rejected``; a sample-level
+    procedure enters as its height rule,
+    :func:`~stem1d.baselines.height_rule_report`), with one
+    :class:`RegionSet` (of one signal) per row.  Every (set, row) is scored
+    in one pass.  ``locmax_per_peak`` counts every candidate inside each
+    support, significant or not.
     """
-    _per_row(reports, "DetectionReport")
+    _per_row(rejected, "rejected CandidateSet")
     _per_row(regions, "RegionSet")
     candidates.row_counts(len(regions))  # checks the rows before they index
-    sets = [r.rejected for r in reports]
     # each (row, location) as an exact integer key: row * G + the rank of
     # the location among the G distinct values compared
     intervals = [r.scored_intervals for r in regions]
     los, his, columns = (np.concatenate(x) for x in zip(*intervals))
     edge_rows = np.repeat(np.arange(len(regions)), [c.size for _, _, c in intervals])
-    compared = [los, his, *(s.locations for s in [candidates, *sets])]
+    compared = [los, his, *(s.locations for s in [candidates, *rejected])]
     ranks = np.unique(np.concatenate(compared))
 
     def keys(rows, locations):
@@ -158,7 +158,7 @@ def score_trial(
         counts[:, -1] = cands.row_counts(len(regions))
         return counts
 
-    n = np.array([tally(s) for s in sets])
+    n = np.array([tally(s) for s in rejected])
     # the smoothed signal holds the signal: transition = smoothed - signal
     fields = [n[..., 0], n[..., 1] - n[..., 0], n[..., -1] - n[..., 1], n[..., 2:-1] > 0]
     return TrialOutcome(*fields, tally(candidates)[:, 2:-1])
@@ -490,11 +490,22 @@ def _block(
         thresholds[Procedure.SUPREMUM] = [np.tile(sup, len(views) // len(bands))]
     for p, per_rep in thresholds.items():
         reports[p] = height_rule_report(cands, np.concatenate(per_rep), alpha, p)
-    reports = [reports[p] for p in procs]
-    outcome = score_trial(reports, cands, [bands[i].regions for i in law])
-
-    # each metric as a [bandwidth, amplitude, procedure, replication] array
+    rejected = [reports[p].rejected for p in procs]
+    # each (procedure, row) scored, as [procedure, replication, amplitude, column]
     shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))
+    if design.auto_bandwidth:
+        # per procedure, replication and amplitude: the band with the most
+        # rejections, whose row alone is scored
+        counts = np.reshape([s.row_counts(len(views)) for s in rejected], (-1, len(bands)))
+        chosen = [most_rejections(c, design.gamma_grid) for c in counts]
+        chosen = np.reshape(chosen, (len(procs), -1))
+        kept = chosen + np.arange(0, len(views), len(bands))
+        rejected = [_stack([s.take_rows(k) for s, k in zip(rejected, kept)], kept.shape[1])]
+        cands, law = cands.take_rows(kept.ravel()), chosen.ravel()
+        shape = (*shape[:3], 1)
+    outcome = score_trial(rejected, cands, [bands[i].regions for i in law])
+
+    # each metric as a [column, amplitude, procedure, replication] array
     order = (3, 2, 0, 1)
     metrics = {
         "fwer": outcome.false_rejections > 0,
@@ -506,14 +517,7 @@ def _block(
         for name, x in metrics.items()
     }
     if design.auto_bandwidth:
-        # per procedure, replication and amplitude: the most rejecting band
-        counts = np.reshape(outcome.total_rejections, (-1, len(bands)))
-        chosen = [most_rejections(c, design.gamma_grid) for c in counts]
-        chosen = np.reshape(chosen, (*shape[:3], 1)).transpose(order)
-        metrics = {
-            name: np.take_along_axis(x, chosen, axis=0) for name, x in metrics.items()
-        }
-        metrics["chosen"] = chosen
+        metrics["chosen"] = chosen.reshape(shape).transpose(order)
     else:
         locmax = outcome.locmax_per_peak
         locmax = locmax.mean(axis=1) if locmax.shape[1] else np.full(len(locmax), np.nan)
@@ -521,6 +525,15 @@ def _block(
     # C-contiguous: a join of strided views may not be, and then a cell's
     # reduction would add its replications in another order
     return {name: np.ascontiguousarray(x) for name, x in metrics.items()}
+
+
+def _stack(sets: list[CandidateSet], num_rows: int) -> CandidateSet:
+    """The sets one after another: row r of ``sets[i]`` becomes row
+    ``i * num_rows + r``.  Every set carries p-values."""
+    names = ("indices", "locations", "heights", "pvalues")
+    fields = [np.concatenate([getattr(s, name) for s in sets]) for name in names]
+    rows = np.concatenate([s.rows + i * num_rows for i, s in enumerate(sets)])
+    return CandidateSet(*fields, rows=rows)
 
 
 def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:

@@ -40,8 +40,10 @@ class SampledRows(NamedTuple):
         """Row, index and value of the samples in ``mask`` (which is
         cleared in the margins), in row-major order."""
         n = mask.shape[1]
-        for row, margin in zip(mask, self.margins):
-            row[:margin] = row[n - margin:] = False
+        margins = np.asarray(self.margins)[:, np.newaxis]
+        m = min(int(margins.max(initial=0)), n)  # only these columns can clear
+        mask[:, :m] &= np.arange(m) >= margins
+        mask[:, n - m:] &= np.arange(n - m, n) < n - margins
         flat = np.flatnonzero(mask)
         rows = np.arange(n, mask.size, n).searchsorted(flat, side="right")
         return rows, flat - rows * n, self.values.reshape(-1)[flat]

@@ -124,13 +124,21 @@ def _json_float(x):
 
 def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray) -> np.ndarray:
     """Per row of ``p`` (ordered by row, ``m`` entries in each), the largest
-    i with the i-th smallest p-value below i * alpha / m; 0 if none.  The
-    rows are sorted at once, in a table padded with +inf."""
-    i = np.arange(1, m.max(initial=0) + 1)
+    i with the i-th smallest p-value below i * alpha / m; 0 if none.
+
+    Only a p-value below the largest last-step cutoff (alpha * m / m) can
+    count, and dropping the others moves no smaller one's rank.  So only
+    those enter a table padded with +inf, whose rows are sorted at once."""
+    per_row = np.maximum(m, 1)
+    keep = p < (alpha * m / per_row).max(initial=0.0)
+    # kept entries per row, from the running count at each row's end
+    ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(m)]
+    kept = np.diff(ends, prepend=0)
+    i = np.arange(1, kept.max(initial=0) + 1)
     table = np.full((m.size, i.size), np.inf)
-    table[i <= m[:, np.newaxis]] = p  # each row's p-values, in row order
+    table[i <= kept[:, np.newaxis]] = p[keep]  # each row's p-values, in row order
     table.sort(axis=1)
-    below = table < alpha * i / np.maximum(m, 1)[:, np.newaxis]
+    below = table < alpha * i / per_row[:, np.newaxis]
     return np.max(below * i, axis=1, initial=0)
 
 

@@ -40,28 +40,28 @@ def clip_pvalues(p) -> np.ndarray:
 def bisect_decreasing(f, target, lo, hi):
     """Bisect brackets of a decreasing ``f`` towards ``f(u) = target``.
 
-    ``lo`` and ``hi`` are arrays, each entry a bracket of its own, and
-    ``f`` maps an array of midpoints to values, one per entry.  A
-    midpoint with ``f > target`` becomes its entry's new ``lo``, any
-    other the new ``hi``.  An entry stops when its midpoint equals an
-    end and keeps its pair from then on, so each entry ends where it
-    would alone.  Returns the final ``(lo, hi)`` once every entry has
-    stopped, or after 200 steps.
+    ``lo`` and ``hi`` are arrays, each entry a bracket of its own with
+    ``f(lo) > target >= f(hi)``, and ``f`` maps an array of midpoints to
+    values, one per entry.  A midpoint with ``f > target`` becomes its
+    entry's new ``lo``, any other the new ``hi``.  An entry stops when its
+    midpoint equals an end: by the bracket condition, each later step
+    writes that end back unchanged, so each entry ends where it would
+    alone.  Returns the final ``(lo, hi)`` once every entry has stopped
+    (checked every few steps), or after 200 steps.
     """
     lo, hi = lo.copy(), hi.copy()
-    for _ in range(200):
+    for step in range(200):
         mid = 0.5 * (lo + hi)
-        run = (mid != lo) & (mid != hi)
-        if not np.count_nonzero(run):
+        if not step % 4 and not np.count_nonzero((mid != lo) & (mid != hi)):
             break
-        up = run & (f(mid) > target)
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=run ^ up)
+        up = f(mid) > target
+        np.putmask(lo, up, mid)
+        np.putmask(hi, ~up, mid)
     return lo, hi
 
 
 def _coefficients(moments: Sequence[NoiseMoments], law) -> np.ndarray:
-    """The survivor function's coefficients ``(sigma, a1, a2, c1)`` of each
+    """The survivor function's coefficients ``(sigma, -a1, a2, c1)`` of each
     entry of ``law``, an index into ``moments``, as four contiguous rows of
     one array.
 
@@ -84,7 +84,7 @@ def _coefficients(moments: Sequence[NoiseMoments], law) -> np.ndarray:
     table = np.array(
         [
             [m.sigma for m in moments],
-            [math.sqrt(m.lambda4 / m.delta) for m in moments],
+            [-math.sqrt(m.lambda4 / m.delta) for m in moments],  # negated once
             [math.sqrt(m.lambda2**2 / (m.delta * m.sigma2)) for m in moments],
             [
                 math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
@@ -122,8 +122,8 @@ def palm_survival(moments: Sequence[NoiseMoments], law, u):
 
 def _survival(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`palm_survival` of a finite array ``u``, unchecked."""
-    sigma, a1, a2, c1 = coef
-    return ndtr(-a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
+    sigma, neg_a1, a2, c1 = coef
+    return ndtr(neg_a1 * u) + c1 * _phi(u / sigma) * ndtr(a2 * u)
 
 
 def palm_quantile(moments: Sequence[NoiseMoments], law, v) -> np.ndarray:
@@ -181,5 +181,7 @@ def candidate_pvalues(
     if law.ndim != 1:
         raise ValueError("law must hold one index per row")
     candidates.row_counts(law.size)
-    p = palm_survival(moments, law[candidates.rows], candidates.heights)
+    # one law for every row broadcasts, so no coefficient is gathered per entry
+    law = law[0] if law.size and (law == law[0]).all() else law[candidates.rows]
+    p = palm_survival(moments, law, candidates.heights)
     return candidates.with_pvalues(clip_pvalues(p))

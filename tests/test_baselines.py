@@ -188,7 +188,7 @@ _ONE_ROW_CALLS = {
     "score_trial": lambda c: score_trial(
         [height_rule_report(
             c.select(c.rows == 0), np.array([2.5]), 0.05, Procedure.SUPREMUM
-        )],
+        ).rejected],
         c,
         [compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))],
     ),

@@ -91,7 +91,7 @@ def _first(outcome):
 def _score_height_rule(cands, threshold, regions):
     """One height rule scored on a one-row set, as a batch of one."""
     report = height_rule_report(cands, np.array([threshold]), 0.05, Procedure.SUPREMUM)
-    return _first(score_trial([report], cands, [regions]))
+    return _first(score_trial([report.rejected], cands, [regions]))
 
 
 def test_score_trial_classifies_rejections():
@@ -646,7 +646,9 @@ def _reference_trial(design, seed, base_mu, bands, rep):
                 scored = range(len(bands))
             for c, k in enumerate(scored):
                 outcome = _first(
-                    score_trial([reports[k]], row_views[k].cands, [bands[k].regions])
+                    score_trial(
+                        [reports[k].rejected], row_views[k].cands, [bands[k].regions]
+                    )
                 )
                 locmax = outcome.locmax_per_peak
                 record["fwer"][c, a, p] = outcome.false_rejections > 0
@@ -777,14 +779,14 @@ def test_score_trial_batch_matches_single_reports():
         height_rule_report(cands, thresholds, 0.05, Procedure.SUPREMUM),
         height_rule_report(cands, -thresholds, 0.05, Procedure.POINTWISE_BH),
     ]
-    batch = score_trial(reports, cands, regions)
+    batch = score_trial([r.rejected for r in reports], cands, regions)
     for p, report in enumerate(reports):
         for row in range(3):
             one = cands.select(cands.rows == row)
             single = CandidateSet(one.indices, one.locations, one.heights)
             threshold = report.height_threshold[row:row + 1]
             rule = height_rule_report(single, threshold, 0.05, report.procedure)
-            want = _first(score_trial([rule], single, [regions[row]]))
+            want = _first(score_trial([rule.rejected], single, [regions[row]]))
             got_fdr = batch.false_discovery_proportion[p, row]
             assert batch.rejected_in_signal[p, row] == want.rejected_in_signal
             assert batch.rejected_in_transition[p, row] == want.rejected_in_transition

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stem1d import (
@@ -30,6 +30,7 @@ from stem1d import (
     supremum_threshold,
 )
 from stem1d.errors import ConfigurationError
+from stem1d.multitest import step_up_count
 
 MOMENTS = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
 BON, BH = Procedure.BONFERRONI, Procedure.BH
@@ -257,10 +258,10 @@ def test_batch_refuses_one_bare_noise_moments():
         height_rule_report(cands, 1.0, 0.05, Procedure.SUPREMUM)
     report = height_rule_report(cands, np.array([1.0]), 0.05, Procedure.SUPREMUM)
     regions = compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))
-    with pytest.raises(ValueError, match="one DetectionReport per row"):
-        score_trial(report, cands, [regions])
+    with pytest.raises(ValueError, match="one rejected CandidateSet per row"):
+        score_trial(report.rejected, cands, [regions])
     with pytest.raises(ValueError, match="one RegionSet per row"):
-        score_trial([report], cands, regions)
+        score_trial([report.rejected], cands, regions)
 
 
 @pytest.mark.parametrize("procedure", [BON, BH])
@@ -312,6 +313,46 @@ def test_multi_row_call_matches_single_set_calls(pvalue_lists, alpha):
                     getattr(rejected, name), getattr(want.rejected, name)
                 )
     assert got.step_index[-1] == 0 and got.num_candidates[-2] == 0
+
+
+def _step_up_full_table(p, alpha, m):
+    """The step-up count from a table of every p-value, padded with +inf."""
+    i = np.arange(1, m.max(initial=0) + 1)
+    table = np.full((m.size, i.size), np.inf)
+    table[i <= m[:, np.newaxis]] = p
+    table.sort(axis=1)
+    below = table < alpha * i / np.maximum(m, 1)[:, np.newaxis]
+    return np.max(below * i, axis=1, initial=0)
+
+
+@st.composite
+def _step_up_rows(draw):
+    """(p, alpha, m): rows of p-values, some empty, drawn from a small pool
+    (so values tie) of the floor, alpha, a row's cutoffs i * alpha / m with
+    their neighbouring doubles, and values anywhere in (0, 1)."""
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.3]) | st.floats(0.001, 0.999))
+    m = np.array(draw(st.lists(st.integers(0, 8), max_size=5)), dtype=np.int64)
+    n = draw(st.sampled_from([int(k) for k in m if k] or [1]))
+    cut = alpha * draw(st.integers(1, n)) / n
+    edges = [np.nextafter(0.0, 1.0), alpha, cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)]
+    pool = draw(st.lists(
+        st.sampled_from([e for e in edges if 0.0 < e < 1.0]) | st.floats(1e-9, 0.999),
+        min_size=1, max_size=3,
+    ))
+    size = int(m.sum())
+    p = np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    return p.astype(np.float64), alpha, m
+
+
+@PROPERTY
+@given(_step_up_rows())
+# alpha * 3 / 3 rounds above alpha, so a p-value of alpha still counts at step 3
+@example((np.array([0.05, 0.05, 0.05]), 0.05, np.array([3])))
+@example((np.array([0.1] * 3 + [0.2]), 0.1, np.array([0, 3, 1])))
+def test_step_up_count_matches_the_full_table(case):
+    p, alpha, m = case
+    got = step_up_count(p, alpha, m)
+    np.testing.assert_array_equal(got, _step_up_full_table(p, alpha, m))
 
 
 def test_multi_row_report_writes_each_row_as_its_one_row_report():

@@ -363,6 +363,46 @@ def test_candidate_set_rows():
     )
 
 
+def test_candidate_set_in_canonical_order_is_copied_not_frozen():
+    # input already sorted by (row, location) is checked, not sorted: the
+    # set holds copies, and the caller's arrays stay writable and unshared
+    fields = (np.arange(4), np.array([1.0, 2.0, 0.5, 3.0]), np.arange(4.0), None,
+              np.array([0, 0, 1, 1]))
+    cands = CandidateSet(*fields)
+    for name, given in zip(("indices", "locations", "heights", "pvalues", "rows"), fields):
+        if given is not None:
+            held = getattr(cands, name)
+            np.testing.assert_array_equal(held, given)
+            assert not held.flags.writeable and given.flags.writeable
+            assert not np.shares_memory(held, given)
+    # the same entries shuffled come back in the same order
+    order = np.array([3, 0, 2, 1])
+    shuffled = CandidateSet(*(None if f is None else f[order] for f in fields))
+    for name in ("indices", "locations", "heights", "rows"):
+        np.testing.assert_array_equal(getattr(shuffled, name), getattr(cands, name))
+    # a location repeated within a row is refused, in order or shuffled
+    for rows, locations in (([0, 1, 1], [5.0, 1.0, 1.0]), ([1, 0, 1], [1.0, 5.0, 1.0])):
+        with pytest.raises(ValueError, match="distinct within a row"):
+            CandidateSet(np.arange(3), np.array(locations), np.zeros(3), rows=rows)
+
+
+def test_candidate_set_take_rows_and_row_counts():
+    # rows in any order, one twice and one with no entries, renumbered in
+    # the order asked; the counts come from the sorted rows
+    cands = CandidateSet(
+        np.arange(6), np.array([1.0, 2.0, 1.0, 0.5, 2.5, 3.0]), np.arange(6.0),
+        rows=np.array([0, 0, 1, 3, 3, 3]),
+    )
+    np.testing.assert_array_equal(cands.row_counts(5), [2, 1, 0, 3, 0])
+    with pytest.raises(ValueError, match="candidates span 4 rows, but 3 per-row"):
+        cands.row_counts(3)
+    taken = cands.take_rows(np.array([3, 2, 0, 3]))
+    np.testing.assert_array_equal(taken.rows, [0, 0, 0, 2, 2, 3, 3, 3])
+    np.testing.assert_array_equal(taken.indices, [3, 4, 5, 0, 1, 3, 4, 5])
+    np.testing.assert_array_equal(taken.row_counts(4), [3, 0, 2, 3])
+    assert len(cands.take_rows(np.array([2, 4], dtype=np.int64))) == 0
+
+
 def test_candidate_pvalues_per_row_coefficients_match_single_rows():
     # a mixed-law batch, two rows sharing a law and one law unused: each
     # row's p-values are those of a one-law call on that row, bit for bit
