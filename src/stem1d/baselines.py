@@ -21,19 +21,39 @@ from .candidates import CandidateSet
 from .errors import ThresholdInfeasibleError, positive_finite
 from .grid import SQRT_2PI, SampledRows
 from .multitest import DetectionReport, Procedure, _cutoff, _per_row, check_alpha
+from .multitest import _procedures
 from .noise import NoiseMoments
 from .palm import bisect_decreasing, clip_pvalues
 
 
-def pointwise_pvalues(
-    smoothed: SampledRows, moments: Sequence[NoiseMoments]
-) -> CandidateSet:
-    """One-sided Gaussian p-value at every interior sample of every row,
-    with the sigma of the row's :class:`NoiseMoments`, as one set of rows."""
+def _interior(smoothed: SampledRows, moments: Sequence[NoiseMoments]):
+    """``(m, sigma)``: each row's interior sample count and sigma.  Refuses
+    a count of moments or margins other than the row count."""
     _per_row(moments, "NoiseMoments")
-    rows, idx, values = smoothed.entries(np.ones(smoothed.values.shape, dtype=bool))
-    sigma = np.array([m.sigma for m in moments])[rows]
-    p = clip_pvalues(ndtr(-values / sigma))
+    rows, n = smoothed.values.shape
+    for what, x in (("NoiseMoments", moments), ("margins", smoothed.margins)):
+        if len(x) != rows:
+            raise ValueError(f"{len(x)} {what} given for {rows} rows")
+    m = np.maximum(n - 2 * np.asarray(smoothed.margins, np.int64), 0)
+    return m, np.array([x.sigma for x in moments])
+
+
+def pointwise_pvalues(
+    smoothed: SampledRows, moments: Sequence[NoiseMoments], alpha: float
+) -> CandidateSet:
+    """One-sided Gaussian p-value, with the sigma of the row's
+    :class:`NoiseMoments`, at each interior sample a correction at ``alpha``
+    can reject (p below the row's last step-up cutoff alpha * m / m, m its
+    interior samples), as one set of rows.  A height cut at 1 + 1e-6 times
+    that cutoff picks the samples the exact p-value and test then run on."""
+    check_alpha(alpha)
+    m, sigma = _interior(smoothed, moments)
+    last = alpha * m / np.maximum(m, 1)
+    loose = -sigma * ndtri(np.minimum(last * (1.0 + 1e-6), 1.0))
+    rows, idx, values = smoothed.entries(smoothed.values > loose[:, np.newaxis])
+    p = clip_pvalues(ndtr(-values / sigma[rows]))
+    keep = p < last[rows]
+    p, values, idx, rows = (x[keep] for x in (p, values, idx, rows))
     return CandidateSet._canonical(idx, smoothed.t0 + smoothed.dt * idx, values, p, rows)
 
 
@@ -44,27 +64,29 @@ _POINTWISE_RULES = {
 
 
 def pointwise_correct(
-    samples: CandidateSet,
+    smoothed: SampledRows,
     alpha: float,
-    procedure: Procedure,
+    procedures: Sequence[Procedure],
     moments: Sequence[NoiseMoments],
-) -> DetectionReport:
-    """Correct each row's per-sample p-values over its number of samples.
-
-    The cutoff is the one Bonferroni or BH takes on candidate p-values.
-    The rejected entries are samples, not peaks.  The batch report's height
-    thresholds, one per row with its :class:`NoiseMoments`, are the sample
-    values equivalent to the realized cutoffs, which lets peak-level
-    scoring treat the method as a height rule.
-    """
-    if procedure not in _POINTWISE_RULES:
-        raise ValueError(f"{procedure} is not a pointwise procedure")
-    _per_row(moments, "NoiseMoments")
-    cutoff, k, m = _cutoff(samples, alpha, _POINTWISE_RULES[procedure], len(moments))
-    # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
-    threshold = -np.array([x.sigma for x in moments]) * ndtri(cutoff)
-    rejected = samples.select(samples.pvalues < cutoff[samples.rows])
-    return DetectionReport(procedure, alpha, rejected, cutoff, threshold, m, k)
+) -> list[DetectionReport]:
+    """Correct each row's sample p-values over its m interior samples, by
+    the cutoff Bonferroni or BH takes on candidate p-values, one report per
+    entry of ``procedures``; only :func:`pointwise_pvalues`' samples can be
+    rejected.  Each row's height threshold, with its :class:`NoiseMoments`,
+    is the sample value equivalent to the realized cutoff, which lets
+    peak-level scoring treat the method as a height rule."""
+    _procedures(procedures, _POINTWISE_RULES, "pointwise")
+    samples = pointwise_pvalues(smoothed, moments, alpha)
+    m, sigma = _interior(smoothed, moments)
+    counts = samples.row_counts(m.size)
+    reports = []
+    for proc in procedures:
+        cutoff, k = _cutoff(samples.pvalues, alpha, _POINTWISE_RULES[proc], m, counts)
+        # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
+        threshold = -sigma * ndtri(cutoff)
+        rejected = samples.select(samples.pvalues < cutoff[samples.rows])
+        reports.append(DetectionReport(proc, alpha, rejected, cutoff, threshold, m, k))
+    return reports
 
 
 def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: str):

@@ -49,7 +49,6 @@ from .baselines import (
     _POINTWISE_RULES,
     height_rule_report,
     pointwise_correct,
-    pointwise_pvalues,
     supremum_threshold,
 )
 from .signals import (
@@ -133,7 +132,7 @@ def score_trial(
     in one pass.  ``locmax_per_peak`` counts every candidate inside each
     support, significant or not.
     """
-    _per_row(rejected, "rejected CandidateSet")
+    _per_row(rejected, "rejected CandidateSet", "procedure")
     _per_row(regions, "RegionSet")
     candidates.row_counts(len(regions))  # checks the rows before they index
     # each (row, location) as an exact integer key: row * G + the rank of
@@ -455,8 +454,8 @@ def _block(
     rejections, whose index is ``chosen``.  A fixed design adds
     ``locmax_per_peak``, indexed [column, amplitude, replication].  Every
     (replication, amplitude, bandwidth) view is a row of one array, and
-    each stage runs once, except the pointwise corrections: their sets
-    hold every sample, so they run one replication's rows at a time.
+    each stage runs once over all rows: the pointwise corrections too, as
+    they give p-values only to the samples they can reject.
     """
     n, dt = base_mu.values.size, design.dt
     seeds = [(seed, _TRIAL_STREAM, rep) for rep in reps]
@@ -465,31 +464,26 @@ def _block(
     mu = np.stack([band.smoothed_mu.values for band in bands])
     z = np.stack([convolve_rows(noise, band.kernel, dt) for band in bands], axis=1)
     views = (amps * mu + z[:, np.newaxis]).reshape(-1, n)
+    del noise, z  # read no further, so they stay out of the peak memory below
     if not np.isfinite(views).all():
         raise ValueError("smoothed values must be finite")
-    rep_bands = bands * len(design.amplitude_grid)  # the rows of one replication
-    margins = [band.kernel.half_support_samples for band in rep_bands]
-    grid = SampledRows(views, dt, base_mu.t0, margins * len(reps))
-    laws = [band.moments for band in bands]  # row r has law r % len(bands)
-    law = np.tile(np.arange(len(bands)), len(views) // len(bands))
+    repeats = len(views) // len(bands)  # row r is a view at band r % len(bands)
+    margins = [band.kernel.half_support_samples for band in bands]
+    grid = SampledRows(views, dt, base_mu.t0, margins * repeats)
+    laws = [band.moments for band in bands]
+    law = np.tile(np.arange(len(bands)), repeats)
     cands = candidate_pvalues(find_local_maxima(grid), laws, law)
     procs, alpha = design.procedures, design.alpha
     peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
     reports = dict(zip(peak, run_procedure(cands, alpha, laws, law, peak))) if peak else {}
     # the other rules are scored as height rules, by each row's threshold
-    thresholds = {p: [] for p in procs if p in _POINTWISE_RULES}
-    if thresholds:
-        moments = [band.moments for band in rep_bands]
-        for values in views.reshape(len(reps), -1, n):
-            rows = SampledRows(values, dt, base_mu.t0, margins)
-            samples = pointwise_pvalues(rows, moments)
-            for p, per_rep in thresholds.items():
-                report = pointwise_correct(samples, alpha, p, moments)
-                per_rep.append(report.height_threshold)
+    pointwise = [p for p in procs if p in _POINTWISE_RULES]
+    found = pointwise_correct(grid, alpha, pointwise, laws * repeats) if pointwise else []
+    thresholds = {r.procedure: r.height_threshold for r in found}
     if sup is not None:
-        thresholds[Procedure.SUPREMUM] = [np.tile(sup, len(views) // len(bands))]
-    for p, per_rep in thresholds.items():
-        reports[p] = height_rule_report(cands, np.concatenate(per_rep), alpha, p)
+        thresholds[Procedure.SUPREMUM] = np.tile(sup, repeats)
+    for p, threshold in thresholds.items():
+        reports[p] = height_rule_report(cands, threshold, alpha, p)
     rejected = [reports[p].rejected for p in procs]
     # each (procedure, row) scored, as [procedure, replication, amplitude, column]
     shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))

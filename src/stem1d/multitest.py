@@ -122,17 +122,16 @@ def _json_float(x):
     return {float("inf"): "inf", float("-inf"): "-inf"}.get(x, "nan")
 
 
-def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray) -> np.ndarray:
-    """Per row of ``p`` (ordered by row, ``m`` entries in each), the largest
-    i with the i-th smallest p-value below i * alpha / m; 0 if none.
-
-    Only a p-value below the largest last-step cutoff (alpha * m / m) can
-    count, and dropping the others moves no smaller one's rank.  So only
-    those enter a table padded with +inf, whose rows are sorted at once."""
+def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray, counts) -> np.ndarray:
+    """Per row, the largest i with the i-th smallest of its ``m`` p-values
+    below i * alpha / m; 0 if none.  ``p`` holds ``counts`` of each row's
+    p-values, by row, and may leave out any at or above the row's last-step
+    cutoff alpha * m / m, as no step counts it.  So only the p-values below
+    the largest such cutoff enter a table padded with +inf, sorted at once."""
     per_row = np.maximum(m, 1)
     keep = p < (alpha * m / per_row).max(initial=0.0)
     # kept entries per row, from the running count at each row's end
-    ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(m)]
+    ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(counts)]
     kept = np.diff(ends, prepend=0)
     i = np.arange(1, kept.max(initial=0) + 1)
     table = np.full((m.size, i.size), np.inf)
@@ -142,31 +141,37 @@ def step_up_count(p: np.ndarray, alpha: float, m: np.ndarray) -> np.ndarray:
     return np.max(below * i, axis=1, initial=0)
 
 
-def _cutoff(candidates: CandidateSet, alpha: float, procedure: Procedure, num_rows: int):
-    """``(pvalue_cutoff, k, m)`` of each row of a candidate set, as arrays:
-    alpha / m for Bonferroni, m being the row's candidate count, and for BH
-    k * alpha / m, k the largest i with the i-th smallest p-value below
-    i * alpha / m.  The cutoff is 1 on a row with no candidates, and 0
-    where BH rejects nothing (k = 0).  An alpha / m (Bonferroni's cutoff, BH's
-    first step) below the smallest normal double raises, as it underflows."""
-    if candidates.pvalues is None:
-        raise ValueError("candidates carry no p-values")
-    m = candidates.row_counts(num_rows)
+def _cutoff(p: np.ndarray, alpha: float, procedure: Procedure, m, counts):
+    """``(pvalue_cutoff, k)`` of each row, as arrays, for p-values held as
+    :func:`step_up_count` takes them: alpha / m for Bonferroni, m the row's
+    number of hypotheses, and k * alpha / m for BH, k the step-up count.
+    The cutoff is 1 on a row with no hypotheses, and 0 where BH rejects
+    nothing (k = 0).  An alpha / m (Bonferroni's cutoff, BH's first step)
+    below the smallest normal double raises, as it underflows."""
     per_row = np.maximum(m, 1)
     top = int(m.max(initial=0))  # the row with the smallest alpha / m
     if top and alpha / top < np.finfo(np.float64).tiny:
         raise ConfigurationError(f"alpha / m underflows: alpha={alpha!r}, m={top}")
     if procedure is Procedure.BONFERRONI:
-        return np.where(m > 0, alpha / per_row, 1.0), np.zeros(num_rows, np.int64), m
-    k = step_up_count(candidates.pvalues, alpha, m)
+        return np.where(m > 0, alpha / per_row, 1.0), np.zeros(m.size, np.int64)
+    k = step_up_count(p, alpha, m, counts)
     cutoff = np.where(k > 0, k * alpha / per_row, 0.0)
-    return np.where(m > 0, cutoff, 1.0), k, m
+    return np.where(m > 0, cutoff, 1.0), k
 
 
-def _per_row(x, what: str) -> None:
-    """Refuse a lone value where a batch needs a sequence, one ``what`` per row."""
+def _per_row(x, what: str, unit: str = "row") -> None:
+    """Refuse a lone value where a batch needs a sequence of ``what``."""
     if not (isinstance(x, Sequence) or np.ndim(x) > 0):
-        raise ValueError(f"a batch needs one {what} per row, as a sequence")
+        raise ValueError(f"a batch needs one {what} per {unit}, as a sequence")
+
+
+def _procedures(procedures: Sequence[Procedure], allowed, level: str) -> None:
+    """Refuse a lone :class:`Procedure`, or one outside ``allowed``."""
+    if isinstance(procedures, Procedure):
+        raise ValueError("procedures must be a sequence of Procedure")
+    for proc in procedures:
+        if proc not in allowed:
+            raise ValueError(f"{proc} is not a {level} procedure")
 
 
 def run_procedure(
@@ -186,19 +191,18 @@ def run_procedure(
     :func:`palm_quantile` call.
     """
     _per_row(law, "law index")
-    if isinstance(procedures, Procedure):
-        raise ValueError("procedures must be a sequence of Procedure")
-    for proc in procedures:
-        if proc not in (Procedure.BONFERRONI, Procedure.BH):
-            raise ValueError(f"{proc} is not a candidate-level procedure")
-    cuts = [_cutoff(candidates, alpha, proc, len(law)) for proc in procedures]
-    cutoffs = np.array([cutoff for cutoff, _, _ in cuts])
+    _procedures(procedures, (Procedure.BONFERRONI, Procedure.BH), "candidate-level")
+    if candidates.pvalues is None:
+        raise ValueError("candidates carry no p-values")
+    m = candidates.row_counts(len(law))
+    cuts = [_cutoff(candidates.pvalues, alpha, proc, m, m) for proc in procedures]
+    cutoffs = np.array([cutoff for cutoff, _ in cuts])
     thresholds = np.full(cutoffs.shape, np.inf)
     solve = cutoffs > 0.0
     rows = np.nonzero(solve)[1]
     thresholds[solve] = palm_quantile(moments, np.asarray(law)[rows], cutoffs[solve])
     reports = []
-    for proc, (cutoff, k, m), threshold in zip(procedures, cuts, thresholds):
+    for proc, (cutoff, k), threshold in zip(procedures, cuts, thresholds):
         rejected = candidates.select(candidates.pvalues < cutoff[candidates.rows])
         reports.append(DetectionReport(proc, alpha, rejected, cutoff, threshold, m, k))
     return reports

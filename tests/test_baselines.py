@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from stem1d import (
     CandidateSet,
@@ -23,6 +26,7 @@ from stem1d import (
     score_trial,
     supremum_threshold,
 )
+from stem1d.palm import clip_pvalues
 
 UNIT_MOMENTS = NoiseMoments(sigma2=1.0, lambda2=1.0, lambda4=3.0)
 
@@ -99,13 +103,15 @@ def test_supremum_threshold_batch_matches_single_calls(length, alpha, convention
 def test_pointwise_pvalues_marginal_tail():
     moments = NoiseMoments(sigma2=4.0, lambda2=1.0, lambda4=3.0)
     seq = SampledRows(np.array([[9.0, 0.0, 2.0, -2.0, 9.0]]), 0.5, 0.0, [1])
-    samples = pointwise_pvalues(seq, [moments])
+    samples = pointwise_pvalues(seq, [moments], 0.999)
     np.testing.assert_array_equal(samples.indices, [1, 2, 3])
     np.testing.assert_allclose(
         samples.pvalues, stats.norm.sf(np.array([0.0, 2.0, -2.0]) / 2.0), rtol=1e-12
     )
+    # only the samples a correction at alpha can reject: p < 0.2 * 3 / 3
+    np.testing.assert_array_equal(pointwise_pvalues(seq, [moments], 0.2).indices, [2])
     narrow = SampledRows(np.zeros((1, 4)), 1.0, 0.0, [2])
-    assert len(pointwise_pvalues(narrow, [moments])) == 0
+    assert len(pointwise_pvalues(narrow, [moments], 0.999)) == 0
 
 
 def test_pointwise_correct_agrees_with_candidate_procedures():
@@ -115,14 +121,15 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
     moments = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
     for _ in range(50):
         m = int(rng.integers(1, 25))
-        p = rng.uniform(size=m) ** 3
+        values = rng.uniform(size=m) * 4.0
         cands = CandidateSet(
-            np.arange(m), np.arange(m, dtype=float), rng.standard_normal(m), p
+            np.arange(m), np.arange(m, dtype=float), values,
+            clip_pvalues(ndtr(-values)),  # every sample's p-value, under unit sigma
         )
-        pw_bon = pointwise_correct(
-            cands, 0.05, Procedure.POINTWISE_BONFERRONI, [UNIT_MOMENTS]
+        pw_bon, pw_bh = pointwise_correct(
+            SampledRows(values[np.newaxis], 1.0, 0.0, [0]), 0.05,
+            [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH], [UNIT_MOMENTS],
         )
-        pw_bh = pointwise_correct(cands, 0.05, Procedure.POINTWISE_BH, [UNIT_MOMENTS])
         bon, bh = run_procedure(
             cands, 0.05, [moments], [0], [Procedure.BONFERRONI, Procedure.BH]
         )
@@ -134,26 +141,23 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
 
 def test_pointwise_correct_thresholds_and_edges():
     moments = NoiseMoments(sigma2=1.0, lambda2=1.0, lambda4=3.0)
-    cands = CandidateSet(
-        np.arange(3), np.arange(3.0), np.array([3.0, 1.0, 0.0]),
-        np.array([0.001, 0.2, 0.5]),
-    )
-    rep = pointwise_correct(cands, 0.05, Procedure.POINTWISE_BONFERRONI, [moments])
+    rows = SampledRows(np.array([[3.0, 1.0, 0.0]]), 1.0, 0.0, [0])
+    (rep,) = pointwise_correct(rows, 0.05, [Procedure.POINTWISE_BONFERRONI], [moments])
     assert rep.pvalue_cutoff == pytest.approx([0.05 / 3])
     # the reported height threshold reproduces the cutoff through the marginal
     assert stats.norm.sf(rep.height_threshold) == pytest.approx(
         rep.pvalue_cutoff, rel=1e-9
     )
-    empty = pointwise_correct(
-        CandidateSet.empty(), 0.05, Procedure.POINTWISE_BH, [moments]
-    )
-    assert empty.pvalue_cutoff[0] == 1.0
+    np.testing.assert_array_equal(rep.rejected.indices, [0])
+    # margins that leave no sample: no hypotheses, so everything would go
+    bare = SampledRows(np.zeros((1, 4)), 1.0, 0.0, [2])
+    (empty,) = pointwise_correct(bare, 0.05, [Procedure.POINTWISE_BH], [moments])
+    assert empty.pvalue_cutoff[0] == 1.0 and empty.num_candidates[0] == 0
     assert empty.height_threshold[0] == -math.inf
-    with pytest.raises(ValueError):
-        pointwise_correct(cands, 0.05, Procedure.BONFERRONI, [moments])
-    naked = CandidateSet(np.array([0]), np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        pointwise_correct(naked, 0.05, Procedure.POINTWISE_BONFERRONI, [moments])
+    with pytest.raises(ValueError, match="is not a pointwise procedure"):
+        pointwise_correct(rows, 0.05, [Procedure.BONFERRONI], [moments])
+    with pytest.raises(ValueError, match="sequence of Procedure"):
+        pointwise_correct(rows, 0.05, Procedure.POINTWISE_BH, [moments])
 
 
 def test_height_rule_strict_and_nan_cutoff():
@@ -182,8 +186,10 @@ _ONE_ROW_CALLS = {
     "height_rule": lambda c: height_rule_report(
         c, np.array([2.5]), 0.05, Procedure.SUPREMUM
     ),
+    # as many rows of samples as the set has rows
     "pointwise": lambda c: pointwise_correct(
-        c, 0.05, Procedure.POINTWISE_BONFERRONI, [UNIT_MOMENTS]
+        SampledRows(np.zeros((c.rows.max() + 1, 12)), 1.0, 0.0, [1] * len(set(c.rows))),
+        0.05, [Procedure.POINTWISE_BONFERRONI], [UNIT_MOMENTS],
     ),
     "score_trial": lambda c: score_trial(
         [height_rule_report(
@@ -197,7 +203,11 @@ _ONE_ROW_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(_ONE_ROW_CALLS))
 def test_single_set_call_refuses_a_second_row(call):
-    with pytest.raises(ValueError, match="candidates span 2 rows, but 1 per-row"):
+    # pointwise_correct takes rows of samples, and counts their moments
+    message = {"pointwise": "1 NoiseMoments given for 2 rows"}.get(
+        call, "candidates span 2 rows, but 1 per-row"
+    )
+    with pytest.raises(ValueError, match=message):
         _ONE_ROW_CALLS[call](_TWO_ROWS)
     _ONE_ROW_CALLS[call](_TWO_ROWS.select(_TWO_ROWS.rows == 0))  # one row runs
 
@@ -221,18 +231,19 @@ def test_pointwise_and_height_rule_rows_match_single_sequences():
     values = rng.normal(size=(3, 40)) + np.array([[0.0], [2.5], [0.0]])
     margins = [2, 5, 20]
     moments = [UNIT_MOMENTS, NoiseMoments(2.0, 1.0, 3.0), UNIT_MOMENTS]
-    samples = pointwise_pvalues(SampledRows(values, 1.0, 0.0, margins), moments)
+    rows = SampledRows(values, 1.0, 0.0, margins)
+    samples = pointwise_pvalues(rows, moments, 0.05)
     thresholds = np.array([0.5, 1.5, -1.0])
     heights = height_rule_report(samples, thresholds, 0.05, Procedure.SUPREMUM)
     for procedure in (Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH):
-        batch = pointwise_correct(samples, 0.05, procedure, moments)
+        (batch,) = pointwise_correct(rows, 0.05, [procedure], moments)
         for row in range(3):
             seq = SampledRows(values[row][None], 1.0, 0.0, [margins[row]])
-            one = pointwise_pvalues(seq, [moments[row]])
+            one = pointwise_pvalues(seq, [moments[row]], 0.05)
             got = samples.select(samples.rows == row)
             for name in ("indices", "locations", "heights", "pvalues"):
                 assert getattr(got, name).tobytes() == getattr(one, name).tobytes()
-            want = pointwise_correct(one, 0.05, procedure, [moments[row]])
+            (want,) = pointwise_correct(seq, 0.05, [procedure], [moments[row]])
             assert float(batch.pvalue_cutoff[row]).hex() == (
                 float(want.pvalue_cutoff[0]).hex()
             )
@@ -248,3 +259,111 @@ def test_pointwise_and_height_rule_rows_match_single_sequences():
             np.testing.assert_array_equal(chosen.indices, rule.rejected.indices)
             assert heights.num_candidates[row] == rule.num_candidates[0]
     assert batch.num_candidates[2] == 0 and batch.pvalue_cutoff[2] == 1.0
+
+
+# sigmas that are powers of 2, so a height placed at x * sigma divides back to x
+_LAWS = [UNIT_MOMENTS, NoiseMoments(4.0, 1.0, 3.0), NoiseMoments(0.25, 0.1, 3.0)]
+
+
+def _nearest_heights(alpha, m):
+    """Standardized heights whose p-values are the nearest attainable ones
+    on either side of alpha and of the last step-up cutoff alpha * m / m,
+    found by bisection down to neighbouring doubles.  The normal tail moves
+    several ulps per input double near 0.05, so an exact hit is not always
+    attainable there."""
+    if m == 0:
+        return []
+    found = []
+    for cut in sorted({alpha, alpha * m / m}):
+        lo, hi = -ndtri(cut) - 1.0, -ndtri(cut) + 1.0  # p(lo) >= cut > p(hi)
+        while np.nextafter(lo, hi) != hi:
+            mid = lo + (hi - lo) / 2.0
+            lo, hi = (mid, hi) if clip_pvalues(ndtr(-mid)) >= cut else (lo, mid)
+        found += [hi, lo]
+    return found
+
+
+@st.composite
+def _pointwise_rows(draw):
+    """(values, margins, moments, alpha): up to 4 rows of one length, some
+    with margins that leave no sample.  Each row's samples come from its
+    :func:`_nearest_heights`, heights deep in either tail (p-values at the
+    floor and the ceiling), and heights anywhere."""
+    alpha = draw(st.sampled_from([0.05, 0.4, 1e-300, 0.999]) | st.floats(0.001, 0.999))
+    n = draw(st.integers(1, 9))
+    margins = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    laws = draw(st.lists(st.sampled_from(_LAWS), min_size=len(margins), max_size=4))
+    values = np.empty((len(margins), n))
+    for row, (margin, law) in enumerate(zip(margins, laws)):
+        pool = _nearest_heights(alpha, max(n - 2 * margin, 0)) + [-40.0, 40.0]
+        x = st.sampled_from(pool) | st.floats(-3.0, 40.0)
+        values[row] = np.array(draw(st.lists(x, min_size=n, max_size=n))) * law.sigma
+    return values, margins, laws[:len(margins)], alpha
+
+
+def _pointwise_reference(values, margins, moments, alpha, procedure):
+    """Per row: the p-value of every interior sample, corrected by the
+    full step-up table.  Returns the report's numbers, its rejected samples'
+    (row, index, p-value), and the samples with p below alpha * m / m."""
+    n = values.shape[1]
+    numbers, rejected, rejectable = [], [], []
+    for row, (v, margin, law) in enumerate(zip(values, margins, moments)):
+        index = np.arange(margin, n - margin)
+        p = clip_pvalues(ndtr(-v[index] / law.sigma))
+        m = index.size
+        i = np.arange(1, m + 1)
+        k = int(np.max((np.sort(p) < alpha * i / m) * i, initial=0))
+        if m == 0:
+            cutoff, k = 1.0, 0
+        elif procedure is Procedure.POINTWISE_BONFERRONI:
+            cutoff, k = alpha / m, 0
+        else:
+            cutoff = k * alpha / m if k else 0.0
+        numbers.append((cutoff, -law.sigma * ndtri(cutoff), m, k))
+        rejected += [(row, j, q) for j, q in zip(index, p) if q < cutoff]
+        rejectable += [(row, j, q) for j, q in zip(index, p) if q < alpha * m / max(m, 1)]
+    return numbers, rejected, rejectable
+
+
+def _entries(cands):
+    return list(zip(cands.rows.tolist(), cands.indices.tolist(), cands.pvalues.tolist()))
+
+
+def _at_the_cutoff(alpha):
+    """One row of m = 3 heights: p just below alpha, then p at or just
+    above it, twice; all three lie below alpha * 3 / 3 when that rounds
+    above alpha and such a p-value is attainable, as at alpha = 0.4."""
+    return np.array([_nearest_heights(alpha, 3)[:3]])
+
+
+@settings(max_examples=150)
+@given(_pointwise_rows())
+# alpha * 3 / 3 rounds above alpha: p-values nearest both (at 0.4, BH
+# rejects all three samples at step 3), then rows at the floor and empty
+@example((_at_the_cutoff(0.05), [0], [UNIT_MOMENTS], 0.05))
+@example((_at_the_cutoff(0.4), [0], [UNIT_MOMENTS], 0.4))
+@example((
+    np.vstack([_at_the_cutoff(0.05), [[100.0] * 3] * 2]), [0, 0, 2], _LAWS, 1e-300
+))
+def test_pointwise_correct_matches_every_sample_corrected(case):
+    # each report field, bit for bit, against the p-value of every
+    # interior sample and the full step-up table
+    values, margins, moments, alpha = case
+    rows = SampledRows(values, 0.5, -1.25, margins)
+    procedures = [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH]
+    reports = pointwise_correct(rows, alpha, procedures, moments)
+    for procedure, report in zip(procedures, reports):
+        numbers, rejected, rejectable = _pointwise_reference(
+            values, margins, moments, alpha, procedure
+        )
+        assert report.procedure is procedure and report.alpha == alpha
+        cutoff, threshold, m, k = (np.array(x) for x in zip(*numbers))
+        assert report.pvalue_cutoff.tobytes() == cutoff.astype(np.float64).tobytes()
+        assert report.height_threshold.tobytes() == threshold.tobytes()
+        np.testing.assert_array_equal(report.num_candidates, m)
+        np.testing.assert_array_equal(report.step_index, k)
+        assert _entries(report.rejected) == rejected
+        got, index = report.rejected, report.rejected.indices
+        assert got.locations.tobytes() == (-1.25 + 0.5 * index).tobytes()
+        assert got.heights.tobytes() == values[got.rows, index].tobytes()
+    assert _entries(pointwise_pvalues(rows, moments, alpha)) == rejectable

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from stem1d import (
     CandidateSet,
@@ -14,7 +15,6 @@ from stem1d import (
     KernelFamily,
     PeakSpec,
     Procedure,
-    SampledRows,
     SampledSequence,
     SignalSpec,
     SimulationDesign,
@@ -30,8 +30,6 @@ from stem1d import (
     gaussian_kernel,
     generate_noise,
     height_rule_report,
-    pointwise_correct,
-    pointwise_pvalues,
     preset_design,
     run_sweep,
     score_trial,
@@ -53,6 +51,7 @@ from stem1d.evaluation import (
     most_rejections,
 )
 from stem1d.multitest import run_procedure
+from stem1d.palm import clip_pvalues
 
 
 def _toy_regions():
@@ -566,10 +565,9 @@ class _RefView:
         self.cands = candidate_pvalues(find_local_maxima(smoothed), [band.moments], [0])
 
     @property
-    def samples(self):
-        z = self.smoothed
-        rows = SampledRows(z.values[np.newaxis], z.dt, z.t0, [z.margin])
-        return pointwise_pvalues(rows, [self.band.moments])
+    def pvalues(self):
+        """The p-value of every interior sample."""
+        return clip_pvalues(ndtr(-self.smoothed.interior / self.band.moments.sigma))
 
 
 def _ref_candidate_rule(views, proc, design):
@@ -580,15 +578,21 @@ def _ref_candidate_rule(views, proc, design):
 
 
 def _ref_pointwise_rule(views, proc, design):
-    # each view's sample-level correction, scored as its height rule
-    alpha = design.alpha
-    reports = [
-        pointwise_correct(v.samples, alpha, proc, [v.band.moments]) for v in views
-    ]
-    return [
-        height_rule_report(view.cands, r.height_threshold, alpha, proc)
-        for view, r in zip(views, reports)
-    ]
+    # each view's sample-level correction of every sample's p-value, by
+    # the full step-up table, scored as its height rule
+    alpha, reports = design.alpha, []
+    for view in views:
+        p = view.pvalues
+        m = p.size  # a design's margins leave every view a sample
+        if proc is Procedure.POINTWISE_BONFERRONI:
+            cutoff = alpha / m
+        else:
+            i = np.arange(1, m + 1)
+            k = np.max((np.sort(p) < alpha * i / m) * i, initial=0)
+            cutoff = k * alpha / m if k else 0.0
+        threshold = np.array([-view.band.moments.sigma * ndtri(cutoff)])
+        reports.append(height_rule_report(view.cands, threshold, alpha, proc))
+    return reports
 
 
 def _ref_supremum_rule(views, proc, design):

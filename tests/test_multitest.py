@@ -247,10 +247,22 @@ def test_batch_refuses_one_bare_noise_moments():
     (none,) = run_procedure(CandidateSet.empty(), 0.05, [MOMENTS], [], [BH])
     assert none.num_candidates.shape == none.height_threshold.shape == (0,)
     rows = SampledRows(np.zeros((1, 5)), 1.0, 0.0, [1])
+    pw = [Procedure.POINTWISE_BH]
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        pointwise_pvalues(rows, MOMENTS)
+        pointwise_pvalues(rows, MOMENTS, 0.05)
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        pointwise_correct(cands, 0.05, Procedure.POINTWISE_BH, MOMENTS)
+        pointwise_correct(rows, 0.05, pw, MOMENTS)
+    # and as many moments and margins as rows
+    two = SampledRows(np.zeros((2, 5)), 1.0, 0.0, [1, 1])
+    with pytest.raises(ValueError, match="^1 NoiseMoments given for 2 rows$"):
+        pointwise_pvalues(two, [MOMENTS], 0.05)
+    with pytest.raises(ValueError, match="^1 NoiseMoments given for 2 rows$"):
+        pointwise_correct(two, 0.05, pw, [MOMENTS])
+    one_margin = two._replace(margins=[1])
+    with pytest.raises(ValueError, match="^1 margins given for 2 rows$"):
+        pointwise_pvalues(one_margin, [MOMENTS] * 2, 0.05)
+    with pytest.raises(ValueError, match="^1 margins given for 2 rows$"):
+        pointwise_correct(one_margin, 0.05, pw, [MOMENTS] * 2)
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
         supremum_threshold(MOMENTS, 100.0, 0.05)
     # the other rows-only entries refuse a lone threshold, report or region set
@@ -258,7 +270,7 @@ def test_batch_refuses_one_bare_noise_moments():
         height_rule_report(cands, 1.0, 0.05, Procedure.SUPREMUM)
     report = height_rule_report(cands, np.array([1.0]), 0.05, Procedure.SUPREMUM)
     regions = compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))
-    with pytest.raises(ValueError, match="one rejected CandidateSet per row"):
+    with pytest.raises(ValueError, match="one rejected CandidateSet per procedure"):
         score_trial(report.rejected, cands, [regions])
     with pytest.raises(ValueError, match="one RegionSet per row"):
         score_trial([report.rejected], cands, regions)
@@ -351,8 +363,13 @@ def _step_up_rows(draw):
 @example((np.array([0.1] * 3 + [0.2]), 0.1, np.array([0, 3, 1])))
 def test_step_up_count_matches_the_full_table(case):
     p, alpha, m = case
-    got = step_up_count(p, alpha, m)
-    np.testing.assert_array_equal(got, _step_up_full_table(p, alpha, m))
+    want = _step_up_full_table(p, alpha, m)
+    np.testing.assert_array_equal(step_up_count(p, alpha, m, m), want)
+    # the same count with each row's p-values at or above alpha * m / m left out
+    rows = np.repeat(np.arange(m.size), m)
+    keep = p < (alpha * m / np.maximum(m, 1))[rows]
+    counts = np.bincount(rows[keep], minlength=m.size)
+    np.testing.assert_array_equal(step_up_count(p[keep], alpha, m, counts), want)
 
 
 def test_multi_row_report_writes_each_row_as_its_one_row_report():
