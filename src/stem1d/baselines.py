@@ -5,8 +5,8 @@ against the marginal Gaussian null, then correct over the number of
 samples.  The supremum method calibrates one height threshold so
 that the probability of the smoothed noise exceeding it anywhere on the
 domain is at most alpha, via the expected-upcrossings bound.  For
-comparison with peak-level procedures, both are also expressed as height
-thresholds applied to the local-maxima candidates.
+comparison with peak-level procedures, both give height thresholds, which
+:func:`height_rule_report` applies to the local-maxima candidates.
 """
 
 from __future__ import annotations
@@ -23,31 +23,31 @@ from .grid import SQRT_2PI, SampledRows
 from .multitest import DetectionReport, Procedure, _cutoff, _per_row, check_alpha
 from .multitest import _procedures
 from .noise import NoiseMoments
-from .palm import bisect_decreasing, clip_pvalues
+from .palm import _coefficients, bisect_decreasing, clip_pvalues
 
 
-def _interior(smoothed: SampledRows, moments: Sequence[NoiseMoments]):
-    """``(m, sigma)``: each row's interior sample count and sigma.  Refuses
-    a count of moments or margins other than the row count."""
-    _per_row(moments, "NoiseMoments")
+def _interior(smoothed: SampledRows, moments: Sequence[NoiseMoments], law):
+    """``(m, sigma)``: each row's interior sample count, and its law's sigma.
+    Refuses a count of law indices or margins other than the row count."""
+    _per_row(law, "law index")
     rows, n = smoothed.values.shape
-    for what, x in (("NoiseMoments", moments), ("margins", smoothed.margins)):
+    for what, x in (("law indices", law), ("margins", smoothed.margins)):
         if len(x) != rows:
             raise ValueError(f"{len(x)} {what} given for {rows} rows")
     m = np.maximum(n - 2 * np.asarray(smoothed.margins, np.int64), 0)
-    return m, np.array([x.sigma for x in moments])
+    return m, _coefficients(moments, law)[0]  # row 0: each law's sigma
 
 
 def pointwise_pvalues(
-    smoothed: SampledRows, moments: Sequence[NoiseMoments], alpha: float
+    smoothed: SampledRows, moments: Sequence[NoiseMoments], law, alpha: float
 ) -> CandidateSet:
-    """One-sided Gaussian p-value, with the sigma of the row's
-    :class:`NoiseMoments`, at each interior sample a correction at ``alpha``
-    can reject (p below the row's last step-up cutoff alpha * m / m, m its
+    """One-sided Gaussian p-value, with the sigma of the row's law
+    ``moments[law]``, at each interior sample a correction at ``alpha`` can
+    reject (p below the row's last step-up cutoff alpha * m / m, m its
     interior samples), as one set of rows.  A height cut at 1 + 1e-6 times
     that cutoff picks the samples the exact p-value and test then run on."""
     check_alpha(alpha)
-    m, sigma = _interior(smoothed, moments)
+    m, sigma = _interior(smoothed, moments, law)
     last = alpha * m / np.maximum(m, 1)
     loose = -sigma * ndtri(np.minimum(last * (1.0 + 1e-6), 1.0))
     rows, idx, values = smoothed.entries(smoothed.values > loose[:, np.newaxis])
@@ -57,7 +57,8 @@ def pointwise_pvalues(
     return CandidateSet._canonical(idx, smoothed.t0 + smoothed.dt * idx, values, p, rows)
 
 
-_POINTWISE_RULES = {
+# each pointwise procedure, and the correction it makes of sample p-values
+POINTWISE_RULES = {
     Procedure.POINTWISE_BONFERRONI: Procedure.BONFERRONI,
     Procedure.POINTWISE_BH: Procedure.BH,
 }
@@ -66,27 +67,24 @@ _POINTWISE_RULES = {
 def pointwise_correct(
     smoothed: SampledRows,
     alpha: float,
-    procedures: Sequence[Procedure],
     moments: Sequence[NoiseMoments],
-) -> list[DetectionReport]:
-    """Correct each row's sample p-values over its m interior samples, by
-    the cutoff Bonferroni or BH takes on candidate p-values, one report per
-    entry of ``procedures``; only :func:`pointwise_pvalues`' samples can be
-    rejected.  Each row's height threshold, with its :class:`NoiseMoments`,
-    is the sample value equivalent to the realized cutoff, which lets
-    peak-level scoring treat the method as a height rule."""
-    _procedures(procedures, _POINTWISE_RULES, "pointwise")
-    samples = pointwise_pvalues(smoothed, moments, alpha)
-    m, sigma = _interior(smoothed, moments)
+    law,
+    procedures: Sequence[Procedure],
+) -> np.ndarray:
+    """Each row's height threshold under each of ``procedures``, as a
+    ``(len(procedures), rows)`` array: the sample value whose p-value, with
+    the sigma of the row's law ``moments[law]``, is the cutoff Bonferroni or
+    BH takes on the row's :func:`pointwise_pvalues` corrected over its m
+    interior samples.  Peak-level scoring applies it to the local maxima
+    as a height rule (:func:`height_rule_report`)."""
+    _procedures(procedures, POINTWISE_RULES, "pointwise")
+    samples = pointwise_pvalues(smoothed, moments, law, alpha)
+    m, sigma = _interior(smoothed, moments, law)
     counts = samples.row_counts(m.size)
-    reports = []
-    for proc in procedures:
-        cutoff, k = _cutoff(samples.pvalues, alpha, _POINTWISE_RULES[proc], m, counts)
-        # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
-        threshold = -sigma * ndtri(cutoff)
-        rejected = samples.select(samples.pvalues < cutoff[samples.rows])
-        reports.append(DetectionReport(proc, alpha, rejected, cutoff, threshold, m, k))
-    return reports
+    rules = [POINTWISE_RULES[proc] for proc in procedures]
+    cutoffs = [_cutoff(samples.pvalues, alpha, rule, m, counts)[0] for rule in rules]
+    # a cutoff of 0 gives +inf, and of 1 (no samples) -inf
+    return -sigma * ndtri(np.reshape(cutoffs, (len(procedures), m.size)))
 
 
 def _upcrossing_rate(moments: NoiseMoments, domain_length: float, convention: str):

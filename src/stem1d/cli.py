@@ -32,7 +32,7 @@ from .kernels import (
     quartic_kernel,
     same_grid,
 )
-from .multitest import Procedure, check_alpha
+from .multitest import PEAK_PROCEDURES, Procedure, check_alpha
 from .noise import check_interior, estimate_moments
 from .pipeline import check_testable, stem_detect
 from .seriesio import (
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise-only series; moments are estimated after smoothing it",
     )
     p.add_argument(
-        "--procedure", choices=("bonferroni", "bh"), default="bh",
+        "--procedure", choices=[p.value for p in PEAK_PROCEDURES], default="bh",
     )
     p.add_argument("--alpha", type=float, required=True, help="error budget")
     p.add_argument("--report-json", help="write the full report here")

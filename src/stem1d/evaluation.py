@@ -33,7 +33,7 @@ from .kernels import (
     kernel_reach,
     quartic_kernel,
 )
-from .multitest import Procedure, _per_row, check_alpha, run_procedure
+from .multitest import PEAK_PROCEDURES, Procedure, _per_row, check_alpha, run_procedure
 from .noise import (
     MIN_INTERIOR_SAMPLES,
     GaussianAcvfParams,
@@ -46,7 +46,7 @@ from .noise import (
 from .palm import candidate_pvalues
 from .pipeline import find_local_maxima
 from .baselines import (
-    _POINTWISE_RULES,
+    POINTWISE_RULES,
     height_rule_report,
     pointwise_correct,
     supremum_threshold,
@@ -192,7 +192,7 @@ class SimulationDesign:
     gamma_grid: tuple[float, ...]
     amplitude_grid: tuple[float, ...] = (1.0,)
     kernel_trunc: float = 3.0
-    procedures: tuple[Procedure, ...] = (Procedure.BONFERRONI, Procedure.BH)
+    procedures: tuple[Procedure, ...] = PEAK_PROCEDURES
     alpha: float = 0.05
     replications: int = 1000
     moments_mode: str = "closed_form"
@@ -228,6 +228,10 @@ class SimulationDesign:
             raise ValueError("every bandwidth must be at least the grid spacing")
         if not self.procedures:
             raise ValueError("procedures must be non-empty")
+        for i, proc in enumerate(self.procedures):
+            j = self.procedures.index(proc)
+            if j < i:  # a repeat, as of a grid value, writes cells twice
+                raise ValueError(f"procedures[{j}] and procedures[{i}] repeat {proc.value!r}")
         check_alpha(self.alpha)
         if self.replications < 1:
             raise ValueError("replications must be positive")
@@ -261,8 +265,7 @@ class SimulationDesign:
                     f"kernel, got {self.moments_length!r}"
                 )
         if self.auto_bandwidth:
-            allowed = (Procedure.BONFERRONI, Procedure.BH)
-            if any(p not in allowed for p in self.procedures):
+            if any(p not in PEAK_PROCEDURES for p in self.procedures):
                 raise ValueError(
                     "auto-bandwidth sweeps support bonferroni and bh only"
                 )
@@ -397,7 +400,6 @@ class _Band:
         base_mu: SampledSequence,
         seed: int,
     ):
-        self.gamma = gamma
         self.kernel = design.build_kernel(gamma)
         self.moments = _cell_moments(design, self.kernel, index, seed, gamma)
         self.regions = compute_regions(design.signal, self.kernel)
@@ -454,8 +456,8 @@ def _block(
     rejections, whose index is ``chosen``.  A fixed design adds
     ``locmax_per_peak``, indexed [column, amplitude, replication].  Every
     (replication, amplitude, bandwidth) view is a row of one array, and
-    each stage runs once over all rows: the pointwise corrections too, as
-    they give p-values only to the samples they can reject.
+    each stage runs once over all rows; the pointwise and supremum rules
+    test each row's maxima against one height threshold.
     """
     n, dt = base_mu.values.size, design.dt
     seeds = [(seed, _TRIAL_STREAM, rep) for rep in reps]
@@ -474,14 +476,14 @@ def _block(
     law = np.tile(np.arange(len(bands)), repeats)
     cands = candidate_pvalues(find_local_maxima(grid), laws, law)
     procs, alpha = design.procedures, design.alpha
-    peak = [p for p in procs if p in (Procedure.BONFERRONI, Procedure.BH)]
+    peak = [p for p in procs if p in PEAK_PROCEDURES]
     reports = dict(zip(peak, run_procedure(cands, alpha, laws, law, peak))) if peak else {}
     # the other rules are scored as height rules, by each row's threshold
-    pointwise = [p for p in procs if p in _POINTWISE_RULES]
-    found = pointwise_correct(grid, alpha, pointwise, laws * repeats) if pointwise else []
-    thresholds = {r.procedure: r.height_threshold for r in found}
+    pointwise = [p for p in procs if p in POINTWISE_RULES]
+    found = pointwise_correct(grid, alpha, laws, law, pointwise) if pointwise else []
+    thresholds = dict(zip(pointwise, found))
     if sup is not None:
-        thresholds[Procedure.SUPREMUM] = np.tile(sup, repeats)
+        thresholds[Procedure.SUPREMUM] = sup[law]
     for p, threshold in thresholds.items():
         reports[p] = height_rule_report(cands, threshold, alpha, p)
     rejected = [reports[p].rejected for p in procs]

@@ -33,6 +33,10 @@ class Procedure(enum.Enum):
     SUPREMUM = "supremum"
 
 
+# the procedures that test candidate p-values, through run_procedure
+PEAK_PROCEDURES = (Procedure.BONFERRONI, Procedure.BH)
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
     """Outcome of one testing procedure on a candidate set of one or more
@@ -191,7 +195,7 @@ def run_procedure(
     :func:`palm_quantile` call.
     """
     _per_row(law, "law index")
-    _procedures(procedures, (Procedure.BONFERRONI, Procedure.BH), "candidate-level")
+    _procedures(procedures, PEAK_PROCEDURES, "candidate-level")
     if candidates.pvalues is None:
         raise ValueError("candidates carry no p-values")
     m = candidates.row_counts(len(law))

@@ -20,6 +20,13 @@ from .grid import SQRT_2PI, SampledSequence
 _SQRT_PI = math.sqrt(math.pi)
 # fewest samples estimate_moments takes from inside a sequence's margins
 MIN_INTERIOR_SAMPLES = 10
+# Delta and NoiseMoments.survival_terms, as a refusal names them
+_TERMS = (
+    "sigma2 * lambda4 - lambda2^2",
+    "lambda4 / Delta",
+    "lambda2^2 / (Delta sigma2)",
+    "2 pi lambda2^2 / (lambda4 sigma2)",
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,9 @@ class NoiseMoments:
 
     ``sigma2`` is the variance of the process, ``lambda2`` the variance
     of its first derivative and ``lambda4`` the variance of its second
-    derivative.  Validity requires ``sigma2 * lambda4 - lambda2^2 > 0``.
+    derivative.  Validity requires ``Delta = sigma2 * lambda4 - lambda2^2
+    > 0``, and Delta and :meth:`survival_terms` must be positive, finite
+    doubles: moments that overflow or underflow there raise ``ValueError``.
     """
 
     sigma2: float
@@ -51,14 +60,39 @@ class NoiseMoments:
     def __post_init__(self):
         for name in ("sigma2", "lambda2", "lambda4"):
             positive_finite(name, getattr(self, name))
-        if not (self.delta > 0):
+        try:
+            delta = self.delta
+            terms = self.survival_terms() if delta > 0 else ()
+        except OverflowError:
+            raise ValueError("moments overflow: lambda2^2 is not finite") from None
+        except ZeroDivisionError:
+            raise ValueError(
+                "moments underflow: Delta * sigma2 or lambda4 * sigma2 rounds to 0"
+            ) from None
+        if not (delta > 0):
             raise ValueError(
                 "moments are incompatible: sigma2 * lambda4 must exceed lambda2^2"
             )
+        for name, x in zip(_TERMS, (delta, *terms)):
+            if not x < math.inf:
+                raise ValueError(f"moments overflow: {name} is not finite")
+            if not x > 0:
+                raise ValueError(f"moments underflow: {name} rounds to 0")
 
     @property
     def delta(self) -> float:
         return self.sigma2 * self.lambda4 - self.lambda2**2
+
+    def survival_terms(self) -> tuple[float, float, float]:
+        """``(lambda4 / Delta, lambda2^2 / (Delta sigma2), 2 pi lambda2^2 /
+        (lambda4 sigma2))``, the squares of the coefficients a1, a2 and c1
+        of the height law of local maxima (:mod:`stem1d.palm`), in Python
+        floats."""
+        return (
+            self.lambda4 / self.delta,
+            self.lambda2**2 / (self.delta * self.sigma2),
+            2.0 * math.pi * self.lambda2**2 / (self.lambda4 * self.sigma2),
+        )
 
     @property
     def sigma(self) -> float:
@@ -83,12 +117,19 @@ def closed_form_moments(params: GaussianAcvfParams, gamma: float) -> NoiseMoment
     xi = math.hypot(gamma, params.nu)
     if xi == 0.0:
         raise ValueError("closed-form moments need gamma or nu positive")
-    s2 = params.sigma**2
-    return NoiseMoments(
-        sigma2=s2 / (2.0 * _SQRT_PI * xi),
-        lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
-        lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi**5),
-    )
+    try:
+        s2 = params.sigma**2
+        return NoiseMoments(
+            sigma2=s2 / (2.0 * _SQRT_PI * xi),
+            lambda2=s2 / (4.0 * _SQRT_PI * xi**3),
+            lambda4=3.0 * s2 / (8.0 * _SQRT_PI * xi**5),
+        )
+    except OverflowError:  # sigma**2 or a power of xi
+        raise ValueError(
+            f"closed-form moments overflow: sigma={params.sigma!r}, xi={xi!r}"
+        ) from None
+    except ZeroDivisionError:  # a power of xi rounds to 0
+        raise ValueError(f"closed-form moments underflow: xi={xi!r}") from None
 
 
 def smoothing_taps(xi: float, dt: float) -> np.ndarray:
@@ -194,7 +235,10 @@ def estimate_moments(
         if dt is not None or margin is not None:
             raise ValueError("a sequence carries its own dt and margin; pass neither")
         row = estimate_moments(runs.values[np.newaxis], zero_mean, runs.dt, runs.margin)
-        return NoiseMoments(*row[0].tolist())
+        try:
+            return NoiseMoments(*row[0].tolist())
+        except ValueError as exc:  # moments that overflow or underflow the law
+            raise DegenerateSequenceError(str(exc)) from None
     if np.ndim(runs) != 2:
         raise ValueError(f"runs must be a sequence or a 2-D array, not {np.ndim(runs)}-D")
     if dt is None:

@@ -69,10 +69,11 @@ def _coefficients(moments: Sequence[NoiseMoments], law) -> np.ndarray:
     ``ndtr(-a1 u) + c1 phi(u / sigma) ndtr(a2 u)``, where
     ``a1 = sqrt(lambda4 / Delta)``, ``a2 = sqrt(lambda2^2 / (Delta sigma2))``
     and ``c1 = sqrt(2 pi lambda2^2 / (lambda4 sigma2))``.  Each law's are
-    worked out once, with Python floats on purpose: numpy's ``x * x`` and
-    Python's ``x**2`` can differ in the last bit, which would move the
-    p-values.  A lone :class:`NoiseMoments`, or an index that is not an
-    integer in ``[0, len(moments))``, raises.
+    worked out once from :meth:`NoiseMoments.survival_terms`, with Python
+    floats on purpose: numpy's ``x * x`` and Python's ``x**2`` can differ
+    in the last bit, which would move the p-values.  A lone
+    :class:`NoiseMoments`, or an index that is not an integer in
+    ``[0, len(moments))``, raises.
     """
     if isinstance(moments, NoiseMoments):
         raise ValueError("moments must be a sequence of NoiseMoments, indexed by law")
@@ -81,15 +82,13 @@ def _coefficients(moments: Sequence[NoiseMoments], law) -> np.ndarray:
         law.dtype.kind in "iu" and 0 <= law.min() and law.max() < len(moments)
     ):
         raise ValueError(f"law indices must be integers in [0, {len(moments)})")
+    terms = [m.survival_terms() for m in moments]
     table = np.array(
         [
             [m.sigma for m in moments],
-            [-math.sqrt(m.lambda4 / m.delta) for m in moments],  # negated once
-            [math.sqrt(m.lambda2**2 / (m.delta * m.sigma2)) for m in moments],
-            [
-                math.sqrt(2.0 * math.pi * m.lambda2**2 / (m.lambda4 * m.sigma2))
-                for m in moments
-            ],
+            [-math.sqrt(a1) for a1, _, _ in terms],  # negated once
+            [math.sqrt(a2) for _, a2, _ in terms],
+            [math.sqrt(c1) for _, _, c1 in terms],
         ]
     )
     # take, not table[:, law], whose rows would be strided; an empty law may be float
@@ -131,11 +130,12 @@ def palm_quantile(moments: Sequence[NoiseMoments], law, v) -> np.ndarray:
     of the 1-D array ``v``, each in (0, 1]; ``law`` broadcasts against it.
 
     ``v = 1`` gives ``-inf`` (every height exceeds the threshold).  The
-    other entries are solved in step: each one expands its bracket from
-    +-10 sigma by doubling and bisects it, stopping on its own, while every
-    step evaluates the survivor function for all entries in one array
-    pass.  The survivor function is continuous and strictly decreasing, so
-    this always converges.  Any entry outside (0, 1] raises.
+    other entries are solved in step: each one brackets its root by
+    [-10 sigma, 10 sigma], expanding the upper end by doubling, and bisects
+    it, stopping on its own, while every step evaluates the survivor
+    function for all entries in one array pass.  The survivor function is
+    continuous and strictly decreasing, so this always converges.  Any
+    entry outside (0, 1] raises.
     """
     v = np.asarray(v, dtype=np.float64)
     bad = ~((0.0 < v) & (v <= 1.0))
@@ -153,12 +153,7 @@ def palm_quantile(moments: Sequence[NoiseMoments], law, v) -> np.ndarray:
         if done.all():
             break
         hi = np.where(done, hi, hi * 2.0)
-    lo = -10.0 * coef[0]
-    for _ in range(200):
-        done = palm_survival(moments, law, lo) > target
-        if done.all():
-            break
-        lo = np.where(done, lo, lo * 2.0)
+    lo = -10.0 * coef[0]  # F(lo) = ndtr(10 a1 sigma > 10) + O(e^-50) rounds to 1
     if not np.isfinite(lo + hi).all():  # then every midpoint is finite
         raise ValueError("no finite bracket for the quantile")
     lo, hi = bisect_decreasing(lambda u: _survival(coef, u), target, lo, hi)

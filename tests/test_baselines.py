@@ -103,20 +103,23 @@ def test_supremum_threshold_batch_matches_single_calls(length, alpha, convention
 def test_pointwise_pvalues_marginal_tail():
     moments = NoiseMoments(sigma2=4.0, lambda2=1.0, lambda4=3.0)
     seq = SampledRows(np.array([[9.0, 0.0, 2.0, -2.0, 9.0]]), 0.5, 0.0, [1])
-    samples = pointwise_pvalues(seq, [moments], 0.999)
+    samples = pointwise_pvalues(seq, [moments], [0], 0.999)
     np.testing.assert_array_equal(samples.indices, [1, 2, 3])
     np.testing.assert_allclose(
         samples.pvalues, stats.norm.sf(np.array([0.0, 2.0, -2.0]) / 2.0), rtol=1e-12
     )
     # only the samples a correction at alpha can reject: p < 0.2 * 3 / 3
-    np.testing.assert_array_equal(pointwise_pvalues(seq, [moments], 0.2).indices, [2])
+    kept = pointwise_pvalues(seq, [moments], [0], 0.2)
+    np.testing.assert_array_equal(kept.indices, [2])
     narrow = SampledRows(np.zeros((1, 4)), 1.0, 0.0, [2])
-    assert len(pointwise_pvalues(narrow, [moments], 0.999)) == 0
+    assert len(pointwise_pvalues(narrow, [moments], [0], 0.999)) == 0
 
 
 def test_pointwise_correct_agrees_with_candidate_procedures():
     # on identical p-values the pointwise corrections make the same
-    # decisions as the peak-level ones; only the labels differ
+    # decisions as the peak-level ones; only the labels differ.  Under unit
+    # sigma a threshold is the marginal quantile of the peak cutoff, and
+    # the samples above it are the ones the peak procedure rejects
     rng = np.random.default_rng(42)
     moments = closed_form_moments(GaussianAcvfParams(1.0), 1.0)
     for _ in range(50):
@@ -126,38 +129,39 @@ def test_pointwise_correct_agrees_with_candidate_procedures():
             np.arange(m), np.arange(m, dtype=float), values,
             clip_pvalues(ndtr(-values)),  # every sample's p-value, under unit sigma
         )
-        pw_bon, pw_bh = pointwise_correct(
-            SampledRows(values[np.newaxis], 1.0, 0.0, [0]), 0.05,
-            [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH], [UNIT_MOMENTS],
+        thresholds = pointwise_correct(
+            SampledRows(values[np.newaxis], 1.0, 0.0, [0]), 0.05, [UNIT_MOMENTS], [0],
+            [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH],
         )
-        bon, bh = run_procedure(
+        reports = run_procedure(
             cands, 0.05, [moments], [0], [Procedure.BONFERRONI, Procedure.BH]
         )
-        assert pw_bon.pvalue_cutoff[0] == bon.pvalue_cutoff[0]
-        assert pw_bh.step_index[0] == bh.step_index[0]
-        assert pw_bh.num_rejected == bh.num_rejected
-        np.testing.assert_array_equal(pw_bh.rejected.indices, bh.rejected.indices)
+        for (threshold,), report in zip(thresholds, reports):
+            cutoff = report.pvalue_cutoff[0]
+            assert float(threshold).hex() == float(-ndtri(cutoff)).hex()
+            above = np.flatnonzero(values > threshold)
+            np.testing.assert_array_equal(above, report.rejected.indices)
 
 
 def test_pointwise_correct_thresholds_and_edges():
     moments = NoiseMoments(sigma2=1.0, lambda2=1.0, lambda4=3.0)
     rows = SampledRows(np.array([[3.0, 1.0, 0.0]]), 1.0, 0.0, [0])
-    (rep,) = pointwise_correct(rows, 0.05, [Procedure.POINTWISE_BONFERRONI], [moments])
-    assert rep.pvalue_cutoff == pytest.approx([0.05 / 3])
-    # the reported height threshold reproduces the cutoff through the marginal
-    assert stats.norm.sf(rep.height_threshold) == pytest.approx(
-        rep.pvalue_cutoff, rel=1e-9
-    )
-    np.testing.assert_array_equal(rep.rejected.indices, [0])
+    bon = [Procedure.POINTWISE_BONFERRONI]
+    ((threshold,),) = pointwise_correct(rows, 0.05, [moments], [0], bon)
+    # the height threshold reproduces the cutoff 0.05 / 3 through the
+    # marginal, and only the first sample lies above it
+    assert stats.norm.sf(threshold) == pytest.approx(0.05 / 3, rel=1e-9)
+    assert 1.0 < threshold < 3.0
     # margins that leave no sample: no hypotheses, so everything would go
     bare = SampledRows(np.zeros((1, 4)), 1.0, 0.0, [2])
-    (empty,) = pointwise_correct(bare, 0.05, [Procedure.POINTWISE_BH], [moments])
-    assert empty.pvalue_cutoff[0] == 1.0 and empty.num_candidates[0] == 0
-    assert empty.height_threshold[0] == -math.inf
+    empty = pointwise_correct(bare, 0.05, [moments], [0], [Procedure.POINTWISE_BH])
+    assert empty.tolist() == [[-math.inf]]
+    # no procedure gives no thresholds, one row of none per procedure
+    assert pointwise_correct(rows, 0.05, [moments], [0], []).shape == (0, 1)
     with pytest.raises(ValueError, match="is not a pointwise procedure"):
-        pointwise_correct(rows, 0.05, [Procedure.BONFERRONI], [moments])
+        pointwise_correct(rows, 0.05, [moments], [0], [Procedure.BONFERRONI])
     with pytest.raises(ValueError, match="sequence of Procedure"):
-        pointwise_correct(rows, 0.05, Procedure.POINTWISE_BH, [moments])
+        pointwise_correct(rows, 0.05, [moments], [0], Procedure.POINTWISE_BH)
 
 
 def test_height_rule_strict_and_nan_cutoff():
@@ -186,10 +190,10 @@ _ONE_ROW_CALLS = {
     "height_rule": lambda c: height_rule_report(
         c, np.array([2.5]), 0.05, Procedure.SUPREMUM
     ),
-    # as many rows of samples as the set has rows
+    # as many rows of samples as the set has rows, and one law index
     "pointwise": lambda c: pointwise_correct(
         SampledRows(np.zeros((c.rows.max() + 1, 12)), 1.0, 0.0, [1] * len(set(c.rows))),
-        0.05, [Procedure.POINTWISE_BONFERRONI], [UNIT_MOMENTS],
+        0.05, [UNIT_MOMENTS], [0], [Procedure.POINTWISE_BONFERRONI],
     ),
     "score_trial": lambda c: score_trial(
         [height_rule_report(
@@ -203,8 +207,8 @@ _ONE_ROW_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(_ONE_ROW_CALLS))
 def test_single_set_call_refuses_a_second_row(call):
-    # pointwise_correct takes rows of samples, and counts their moments
-    message = {"pointwise": "1 NoiseMoments given for 2 rows"}.get(
+    # pointwise_correct takes rows of samples, and counts their law indices
+    message = {"pointwise": "1 law indices given for 2 rows"}.get(
         call, "candidates span 2 rows, but 1 per-row"
     )
     with pytest.raises(ValueError, match=message):
@@ -224,41 +228,32 @@ def test_supremum_less_conservative_than_pointwise_bonferroni():
 
 
 def test_pointwise_and_height_rule_rows_match_single_sequences():
-    # every row of a batch is tested, corrected and thresholded as the
-    # row alone, a batch of one, would be, bit for bit; row 2's margins
-    # leave no sample
+    # every row of a batch is tested and thresholded as the row alone, a
+    # batch of one, would be, bit for bit; row 2's margins leave no sample
     rng = np.random.default_rng(21)
     values = rng.normal(size=(3, 40)) + np.array([[0.0], [2.5], [0.0]])
     margins = [2, 5, 20]
-    moments = [UNIT_MOMENTS, NoiseMoments(2.0, 1.0, 3.0), UNIT_MOMENTS]
+    laws, law = [UNIT_MOMENTS, NoiseMoments(2.0, 1.0, 3.0)], [0, 1, 0]
     rows = SampledRows(values, 1.0, 0.0, margins)
-    samples = pointwise_pvalues(rows, moments, 0.05)
+    samples = pointwise_pvalues(rows, laws, law, 0.05)
     thresholds = np.array([0.5, 1.5, -1.0])
     heights = height_rule_report(samples, thresholds, 0.05, Procedure.SUPREMUM)
-    for procedure in (Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH):
-        (batch,) = pointwise_correct(rows, 0.05, [procedure], moments)
-        for row in range(3):
-            seq = SampledRows(values[row][None], 1.0, 0.0, [margins[row]])
-            one = pointwise_pvalues(seq, [moments[row]], 0.05)
-            got = samples.select(samples.rows == row)
-            for name in ("indices", "locations", "heights", "pvalues"):
-                assert getattr(got, name).tobytes() == getattr(one, name).tobytes()
-            (want,) = pointwise_correct(seq, 0.05, [procedure], [moments[row]])
-            assert float(batch.pvalue_cutoff[row]).hex() == (
-                float(want.pvalue_cutoff[0]).hex()
-            )
-            assert batch.height_threshold[row] == want.height_threshold[0]
-            assert batch.step_index[row] == want.step_index[0]
-            assert batch.num_candidates[row] == want.num_candidates[0]
-            rejected = batch.rejected.select(batch.rejected.rows == row)
-            np.testing.assert_array_equal(rejected.indices, want.rejected.indices)
-            rule = height_rule_report(
-                one, thresholds[row:row + 1], 0.05, Procedure.SUPREMUM
-            )
-            chosen = heights.rejected.select(heights.rejected.rows == row)
-            np.testing.assert_array_equal(chosen.indices, rule.rejected.indices)
-            assert heights.num_candidates[row] == rule.num_candidates[0]
-    assert batch.num_candidates[2] == 0 and batch.pvalue_cutoff[2] == 1.0
+    procedures = [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH]
+    batch = pointwise_correct(rows, 0.05, laws, law, procedures)
+    assert batch.shape == (2, 3)
+    for row in range(3):
+        seq = SampledRows(values[row][None], 1.0, 0.0, [margins[row]])
+        one = pointwise_pvalues(seq, [laws[law[row]]], [0], 0.05)
+        got = samples.select(samples.rows == row)
+        for name in ("indices", "locations", "heights", "pvalues"):
+            assert getattr(got, name).tobytes() == getattr(one, name).tobytes()
+        want = pointwise_correct(seq, 0.05, [laws[law[row]]], [0], procedures)
+        assert batch[:, row].tobytes() == want[:, 0].tobytes()
+        rule = height_rule_report(one, thresholds[row:row + 1], 0.05, Procedure.SUPREMUM)
+        chosen = heights.rejected.select(heights.rejected.rows == row)
+        np.testing.assert_array_equal(chosen.indices, rule.rejected.indices)
+        assert heights.num_candidates[row] == rule.num_candidates[0]
+    assert batch[:, 2].tolist() == [-math.inf, -math.inf]
 
 
 # sigmas that are powers of 2, so a height placed at x * sigma divides back to x
@@ -285,44 +280,46 @@ def _nearest_heights(alpha, m):
 
 @st.composite
 def _pointwise_rows(draw):
-    """(values, margins, moments, alpha): up to 4 rows of one length, some
-    with margins that leave no sample.  Each row's samples come from its
-    :func:`_nearest_heights`, heights deep in either tail (p-values at the
-    floor and the ceiling), and heights anywhere."""
+    """(values, margins, law, alpha): up to 4 rows of one length, some with
+    margins that leave no sample, each under the law ``_LAWS[law[row]]``.
+    Each row's samples come from its :func:`_nearest_heights`, heights deep
+    in either tail (p-values at the floor and the ceiling), and heights
+    anywhere."""
     alpha = draw(st.sampled_from([0.05, 0.4, 1e-300, 0.999]) | st.floats(0.001, 0.999))
     n = draw(st.integers(1, 9))
     margins = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
-    laws = draw(st.lists(st.sampled_from(_LAWS), min_size=len(margins), max_size=4))
+    law = draw(st.lists(st.integers(0, len(_LAWS) - 1), min_size=len(margins),
+                        max_size=len(margins)))
     values = np.empty((len(margins), n))
-    for row, (margin, law) in enumerate(zip(margins, laws)):
+    for row, (margin, i) in enumerate(zip(margins, law)):
         pool = _nearest_heights(alpha, max(n - 2 * margin, 0)) + [-40.0, 40.0]
         x = st.sampled_from(pool) | st.floats(-3.0, 40.0)
-        values[row] = np.array(draw(st.lists(x, min_size=n, max_size=n))) * law.sigma
-    return values, margins, laws[:len(margins)], alpha
+        values[row] = np.array(draw(st.lists(x, min_size=n, max_size=n))) * _LAWS[i].sigma
+    return values, margins, law, alpha
 
 
-def _pointwise_reference(values, margins, moments, alpha, procedure):
+def _pointwise_reference(values, margins, law, alpha, procedure):
     """Per row: the p-value of every interior sample, corrected by the
-    full step-up table.  Returns the report's numbers, its rejected samples'
-    (row, index, p-value), and the samples with p below alpha * m / m."""
+    full step-up table.  Returns each row's height threshold, and the
+    samples with p below alpha * m / m as (row, index, p-value)."""
     n = values.shape[1]
-    numbers, rejected, rejectable = [], [], []
-    for row, (v, margin, law) in enumerate(zip(values, margins, moments)):
+    thresholds, rejectable = [], []
+    for row, (v, margin, i) in enumerate(zip(values, margins, law)):
+        sigma = _LAWS[i].sigma
         index = np.arange(margin, n - margin)
-        p = clip_pvalues(ndtr(-v[index] / law.sigma))
+        p = clip_pvalues(ndtr(-v[index] / sigma))
         m = index.size
-        i = np.arange(1, m + 1)
-        k = int(np.max((np.sort(p) < alpha * i / m) * i, initial=0))
+        j = np.arange(1, m + 1)
+        k = int(np.max((np.sort(p) < alpha * j / m) * j, initial=0))
         if m == 0:
-            cutoff, k = 1.0, 0
+            cutoff = 1.0
         elif procedure is Procedure.POINTWISE_BONFERRONI:
-            cutoff, k = alpha / m, 0
+            cutoff = alpha / m
         else:
             cutoff = k * alpha / m if k else 0.0
-        numbers.append((cutoff, -law.sigma * ndtri(cutoff), m, k))
-        rejected += [(row, j, q) for j, q in zip(index, p) if q < cutoff]
+        thresholds.append(-sigma * ndtri(cutoff))
         rejectable += [(row, j, q) for j, q in zip(index, p) if q < alpha * m / max(m, 1)]
-    return numbers, rejected, rejectable
+    return np.array(thresholds, dtype=np.float64), rejectable
 
 
 def _entries(cands):
@@ -340,30 +337,23 @@ def _at_the_cutoff(alpha):
 @given(_pointwise_rows())
 # alpha * 3 / 3 rounds above alpha: p-values nearest both (at 0.4, BH
 # rejects all three samples at step 3), then rows at the floor and empty
-@example((_at_the_cutoff(0.05), [0], [UNIT_MOMENTS], 0.05))
-@example((_at_the_cutoff(0.4), [0], [UNIT_MOMENTS], 0.4))
+@example((_at_the_cutoff(0.05), [0], [0], 0.05))
+@example((_at_the_cutoff(0.4), [0], [0], 0.4))
 @example((
-    np.vstack([_at_the_cutoff(0.05), [[100.0] * 3] * 2]), [0, 0, 2], _LAWS, 1e-300
+    np.vstack([_at_the_cutoff(0.05), [[100.0] * 3] * 2]), [0, 0, 2], [0, 1, 2], 1e-300
 ))
 def test_pointwise_correct_matches_every_sample_corrected(case):
-    # each report field, bit for bit, against the p-value of every
+    # each row's threshold, bit for bit, against the p-value of every
     # interior sample and the full step-up table
-    values, margins, moments, alpha = case
+    values, margins, law, alpha = case
     rows = SampledRows(values, 0.5, -1.25, margins)
     procedures = [Procedure.POINTWISE_BONFERRONI, Procedure.POINTWISE_BH]
-    reports = pointwise_correct(rows, alpha, procedures, moments)
-    for procedure, report in zip(procedures, reports):
-        numbers, rejected, rejectable = _pointwise_reference(
-            values, margins, moments, alpha, procedure
-        )
-        assert report.procedure is procedure and report.alpha == alpha
-        cutoff, threshold, m, k = (np.array(x) for x in zip(*numbers))
-        assert report.pvalue_cutoff.tobytes() == cutoff.astype(np.float64).tobytes()
-        assert report.height_threshold.tobytes() == threshold.tobytes()
-        np.testing.assert_array_equal(report.num_candidates, m)
-        np.testing.assert_array_equal(report.step_index, k)
-        assert _entries(report.rejected) == rejected
-        got, index = report.rejected, report.rejected.indices
-        assert got.locations.tobytes() == (-1.25 + 0.5 * index).tobytes()
-        assert got.heights.tobytes() == values[got.rows, index].tobytes()
-    assert _entries(pointwise_pvalues(rows, moments, alpha)) == rejectable
+    thresholds = pointwise_correct(rows, alpha, _LAWS, law, procedures)
+    assert thresholds.shape == (2, len(margins))
+    for procedure, got in zip(procedures, thresholds):
+        want, rejectable = _pointwise_reference(values, margins, law, alpha, procedure)
+        assert got.tobytes() == want.tobytes()
+    samples = pointwise_pvalues(rows, _LAWS, law, alpha)
+    assert _entries(samples) == rejectable
+    assert samples.locations.tobytes() == (-1.25 + 0.5 * samples.indices).tobytes()
+    assert samples.heights.tobytes() == values[samples.rows, samples.indices].tobytes()

@@ -1,15 +1,20 @@
 """End-to-end checks of the command line interface."""
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stem1d
 from stem1d import (
@@ -299,8 +304,18 @@ def test_detect_non_utf8_moments_json_exits_3(tmp_path, capsys):
         ({"lambda4": None}, "lambda4 must be float, got None"),
         ({"sigma": 3}, "unknown key 'sigma'"),
         ({"sigma2": 10**400}, "sigma2: int too large to convert to float"),
+        # finite, positive values that used to escape as OverflowError from
+        # Delta and as ZeroDivisionError from the height law's coefficients
+        (
+            {"sigma2": 1.0, "lambda2": 1e200, "lambda4": 1e300},
+            "moments overflow: lambda2^2 is not finite",
+        ),
+        (
+            {"sigma2": 1e-300, "lambda2": 1e-153, "lambda4": 1.0},
+            "moments underflow: Delta * sigma2 or lambda4 * sigma2 rounds to 0",
+        ),
     ],
-    ids=["bool", "string", "null", "unknown-key", "huge-integer"],
+    ids=["bool", "string", "null", "unknown-key", "huge-integer", "overflow", "underflow"],
 )
 def test_detect_moments_of_wrong_type_or_unknown_key_exits_3(
     tmp_path, capsys, patch, key
@@ -312,6 +327,55 @@ def test_detect_moments_of_wrong_type_or_unknown_key_exits_3(
     assert _detect_exit(tmp_path, moments=moments) == 3
     err = capsys.readouterr().err
     assert f"error: {moments}: {key}" in err
+
+
+# moment values from subnormal to near the largest double, as in
+# tests/test_palm.py, and ordinary ones
+_EXTREMES = (1e-320, 1e-300, 1e-160, 1e-150, 1e-5, 1.0, 3.0, 1e150, 1e160, 1e300, 1.7e308)
+_NUMBER = st.sampled_from(_EXTREMES) | st.floats(0.01, 100.0)
+
+
+@st.composite
+def _moments_json(draw):
+    """What a moments file may hold: three numbers, lambda2 often below its
+    bound sqrt(sigma2 * lambda4); in a quarter of the files one value of
+    the wrong JSON type or an unknown key, and in some no JSON object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[1, 2], "moments", 1.0, None]))
+    sigma2, lambda4 = draw(_NUMBER), draw(_NUMBER)
+    bound = math.sqrt(sigma2) * math.sqrt(lambda4)
+    lambda2 = draw(_NUMBER | st.floats(0.01, 0.99).map(lambda f: f * bound))
+    data = {"sigma2": sigma2, "lambda2": lambda2, "lambda4": lambda4}
+    if draw(st.integers(0, 3)) == 0:
+        wrong = [None, True, "1.0", [1.0], {}, 10**400, -1.0, 0.0]
+        data[draw(st.sampled_from([*data, "sigma"]))] = draw(st.sampled_from(wrong))
+    return data
+
+
+@settings(max_examples=200)
+@given(data=_moments_json())
+@example(data={"sigma2": 1.0, "lambda2": 1e200, "lambda4": 1e300})
+@example(data={"sigma2": 1e-300, "lambda2": 1e-153, "lambda4": 1.0})
+def test_detect_any_moments_file_exits_with_a_documented_code(tmp_path_factory, data):
+    # whatever a moments file holds, detect exits 0, 2, 3 or 4, with one
+    # error line on a failure, and no traceback or warning escapes
+    folder = tmp_path_factory.getbasetemp() / "any-moments"
+    folder.mkdir(exist_ok=True)
+    series, moments = folder / "series.csv", folder / "moments.json"
+    _write_spike_series(series, [30, 70], n=100, height=3.0)
+    moments.write_text(json.dumps(data))
+    argv = ["detect", "--input", str(series), "--gamma", "2", "--moments", str(moments)]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, "--alpha", "0.05"])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):
@@ -359,6 +423,9 @@ def test_detect_constant_series_exits_4(tmp_path, capsys):
         ("calibration", 1e300, 4),
         ("estimate-noise", 1e300, 4),
         ("estimate-template", 1.7e308, 4),
+        # and values this small give moments whose products underflow
+        ("calibration", 1e-60, 4),
+        ("estimate-noise", 1e-60, 4),
     ],
 )
 def test_extreme_finite_series_exit_without_warnings(
@@ -745,13 +812,32 @@ def test_simulate_bandwidth_wider_than_domain_exits_2(tmp_path, capsys, gamma, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", [{"sigma": 1e200}, {"nu": 1e100}], ids=["sigma", "nu"])
+def test_simulate_noise_whose_moments_overflow_exits_2(tmp_path, capsys, noise):
+    # closed_form_moments squared sigma, and raised xi to the fifth, into
+    # an OverflowError with a traceback
+    path = _tiny_design_json(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "noise": noise}))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--design", str(path), "--seed", "1", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: closed-form moments overflow: sigma=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "case,message",
     [
         ({"gamma_grid": [3.0, 2.0, 3.0]}, "gamma_grid[0] and gamma_grid[2] repeat 3.0"),
         ({"amplitude_grid": [9.0, 9.0]}, "amplitude_grid[0] and amplitude_grid[1] repeat"),
+        (
+            {"procedures": ["bh", "bonferroni", "bh"]},
+            "procedures[0] and procedures[2] repeat 'bh'",
+        ),
     ],
-    ids=["gamma-grid", "amplitude-grid"],
+    ids=["gamma-grid", "amplitude-grid", "procedures"],
 )
 def test_simulate_repeated_grid_value_exits_2(tmp_path, capsys, case, message):
     # refused before any replication runs, naming the file, the key and

@@ -274,6 +274,11 @@ def test_design_validation():
         (dict(gamma_grid=(2.0, 4.0, 2.0 + 1e-9)), "gamma_grid[0] and gamma_grid[2]"),
         (dict(gamma_grid=(3.0, 3.0), auto_bandwidth=True), "gamma_grid[0] and"),
         (dict(amplitude_grid=(9.0, 15.0, 9.0)), "amplitude_grid[0] and amplitude_grid[2]"),
+        # and a procedure, which would run twice
+        (
+            dict(procedures=(Procedure.BH, Procedure.BONFERRONI, Procedure.BH)),
+            "procedures[0] and procedures[2] repeat 'bh'",
+        ),
     ],
 )
 def test_design_refuses_repeated_grid_values(options, message):

@@ -246,23 +246,32 @@ def test_batch_refuses_one_bare_noise_moments():
     # a set of no rows gives a report of no rows
     (none,) = run_procedure(CandidateSet.empty(), 0.05, [MOMENTS], [], [BH])
     assert none.num_candidates.shape == none.height_threshold.shape == (0,)
+    # the pointwise baselines take the laws and their indices the same way
     rows = SampledRows(np.zeros((1, 5)), 1.0, 0.0, [1])
     pw = [Procedure.POINTWISE_BH]
-    with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        pointwise_pvalues(rows, MOMENTS, 0.05)
-    with pytest.raises(ValueError, match="one NoiseMoments per row"):
-        pointwise_correct(rows, 0.05, pw, MOMENTS)
-    # and as many moments and margins as rows
+    with pytest.raises(ValueError, match="sequence of NoiseMoments"):
+        pointwise_pvalues(rows, MOMENTS, [0], 0.05)
+    with pytest.raises(ValueError, match="sequence of NoiseMoments"):
+        pointwise_correct(rows, 0.05, MOMENTS, [0], pw)
+    with pytest.raises(ValueError, match="one law index per row"):
+        pointwise_pvalues(rows, [MOMENTS], 0, 0.05)
+    with pytest.raises(ValueError, match="one law index per row"):
+        pointwise_correct(rows, 0.05, [MOMENTS], 0, pw)
+    with pytest.raises(ValueError, match=r"law indices must be integers in \[0, 1\)"):
+        pointwise_pvalues(rows, [MOMENTS], [1], 0.05)
+    with pytest.raises(ValueError, match=r"law indices must be integers in \[0, 1\)"):
+        pointwise_correct(rows, 0.05, [MOMENTS], [1], pw)
+    # and as many law indices and margins as rows
     two = SampledRows(np.zeros((2, 5)), 1.0, 0.0, [1, 1])
-    with pytest.raises(ValueError, match="^1 NoiseMoments given for 2 rows$"):
-        pointwise_pvalues(two, [MOMENTS], 0.05)
-    with pytest.raises(ValueError, match="^1 NoiseMoments given for 2 rows$"):
-        pointwise_correct(two, 0.05, pw, [MOMENTS])
+    with pytest.raises(ValueError, match="^1 law indices given for 2 rows$"):
+        pointwise_pvalues(two, [MOMENTS], [0], 0.05)
+    with pytest.raises(ValueError, match="^1 law indices given for 2 rows$"):
+        pointwise_correct(two, 0.05, [MOMENTS], [0], pw)
     one_margin = two._replace(margins=[1])
     with pytest.raises(ValueError, match="^1 margins given for 2 rows$"):
-        pointwise_pvalues(one_margin, [MOMENTS] * 2, 0.05)
+        pointwise_pvalues(one_margin, [MOMENTS], [0, 0], 0.05)
     with pytest.raises(ValueError, match="^1 margins given for 2 rows$"):
-        pointwise_correct(one_margin, 0.05, pw, [MOMENTS] * 2)
+        pointwise_correct(one_margin, 0.05, [MOMENTS], [0, 0], pw)
     with pytest.raises(ValueError, match="one NoiseMoments per row"):
         supremum_threshold(MOMENTS, 100.0, 0.05)
     # the other rows-only entries refuse a lone threshold, report or region set

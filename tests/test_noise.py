@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,40 @@ def test_moments_validation_and_scaling(tmp_path):
     path.write_text(json.dumps({"sigma2": 1.0, "lambda2": 1.0}))
     with pytest.raises(InputFileError, match="missing key 'lambda4'"):
         read_moments_json(path)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, 1e200, 1e300), "moments overflow: lambda2^2 is not finite"),
+        ((3.0, 1e-320, 1.7e308), "overflow: sigma2 * lambda4 - lambda2^2 is not finite"),
+        ((1e-300, 1e-153, 1.0), "underflow: Delta * sigma2 or lambda4 * sigma2 rounds"),
+        ((1e-300, 1e-320, 1e300), "underflow: lambda2^2 / (Delta sigma2) rounds to 0"),
+        ((1e-300, 1e-160, 1.7e308), "underflow: 2 pi lambda2^2 / (lambda4 sigma2)"),
+    ],
+    ids=["lambda2-squared", "delta", "delta-sigma2", "a2", "c1"],
+)
+def test_moments_that_overflow_or_underflow_are_refused(values, message):
+    # each finite and positive, but Delta or the height law's coefficients
+    # are not, in doubles: OverflowError and ZeroDivisionError used to
+    # escape from Delta and from palm's coefficients
+    with pytest.raises(ValueError) as info:
+        NoiseMoments(*values)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "params, gamma, message",
+    [
+        (GaussianAcvfParams(1e200), 3.0, "overflow: sigma=1e+200, xi=3.0"),
+        (GaussianAcvfParams(1.0, nu=1e100), 3.0, "overflow: sigma=1.0, xi=1e+100"),
+        (GaussianAcvfParams(1.0), 1e-70, "underflow: xi=1e-70"),
+    ],
+    ids=["sigma", "nu", "gamma"],
+)
+def test_closed_form_moments_refuse_an_overflow(params, gamma, message):
+    with pytest.raises(ValueError, match=f"^closed-form moments {re.escape(message)}$"):
+        closed_form_moments(params, gamma)
 
 
 def test_generate_noise_deterministic():

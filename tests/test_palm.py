@@ -98,6 +98,34 @@ def moments(draw):
     return NoiseMoments(sigma2, lambda2, lambda2**2 / sigma2 * (1.0 + eps))
 
 
+# moment values from subnormal to near the largest double: the pool
+# tests/test_cli.py's moments files draw from, and powers of ten between
+_EXTREMES = (1e-320, 1e-300, 1e-160, 1e-150, 1e-5, 1.0, 3.0, 1e150, 1e160, 1e300, 1.7e308)
+_EXTREME = st.sampled_from(_EXTREMES) | st.floats(-323.0, 308.25).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_moments(draw):
+    """Moments NoiseMoments accepts, each value from ``_EXTREME``, or
+    lambda2 a power of ten below its bound sqrt(sigma2 * lambda4)."""
+    sigma2, lambda4 = draw(_EXTREME), draw(_EXTREME)
+    bound = math.sqrt(sigma2) * math.sqrt(lambda4)
+    lambda2 = draw(_EXTREME | st.floats(-30.0, -1e-3).map(lambda e: 10.0**e * bound))
+    try:
+        return NoiseMoments(sigma2, lambda2, lambda4)
+    except ValueError:
+        assume(False)
+
+
+@PROPERTY
+@given(extreme_moments())
+def test_survival_at_the_lower_bracket_is_one(m):
+    # palm_quantile's lower bracket, -10 sigma, lies above every target for
+    # any moments NoiseMoments accepts: the ndtr term's argument is
+    # 10 a1 sigma > 10, and the other term at most sqrt(2 pi) phi(10) = e^-50
+    assert palm_survival([m], 0, -10.0 * m.sigma) == 1.0
+
+
 @PROPERTY
 @given(moments(), st.floats(-60.0, 60.0))
 def test_survival_scalar_path_matches_array_path_bitwise(m, z):
