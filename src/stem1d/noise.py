@@ -9,6 +9,7 @@ which the variance and the derivative variances have closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,25 @@ _TERMS = (
     "lambda2^2 / (Delta sigma2)",
     "2 pi lambda2^2 / (lambda4 sigma2)",
 )
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx),
+# and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**i`` modulo 2**32 for ``i < n``."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, np.uint32)
+
+
+# generate_state's constants: output word i is pool word i % 4, XORed
+# with constant i and multiplied by constant i + 1
+_STATE_MIX = _powers(_INIT_B, _MULT_B, 9)
 
 
 @dataclass(frozen=True)
@@ -171,7 +191,9 @@ def noise_rows(
     seeds,
 ) -> np.ndarray:
     """The values of :func:`generate_noise` for each of ``seeds``, one row
-    per seed, each row drawn from its own generator."""
+    per seed, each row drawn from the stream of
+    ``np.random.default_rng(seed)``.  A seed is a non-negative int or a
+    tuple of them."""
     if not (gamma >= 0):
         raise ValueError("gamma must be non-negative")
     length = int(length)
@@ -186,8 +208,11 @@ def noise_rows(
         )
     scale = params.sigma * math.sqrt(dt)
     out = np.empty((len(seeds), length))
-    for row, seed in zip(out, seeds):
-        rng = np.random.default_rng(seed)
+    bitgen = np.random.PCG64(0)  # reseeded from each key below
+    rng = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(out, _pcg64_states(seeds)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
         if taps is None:
             rng.standard_normal(out=row)
             row *= params.sigma
@@ -197,14 +222,107 @@ def noise_rows(
     return out
 
 
+def _key_words(seed) -> list[int]:
+    """The 32-bit words, low first, that numpy's SeedSequence hashes for ``seed``."""
+    words = []
+    for k in seed if isinstance(seed, tuple) else (seed,):
+        if not (isinstance(k, (int, np.integer)) and k >= 0):
+            raise ValueError(
+                f"seed must be a non-negative int or a tuple of them, got {seed!r}"
+            )
+        k = int(k)
+        words.append(k & _MASK32)
+        while k := k >> 32:
+            words.append(k & _MASK32)
+    return words
+
+
+@functools.lru_cache
+def _hash_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What SeedSequence's ``hashmix`` XORs and multiplies by at each call
+    (``INIT_A * MULT_A**i`` and the next power at call ``i``) for keys of
+    ``count`` words, one ``(4, 1)`` column per pass of :func:`_hash`.  The
+    entry for pool word ``s`` in pass ``1 + s`` is unused."""
+    d = np.arange(4)
+    calls = np.array([d] + [4 + 3 * s + d - (d > s) for s in range(4)]
+                     + [16 + 4 * e + d for e in range(count - 4)])
+    c = _powers(_INIT_A, _MULT_A, 18 + 4 * max(count - 4, 0))
+    return c[calls, np.newaxis], c[calls + 1, np.newaxis]
+
+
+def _hashmix(x, xor, mult):
+    x = x ^ xor
+    x *= mult  # uint32 arrays wrap as the C hash does
+    x ^= x >> 16
+    return x
+
+
+def _mix(x, y):
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _hash(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(8, uint32)`` of every key whose
+    words are a row of ``words`` (keys of one word count), as 8 rows.
+    Pass 0 hashes the first four words (zeros past the key) into the
+    pool, pass ``1 + s`` pool word ``s`` into the other three, and each
+    later pass one more key word into all four."""
+    count = words.shape[1]
+    entropy = np.zeros((max(count, 4), len(words)), np.uint32)
+    entropy[:count] = words.T
+    xor, mult = _hash_tables(count)
+    pool = _hashmix(entropy[:4], xor[0], mult[0])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[s], xor[1 + s], mult[1 + s]))
+        mixed[s] = pool[s]
+        pool = mixed
+    for i, x in enumerate(entropy[4:], 5):
+        pool = _mix(pool, _hashmix(x, xor[i], mult[i]))
+    state = np.concatenate([pool, pool]) ^ _STATE_MIX[:8, np.newaxis]
+    state *= _STATE_MIX[1:, np.newaxis]
+    state ^= state >> 16
+    return state
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each of ``seeds``:
+    the hash runs once over all keys of each word count, then PCG64's
+    128-bit seeding step runs on Python ints."""
+    words = [_key_words(seed) for seed in seeds]
+    out = [None] * len(words)
+    for count in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == count]
+        state = _hash(np.array([words[i] for i in rows], np.uint32))
+        # generate_state(4, uint64) pairs the words little-endian, and
+        # PCG64 reads (high, low) pairs as 128-bit state and increment
+        state = np.ascontiguousarray(state.T, "<u4").view("<u8").tolist()
+        for i, (a, b, c, d) in zip(rows, state):
+            inc = ((c << 64 | d) << 1 | 1) & _MASK128
+            out[i] = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc
+    return out
+
+
 def model_acvf(params: GaussianAcvfParams, gamma: float, lag) -> np.ndarray:
-    """Closed-form autocovariance of the smoothed model noise."""
+    """Closed-form autocovariance of the smoothed model noise.  A variance
+    that overflows, or a ``4 xi^2`` that overflows or rounds to 0, raises
+    ``ValueError``, as in :func:`closed_form_moments`."""
     xi = math.hypot(gamma, params.nu)
     if xi == 0.0:
         raise ValueError("autocovariance requires gamma or nu positive")
     lag = np.asarray(lag, dtype=np.float64)
-    variance = params.sigma**2 / (2.0 * _SQRT_PI * xi)
-    return variance * np.exp(-(lag**2) / (4.0 * xi**2))
+    try:
+        variance = params.sigma**2 / (2.0 * _SQRT_PI * xi)
+        width = 4.0 * xi**2
+    except OverflowError:  # sigma**2 or xi**2
+        variance = width = math.inf
+    if variance == math.inf:
+        raise ValueError(f"autocovariance overflow: sigma={params.sigma!r}, xi={xi!r}")
+    if width == 0.0:
+        raise ValueError(f"autocovariance underflow: xi={xi!r}")
+    return variance * np.exp(-(lag**2) / width)
 
 
 def estimate_moments(
@@ -254,7 +372,9 @@ def estimate_moments(
         d1 = np.diff(v, axis=1)
         d2 = np.diff(d1, axis=1)
         if zero_mean:
-            moments = np.stack([np.mean(x * x, axis=1) for x in (v, d1, d2)], axis=1)
+            # np.mean(x * x, axis=1), squaring the differences in place
+            squares = (np.square(v), np.square(d1, out=d1), np.square(d2, out=d2))
+            moments = np.stack([np.add.reduce(x, axis=1) / x.shape[1] for x in squares], axis=1)
         else:
             moments = np.stack([np.var(x, axis=1, ddof=1) for x in (v, d1, d2)], axis=1)
         moments[:, 1] /= dt**2

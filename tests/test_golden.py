@@ -90,6 +90,18 @@ def test_null_signal_csv_digest(preset):
     assert digest == NULL_SIGNAL_DIGESTS[preset]
 
 
+# sim31 at 2 replications and seed 2**70: every noise key holds a seed of
+# three 32-bit words, so the keyed streams hash six words
+MULTIWORD_SEED_DIGEST = "3388feb459b8aaf2980fbc52a44edabf901574081c261d132eb8563a84a8e1a1"
+
+
+def test_multiword_seed_csv_digest():
+    design = preset_design("sim31").with_options(replications=2)
+    lines = run_sweep(design, seed=2**70).csv_lines()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == MULTIWORD_SEED_DIGEST
+
+
 def _edge_signal():
     shape = TruncatedGaussianShape(b=2.0, c=3.0)
     centers = (-18.0, 0.5, 19.0)
@@ -247,6 +259,23 @@ def test_estimated_cell_moments_bits():
     design = preset_design("sim32")
     m = _cell_moments(design, design.build_kernel(18.0), 2, 7, 18.0)
     assert (m.sigma2.hex(), m.lambda2.hex(), m.lambda4.hex()) == SIM32_BAND_MOMENTS
+
+
+# the same for the gamma=4 band (kernel index 1, seed 3) of a Gaussian
+# design at dt=0.5, with nu=0.5 and 40 calibration runs of 801 samples:
+# a full block of runs and a partial one, and a 49-tap kernel
+GAUSSIAN_BAND_MOMENTS = ("0x1.1b693134efb13p-4", "0x1.2583f95cb16f1p-9", "0x1.b8136af39bf60p-13")
+
+
+def test_estimated_gaussian_band_moments_bits():
+    design = edge_design("gaussian-five-procedures").with_options(
+        noise=GaussianAcvfParams(1.0, 0.5),
+        moments_mode="estimated",
+        moments_length=400.0,
+        moments_reps=40,
+    )
+    m = _cell_moments(design, design.build_kernel(4.0), 1, 3, 4.0)
+    assert (m.sigma2.hex(), m.lambda2.hex(), m.lambda4.hex()) == GAUSSIAN_BAND_MOMENTS
 
 
 # preset -> sha256 of json.dumps(design_to_json_dict(preset), sort_keys=True)

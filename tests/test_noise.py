@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stem1d import (
     GaussianAcvfParams,
@@ -17,6 +19,7 @@ from stem1d import (
     model_acvf,
 )
 from stem1d.errors import DegenerateSequenceError, InputFileError
+from stem1d.noise import noise_rows, smoothing_taps
 from stem1d.seriesio import read_moments_json, write_moments_json
 
 SQRT_PI = math.sqrt(math.pi)
@@ -141,6 +144,21 @@ def test_model_acvf_shape_and_errors():
         model_acvf(params, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "params,gamma,message",
+    [
+        (GaussianAcvfParams(1e200), 3.0, "overflow: sigma=1e+200, xi=3.0"),
+        (GaussianAcvfParams(1.0), 1e200, "overflow: sigma=1.0, xi=1e+200"),
+        (GaussianAcvfParams(1e150), 1e-10, "overflow: sigma=1e+150, xi=1e-10"),
+        (GaussianAcvfParams(1.0), 1e-200, "underflow: xi=1e-200"),
+    ],
+    ids=["sigma", "xi", "variance", "width"],
+)
+def test_model_acvf_refuses_an_overflow(params, gamma, message):
+    with pytest.raises(ValueError, match=f"^autocovariance {re.escape(message)}$"):
+        model_acvf(params, gamma, [0.0, 1.0])
+
+
 def test_estimate_moments_coarse_grid():
     # at dt=1 the variance and lambda2 land within 3 percent, while the
     # second-difference estimate of lambda4 is attenuated by a predictable
@@ -246,3 +264,40 @@ def test_generate_noise_argument_checks():
     with pytest.raises(ValueError):
         # shorter than the smoothing filter
         generate_noise(params, 10.0, 50, 1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed", [None, -1, 1.5, np.random.default_rng(0), (1, -2), [1, 2]], ids=repr
+)
+def test_noise_seeds_are_non_negative_ints_or_tuples_of_them(seed):
+    params = GaussianAcvfParams(sigma=1.0)
+    message = f"^seed must be a non-negative int or a tuple of them, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        generate_noise(params, 0.0, 10, 1.0, seed)
+    with pytest.raises(ValueError, match=message):
+        noise_rows(params, 0.0, 10, 1.0, [3, seed])
+
+
+WORDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**70]) | st.integers(0, 2**80)
+KEYS = WORDS | st.tuples(WORDS) | st.lists(WORDS, min_size=2, max_size=6).map(tuple)
+
+
+@settings(max_examples=60)
+@given(keys=st.lists(KEYS, min_size=1, max_size=6), driven=st.booleans())
+@example(keys=[0, (2**70, 1), (1, 2, 3, 4, 5, 6), 2**64, (2**32 - 1,) * 6], driven=False)
+@example(keys=[(7, 1, 2, 0), 2**70, (2**64, 0, 2**32)], driven=True)
+def test_keyed_rows_are_default_rng_streams(keys, driven):
+    # each row is the stream numpy's default_rng(key) gives, bit for bit,
+    # whatever the word counts of the other keys in the call
+    params = GaussianAcvfParams(sigma=1.5, nu=0.5 if driven else 0.0)
+    rows = noise_rows(params, 0.0, 16, 1.0, keys)
+    taps = smoothing_taps(0.5, 1.0)
+    for row, key in zip(rows, keys):
+        rng = np.random.default_rng(key)
+        if driven:
+            driving = rng.standard_normal(16 + taps.size - 1)
+            want = 1.5 * np.convolve(driving, taps, mode="valid")
+        else:
+            want = rng.standard_normal(16)
+            want *= 1.5
+        assert row.tobytes() == want.tobytes()
