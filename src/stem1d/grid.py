@@ -23,7 +23,9 @@ def strict_local_maxima(v: np.ndarray) -> np.ndarray:
     plateaus and the end samples never qualify."""
     inner = v[..., 1:-1]
     out = np.zeros(v.shape, dtype=bool)
-    out[..., 1:-1] = (inner > v[..., :-2]) & (inner > v[..., 2:])
+    mask = out[..., 1:-1]  # filled in place: one temporary mask, not three
+    np.greater(inner, v[..., :-2], out=mask)
+    mask &= inner > v[..., 2:]
     return out
 
 
@@ -57,6 +59,12 @@ class SampledSequence:
     boundary effects (e.g. zero padding during convolution).  Consumers
     that care about stationarity skip the margins; the values themselves
     are kept so indexing stays aligned with the original grid.
+
+    The samples live in one private writeable array, of which ``values``
+    is a read-only view.  The constructor copies the values it is given;
+    :meth:`_adopt` takes an array the library has just made as it is.
+    Every time ``t0 + dt * i`` must be finite and distinct from its
+    neighbours, so ``dt`` must span at least 4 ulps of the largest time.
     """
 
     values: np.ndarray
@@ -64,23 +72,44 @@ class SampledSequence:
     t0: float = 0.0
     margin: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, adopt: bool = False):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         dt = positive_finite("dt", self.dt)
-        if not math.isfinite(self.t0):
+        t0 = float(self.t0)
+        if not math.isfinite(t0):
             raise ValueError("t0 must be finite")
+        # every time is computed as t0 + dt * i, so within 1.5 ulps of the
+        # largest: 4 ulps of it keep neighbouring times apart
+        last = t0 + dt * (values.size - 1)
+        if not (math.isfinite(last) and dt >= 4 * math.ulp(max(abs(t0), abs(last)))):
+            raise ValueError(
+                f"sample times collide or overflow: t0={t0!r}, dt={dt!r}, "
+                f"{values.size} samples"
+            )
         if int(self.margin) < 0:
             raise ValueError("margin must be non-negative")
-        values = values.copy()
+        data = values if adopt else values.copy()
+        values = data.view()
         values.setflags(write=False)
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "margin", int(self.margin))
+
+    @classmethod
+    def _adopt(cls, values, dt: float, t0: float = 0.0, margin: int = 0) -> "SampledSequence":
+        """A sequence whose samples are ``values`` itself, checked as the
+        constructor checks them but not copied: for a writeable float64
+        array the library has just made and no one else holds."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(values=values, dt=dt, t0=t0, margin=margin)
+        seq.__post_init__(adopt=True)
+        return seq
 
     def __len__(self) -> int:
         return self.values.size

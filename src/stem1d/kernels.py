@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BandwidthTooSmallError,
+    ConfigurationError,
     DegenerateSequenceError,
     GridMismatchError,
     NoQualifyingPeaksError,
@@ -106,6 +108,8 @@ def _check_bandwidth(gamma: float, dt: float) -> None:
         raise BandwidthTooSmallError(
             f"bandwidth {gamma} is below the grid spacing {dt}"
         )
+    if dt < sys.float_info.min:  # weights of order 1 / dt would overflow
+        raise ConfigurationError(f"grid spacing {dt} is subnormal")
 
 
 def kernel_reach(family: KernelFamily, gamma: float, dt: float, trunc=3.0) -> int:
@@ -155,8 +159,11 @@ def convolve(seq: SampledSequence, kernel: Kernel) -> SampledSequence:
         raise GridMismatchError(
             f"sequence dt {seq.dt} does not match kernel dt {kernel.dt}"
         )
-    out = convolve_rows(seq.values, kernel, seq.dt)
-    return seq.with_values(out, margin=seq.margin + kernel.half_support_samples)
+    # np.convolve copies a read-only input in full, so hand it the
+    # sequence's own writeable samples; the result is a fresh array
+    out = convolve_rows(seq._data, kernel, seq.dt)
+    margin = seq.margin + kernel.half_support_samples
+    return SampledSequence._adopt(out, seq.dt, seq.t0, margin)
 
 
 def convolve_rows(values: np.ndarray, kernel: Kernel, dt: float) -> np.ndarray:
@@ -167,7 +174,9 @@ def convolve_rows(values: np.ndarray, kernel: Kernel, dt: float) -> np.ndarray:
     else:
         full = np.stack([np.convolve(row, kernel.weights) for row in values])
     c = kernel.center_index
-    return full[..., c:c + values.shape[-1]] * dt
+    out = full[..., c:c + values.shape[-1]]
+    out *= dt
+    return out
 
 
 def estimate_template(

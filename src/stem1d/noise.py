@@ -180,7 +180,7 @@ def generate_noise(
     stationary.  The same seed always reproduces the same output, and
     ``sigma`` enters as a pure scale factor.
     """
-    return SampledSequence(noise_rows(params, gamma, length, dt, [seed])[0], dt)
+    return SampledSequence._adopt(noise_rows(params, gamma, length, dt, [seed])[0], dt)
 
 
 def noise_rows(

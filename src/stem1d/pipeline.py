@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .candidates import CandidateSet
 from .errors import DegenerateSequenceError
 from .grid import SampledRows, SampledSequence, strict_local_maxima
@@ -69,7 +67,8 @@ def stem_detect(
     smoothed = convolve(raw, kernel)
     check_testable(smoothed.values.size, smoothed.margin)
     candidates = find_local_maxima(smoothed)
-    if not len(candidates) and np.ptp(smoothed.interior) == 0:
+    # min against max, as the range max - min of finite values can overflow
+    if not len(candidates) and smoothed.interior.min() == smoothed.interior.max():
         raise DegenerateSequenceError("sequence carries no usable variation")
     candidates = candidate_pvalues(candidates, [moments], [0])
     (report,) = run_procedure(candidates, alpha, [moments], [0], [procedure])

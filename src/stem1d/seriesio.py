@@ -182,10 +182,14 @@ def _sequence(path, values, header: dict, dt) -> SampledSequence:
         raise ConfigurationError(
             f"{path}: dt flag {dt} conflicts with header dt {header['dt']}"
         )
-    dt = header.get("dt") if dt is None else dt
+    flagged = dt is not None
+    dt = dt if flagged else header.get("dt")
     if dt is None:
         raise ConfigurationError(f"{path}: dt not given by flag or header")
-    return SampledSequence(values, dt, header.get("t0", 0.0))
+    try:
+        return SampledSequence._adopt(values, dt, header.get("t0", 0.0))
+    except ValueError as exc:  # only the grid can fail: the values are checked
+        raise (ConfigurationError if flagged else InputFileError)(f"{path}: {exc}") from exc
 
 
 def load_kernel_csv(path) -> Kernel:

@@ -187,7 +187,7 @@ def synthesize_signal(spec: SignalSpec, dt: float) -> SampledSequence:
     mu = np.zeros(n)
     for peak in spec.peaks:
         mu += peak.evaluate(times)
-    return SampledSequence(mu, dt, t0=-half)
+    return SampledSequence._adopt(mu, dt, t0=-half)
 
 
 # ---------------------------------------------------------------------------

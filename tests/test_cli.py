@@ -352,6 +352,23 @@ def _moments_json(draw):
     return data
 
 
+def _assert_documented_exit(argv) -> int:
+    """Run ``main(argv)`` in-process: it must exit 0, 2, 3 or 4, print one
+    error line on a failure and nothing otherwise, and raise no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+    return code
+
+
 @settings(max_examples=200)
 @given(data=_moments_json())
 @example(data={"sigma2": 1.0, "lambda2": 1e200, "lambda4": 1e300})
@@ -365,17 +382,106 @@ def test_detect_any_moments_file_exits_with_a_documented_code(tmp_path_factory, 
     _write_spike_series(series, [30, 70], n=100, height=3.0)
     moments.write_text(json.dumps(data))
     argv = ["detect", "--input", str(series), "--gamma", "2", "--moments", str(moments)]
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main([*argv, "--alpha", "0.05"])
-    assert [str(w.message) for w in caught] == []
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+    _assert_documented_exit([*argv, "--alpha", "0.05"])
+
+
+# grid values for a header or the --dt flag: zeros, non-finite, subnormal
+# and huge ones, and a few a grid may take
+_GRID_VALUES = ("0", "-0.0", "inf", "-inf", "nan", "1e-320", "5e-324", "1e308",
+                "1", "0.5", "-3", "1e-20", "1e307")
+_GRID_VALUE = st.sampled_from(_GRID_VALUES)
+_ODD_LINES = (
+    b"abc", b"1,2", b"1_0", b"--1", b"1e", b"", b"#", b"# center=2", b"# dt=abc",
+    b"nan", b"inf", b"-inf", b"1e999", b"-1e999",  # non-finite
+    b"1.7e308", b"-1.7e308", b"1e300", b"5e-324",  # extreme but finite
+    b"\xff", b"1.0\xfe", b"\xc3(",  # not UTF-8
+)
+
+
+@st.composite
+def _header_line(draw):
+    keys = draw(st.lists(st.sampled_from(("dt", "t0")), min_size=1, max_size=2))
+    return " ".join(["#", *(f"{key}={draw(_GRID_VALUE)}" for key in keys)]).encode()
+
+
+@st.composite
+def _series_file(draw):
+    """A series file and the detect flags to run it with: up to 200 values
+    after an optional header, with header, junk, non-finite, extreme and
+    non-UTF-8 lines put anywhere, and a --dt flag in some runs.  The
+    bandwidth is 1 to 5 grid steps of whatever dt the flag or the first
+    header gives."""
+    n = draw(st.integers(1, 200))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    lines = [repr(v).encode() for v in values.tolist()]
+    dt = draw(st.sampled_from(("1", "1", "0.5", *_GRID_VALUES)))
+    head = [f"# dt={dt}".encode()] if draw(st.integers(0, 3)) else []
+    for line in draw(st.lists(_header_line() | st.sampled_from(_ODD_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    flag = draw(_GRID_VALUE) if draw(st.integers(0, 3)) == 0 else None
+    step = float(flag if flag is not None else dt if head else 1.0)
+    gamma = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, 5.0))) * step
+    flags = ["--gamma", repr(gamma if 0.0 < gamma < math.inf else 2.0)]
+    if flag is not None:
+        flags.append(f"--dt={flag}")
+    return b"\n".join(head + lines) + b"\n", flags
+
+
+def _grid_file(header: str, values) -> bytes:
+    return "\n".join([header, *map(repr, values)]).encode() + b"\n"
+
+
+_SPIKES = [0.0] * 50 + [1.0] + [0.0] * 49
+
+
+@settings(max_examples=200)
+@given(case=_series_file())
+# times that collide, and a last time that overflows: exit 3 naming the file
+@example(case=(_grid_file("# dt=1e-20 t0=1", _SPIKES), ["--gamma", "3e-20"]))
+@example(case=(_grid_file("# dt=1e307", _SPIKES), ["--gamma", "3e307"]))
+# the constant-interior check once overflowed on this finite series
+@example(case=(_grid_file("# dt=1", [1.7e308] * 100 + [-1.7e308] * 100), ["--gamma", "3"]))
+def test_detect_any_series_file_exits_with_a_documented_code(tmp_path_factory, case):
+    data, flags = case
+    folder = tmp_path_factory.getbasetemp() / "any-series"
+    folder.mkdir(exist_ok=True)
+    series, moments = folder / "series.csv", folder / "moments.json"
+    series.write_bytes(data)
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 2.0), moments)
+    argv = ["detect", "--input", str(series), "--moments", str(moments), *flags]
+    _assert_documented_exit([*argv, "--alpha", "0.05"])
+
+
+@pytest.mark.parametrize(
+    "header,flags,code",
+    [
+        ("# dt=1e-20 t0=1", ["--gamma", "3e-20"], 3),
+        ("# dt=1e307", ["--gamma", "3e307"], 3),
+        ("# t0=1", ["--dt", "1e-20", "--gamma", "3e-20"], 2),
+        ("# dt=1 t0=1e20", ["--gamma", "3"], 3),
+    ],
+    ids=["header-dt-collides", "last-time-overflows", "flag-dt-collides", "header-t0-huge"],
+)
+def test_detect_grid_whose_times_collide_or_overflow(tmp_path, capsys, header, flags, code):
+    # refused as the series is read, not deep in the pipeline: a header
+    # grid is the file's fault (3), a --dt flag's the command line's (2)
+    series, moments = tmp_path / "series.csv", tmp_path / "moments.json"
+    series.write_bytes(_grid_file(header, _SPIKES))
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 3.0), moments)
+    argv = ["detect", "--input", str(series), "--moments", str(moments), *flags]
+    assert main([*argv, "--alpha", "0.05"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {series}: sample times collide or overflow: ")
+    assert err.count("\n") == 1
+
+
+def test_detect_series_whose_range_overflows_exits_0(tmp_path):
+    # the constant-interior check compares min and max: max - min overflows
+    series, moments = tmp_path / "series.csv", tmp_path / "moments.json"
+    series.write_bytes(_grid_file("# dt=1", [1.7e308] * 100 + [-1.7e308] * 100))
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 3.0), moments)
+    argv = ["detect", "--input", str(series), "--moments", str(moments), "--gamma", "3"]
+    assert _assert_documented_exit([*argv, "--alpha", "0.05"]) == 0
 
 
 def test_detect_series_shorter_than_kernel_exits_4(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stem1d import (
     CauchyShape,
@@ -56,6 +58,76 @@ def test_sequence_values_are_read_only_copies():
 def test_sequence_rejects_bad_input(kwargs):
     with pytest.raises(ValueError):
         SampledSequence(**kwargs)
+
+
+def test_sequence_values_view_a_private_writeable_buffer():
+    # the constructor and with_values copy; an adopted array is the buffer
+    src = np.array([1.0, 2.0, 3.0])
+    seq = SampledSequence(src, dt=1.0)
+    assert seq.values.base is seq._data and seq._data.flags.writeable
+    assert not np.shares_memory(seq.values, src)
+    other = seq.with_values(src)
+    assert not np.shares_memory(other.values, src)
+    adopted = SampledSequence._adopt(src, 1.0, 2.0, 1)
+    assert adopted._data is src and not adopted.values.flags.writeable
+    assert (adopted.dt, adopted.t0, adopted.margin) == (1.0, 2.0, 1)
+    with pytest.raises(ValueError, match="values must be finite"):
+        SampledSequence._adopt(np.array([1.0, np.nan]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "n,dt,t0",
+    [
+        (100, 1e-20, 1.0),  # dt below an ulp of 1: times collide
+        (100, 1e307, 0.0),  # the last time overflows
+        (2, 1.0, 1e20),
+        (3, 1e308, -1e308),  # finite ends, but dt * 2 overflows
+        (2, 1.0, -1.7e308),
+        (1, 5e-324, 0.0),
+    ],
+)
+def test_sequence_refuses_colliding_or_overflowing_times(n, dt, t0):
+    with pytest.raises(ValueError, match="sample times collide or overflow"):
+        SampledSequence(np.zeros(n), dt=dt, t0=t0)
+
+
+def test_sequence_takes_a_grid_of_a_few_ulps():
+    # microseconds on a Unix-time clock: 1e-6 is 4.2 ulps of 1.7e9
+    seq = SampledSequence(np.zeros(1000), dt=1e-6, t0=1.7e9)
+    assert np.all(np.diff(seq.t0 + seq.dt * np.arange(1000)) > 0)
+
+
+_T0 = st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-320, 5e-324, 1e20, -1e300, 1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=300)
+@given(
+    t0=_T0,
+    shift=st.integers(45, 55) | st.integers(-60, 1100),  # 50 is about 4 ulps
+    mantissa=st.floats(1.0, 2.0),
+    n=st.integers(1, 200),
+)
+@example(t0=1.0, shift=66, mantissa=1.0, n=100)
+@example(t0=0.0, shift=-1020, mantissa=1.0, n=100)
+@example(t0=-1e308, shift=0, mantissa=1.0, n=2)
+def test_accepted_grids_have_distinct_finite_times(t0, shift, mantissa, n):
+    # dt from far above the times' scale to far below an ulp of it: every
+    # grid the constructor accepts has finite, strictly increasing times,
+    # computed as find_local_maxima computes them
+    scale = max(abs(t0), 1.0)
+    dt = min(scale * mantissa * 2.0**-shift, 1.7e308)
+    if not dt > 0.0:
+        dt = 5e-324
+    try:
+        seq = SampledSequence(np.zeros(n), dt=dt, t0=t0)
+    except ValueError as exc:
+        assert "sample times collide or overflow" in str(exc)
+        return
+    times = seq.t0 + seq.dt * np.arange(n)
+    assert np.isfinite(times).all()
+    assert np.all(np.diff(times) > 0)
 
 
 def test_interior_strips_margins():

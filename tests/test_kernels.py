@@ -1,9 +1,12 @@
 """Analytic kernels, convolution and template estimation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stem1d import (
@@ -19,11 +22,13 @@ from stem1d import (
 )
 from stem1d.errors import (
     BandwidthTooSmallError,
+    ConfigurationError,
     DegenerateSequenceError,
     GridMismatchError,
     InputFileError,
     NoQualifyingPeaksError,
 )
+from stem1d.kernels import convolve_rows
 
 
 def test_gaussian_kernel_layout():
@@ -82,6 +87,11 @@ def test_bandwidth_below_spacing_rejected():
     with pytest.raises(BandwidthTooSmallError):
         quartic_kernel(0.9, dt=1.0)
     gaussian_kernel(1.0, dt=1.0)  # equality is allowed
+    # on a subnormal grid the weights, of order 1 / dt, would overflow
+    for make in (gaussian_kernel, quartic_kernel):
+        with pytest.raises(ConfigurationError, match="grid spacing 1e-320 is subnormal"):
+            make(3e-320, dt=1e-320)
+    assert np.isfinite(gaussian_kernel(3e-308, dt=sys.float_info.min).weights).all()
 
 
 def test_kernel_validation():
@@ -117,6 +127,57 @@ def test_convolve_margin_accumulates_and_grid_checked():
     assert (out.dt, out.t0) == (seq.dt, seq.t0)
     with pytest.raises(GridMismatchError):
         convolve(SampledSequence(np.zeros(100), dt=0.25), kernel)
+
+
+_CONTRACT_KERNELS = (
+    gaussian_kernel(1.5, 0.5),
+    quartic_kernel(2.0, 0.5),
+    # off-centre, with negative lobes
+    Kernel(np.array([-0.3, 1.0, 0.6, -0.2, 0.1, 0.05]), 0.5, 1, 0.0, KernelFamily.TEMPLATE),
+)
+
+
+@settings(max_examples=120)
+@given(
+    kernel=st.sampled_from(_CONTRACT_KERNELS),
+    extra=st.integers(-3, 3) | st.integers(-5, 60),  # lengths near the kernel's size
+    writeable=st.booleans(),
+    margin=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve_is_numpy_convolve_times_dt(kernel, extra, writeable, margin, seed):
+    # the kept slice of np.convolve's full output, times dt, bit for bit,
+    # from a read-only result that shares no memory with the input; and
+    # writing to the caller's array afterwards changes no sequence
+    n = max(1, len(kernel) + extra)
+    x = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 7 - 3)
+    src = x.copy()
+    src.setflags(write=writeable)
+    seq = SampledSequence(src, dt=0.5, t0=-1.25, margin=margin)
+    out = convolve(seq, kernel)
+    c = kernel.center_index
+    want = np.convolve(x, kernel.weights)[c:c + n] * 0.5
+    assert out.values.tobytes() == want.tobytes()
+    assert (out.dt, out.t0, out.margin) == (0.5, -1.25, margin + kernel.half_support_samples)
+    assert not out.values.flags.writeable
+    with pytest.raises(ValueError):
+        out.values[0] = 1.0
+    assert not np.shares_memory(out.values, seq.values)
+    assert not np.shares_memory(out.values, src)
+    if writeable:
+        src[:] = 7.0
+    assert seq.values.tobytes() == x.tobytes()
+    assert out.values.tobytes() == want.tobytes()
+
+
+def test_convolve_rows_matches_each_row():
+    # a batch smooths each row as convolve smooths it alone
+    kernel = _CONTRACT_KERNELS[2]
+    rows = np.random.default_rng(3).normal(size=(3, 20))
+    got = convolve_rows(rows, kernel, 0.5)
+    for row, values in zip(rows, got):
+        want = convolve(SampledSequence(row, dt=0.5), kernel).values
+        assert values.tobytes() == want.tobytes()
 
 
 def test_convolve_sinusoid_attenuation():

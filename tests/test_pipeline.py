@@ -1,6 +1,8 @@
 """Local-maxima extraction and the end-to-end detection pipeline."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +142,36 @@ def test_stem_detect_excludes_boundary_bumps():
     res = stem_detect(raw, kernel, moments)
     assert np.all(res.report.rejected.indices >= kernel.half_support_samples)
     np.testing.assert_array_equal(res.report.rejected.indices, [100])
+
+
+def test_stem_detect_range_check_does_not_overflow():
+    # max - min of this interior overflows; it has no maxima, and is not
+    # constant, so the run ends with no candidate and no warning
+    raw = SampledSequence(1.7e308 * np.r_[np.ones(100), -np.ones(100)], dt=1.0)
+    kernel = gaussian_kernel(3.0, 1.0)
+    moments = closed_form_moments(GaussianAcvfParams(sigma=1.0), 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = stem_detect(raw, kernel, moments)
+    assert len(res.candidates) == 0 and res.report.num_rejected == 0
+
+
+@pytest.mark.parametrize("gamma", [3.0, 30.0])
+def test_stem_detect_copy_budget(gamma):
+    # smoothing makes one full-length array; with the maxima mask and the
+    # candidates, the call's peak stays under 1.6 arrays of the series
+    n = 200_000
+    raw = SampledSequence(np.random.default_rng(29).normal(size=n), dt=1.0)
+    kernel = gaussian_kernel(gamma, 1.0)
+    moments = closed_form_moments(GaussianAcvfParams(sigma=1.0), gamma)
+    stem_detect(raw, kernel, moments)  # fill any cache first
+    tracemalloc.start()
+    try:
+        stem_detect(raw, kernel, moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * n
 
 
 def test_stem_detect_rejects_series_without_testable_samples():
