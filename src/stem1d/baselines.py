@@ -159,7 +159,7 @@ def height_rule_report(
     """
     _per_row(threshold, "height threshold")
     threshold = np.reshape(threshold, -1).astype(np.float64)
-    m = candidates.row_counts(threshold.size)
-    rejected = candidates.select(candidates.heights > threshold[candidates.rows])
-    nan, zero = np.full(m.size, np.nan), np.zeros(m.size, np.int64)
-    return DetectionReport(procedure, alpha, rejected, nan, threshold, m, zero)
+    candidates.row_counts(threshold.size)  # refuses rows past the thresholds before they index
+    rejects = candidates.heights > threshold[candidates.rows]
+    nan, zero = np.full(threshold.size, np.nan), np.zeros(threshold.size, np.int64)
+    return DetectionReport(procedure, alpha, candidates, rejects, nan, threshold, zero)

@@ -42,13 +42,7 @@ class CandidateSet:
             raise ValueError("heights must be finite")
         if np.any(rows < 0):
             raise ValueError("rows must be non-negative")
-        pvalues = self.pvalues
-        if pvalues is not None:
-            pvalues = np.asarray(pvalues, dtype=np.float64)
-            if pvalues.shape != locations.shape:
-                raise ValueError("pvalues must match the other fields")
-            if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
-                raise ValueError("pvalues must lie strictly inside (0, 1)")
+        pvalues = None if self.pvalues is None else _pvalues(self.pvalues, locations.shape)
         fields = [indices, locations, heights, pvalues, rows]
         if _ordered(rows, locations):  # copies, so the caller's arrays stay writable
             fields = [None if f is None else f.copy() for f in fields]
@@ -73,23 +67,21 @@ class CandidateSet:
             )
         return np.diff(ends)
 
-    def take_rows(self, rows) -> "CandidateSet":
+    def take_rows(self, rows) -> tuple["CandidateSet", np.ndarray]:
         """A set of ``len(rows)`` rows, row j holding the entries of row
-        ``rows[j]`` (a row may be taken twice).  The rows are sorted, so
-        each is found by binary search."""
+        ``rows[j]`` (a row may be taken twice), and the position here of
+        each of its entries, which gathers any per-entry array alike.
+        The rows are sorted, so each is found by binary search."""
         start = self.rows.searchsorted(rows, "left")
         size = self.rows.searchsorted(rows, "right") - start
         out_rows = np.repeat(np.arange(size.size), size)
         at = np.arange(out_rows.size) + np.repeat(start - (np.cumsum(size) - size), size)
         fields = (getattr(self, name) for name in _FIELDS[:-1])
-        return CandidateSet._canonical(*(None if f is None else f[at] for f in fields), out_rows)
+        taken = CandidateSet._canonical(*(None if f is None else f[at] for f in fields), out_rows)
+        return taken, at
 
     def with_pvalues(self, pvalues: np.ndarray) -> "CandidateSet":
-        pvalues = np.array(pvalues, dtype=np.float64)
-        if pvalues.shape != self.locations.shape:
-            raise ValueError("pvalues must match the other fields")
-        if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
-            raise ValueError("pvalues must lie strictly inside (0, 1)")
+        pvalues = _pvalues(np.array(pvalues, dtype=np.float64), self.locations.shape)
         return CandidateSet._canonical(
             self.indices, self.locations, self.heights, pvalues, self.rows
         )
@@ -125,6 +117,16 @@ class CandidateSet:
 
 
 _FIELDS = ("indices", "locations", "heights", "pvalues", "rows")
+
+
+def _pvalues(pvalues, shape: tuple) -> np.ndarray:
+    """``pvalues`` as floats, refused unless of ``shape`` and inside (0, 1)."""
+    pvalues = np.asarray(pvalues, dtype=np.float64)
+    if pvalues.shape != shape:
+        raise ValueError("pvalues must match the other fields")
+    if not ((0.0 < pvalues) & (pvalues < 1.0)).all():
+        raise ValueError("pvalues must lie strictly inside (0, 1)")
+    return pvalues
 
 
 def _ordered(rows: np.ndarray, locations: np.ndarray) -> bool:

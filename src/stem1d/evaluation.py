@@ -99,11 +99,7 @@ class TrialOutcome:
 
     @property
     def total_rejections(self) -> np.ndarray:
-        return (
-            self.rejected_in_signal
-            + self.rejected_in_transition
-            + self.rejected_in_null_core
-        )
+        return self.rejected_in_signal + self.false_rejections
 
     @property
     def false_discovery_proportion(self) -> np.ndarray:
@@ -118,49 +114,53 @@ class TrialOutcome:
 
 
 def score_trial(
-    rejected: Sequence[CandidateSet],
+    rejects: Sequence[np.ndarray],
     candidates: CandidateSet,
     regions: Sequence[RegionSet],
 ) -> TrialOutcome:
     """Classify each rejection by region and tally per-peak detections.
 
-    ``rejected`` holds one set per procedure, the candidates it rejected
-    on the rows of ``candidates`` (a report's ``rejected``; a sample-level
-    procedure enters as its height rule,
+    ``rejects`` holds one boolean mask over ``candidates`` per procedure,
+    True on each candidate it rejected (a report's ``rejects``; a
+    sample-level procedure enters as its height rule,
     :func:`~stem1d.baselines.height_rule_report`), with one
-    :class:`RegionSet` (of one signal) per row.  Every (set, row) is scored
-    in one pass.  ``locmax_per_peak`` counts every candidate inside each
-    support, significant or not.
+    :class:`RegionSet` (of one signal) per row of ``candidates``.  Every
+    (procedure, row) is scored in one pass.  ``locmax_per_peak`` counts
+    every candidate inside each support, significant or not.
     """
-    _per_row(rejected, "rejected CandidateSet", "procedure")
+    masks = np.asarray(rejects)  # a lone mask has no axis of procedures
+    if masks.dtype != bool or masks.shape[1:] != (len(candidates),):
+        raise ValueError("rejects must hold one boolean mask per procedure, "
+                         f"each with one entry per candidate ({len(candidates)})")
     _per_row(regions, "RegionSet")
-    candidates.row_counts(len(regions))  # checks the rows before they index
+    ends = np.cumsum(candidates.row_counts(len(regions)))  # checks the rows before they index
     # each (row, location) as an exact integer key: row * G + the rank of
     # the location among the G distinct values compared
     intervals = [r.scored_intervals for r in regions]
     los, his, columns = (np.concatenate(x) for x in zip(*intervals))
     edge_rows = np.repeat(np.arange(len(regions)), [c.size for _, _, c in intervals])
-    compared = [los, his, *(s.locations for s in [candidates, *rejected])]
-    ranks = np.unique(np.concatenate(compared))
+    ranks = np.unique(np.concatenate([los, his, candidates.locations]))
 
     def keys(rows, locations):
         return rows * ranks.size + ranks.searchsorted(locations)
 
-    lo_keys, hi_keys = keys(edge_rows, los), keys(edge_rows, his)
-
-    def tally(cands: CandidateSet) -> np.ndarray:
-        """Per row: entries in each column's intervals, then in all."""
-        counts = np.zeros((len(regions), 3 + len(regions[0].peak_supports)), np.int64)
-        at = keys(cands.rows, cands.locations)
-        inside = at.searchsorted(hi_keys, "right") - at.searchsorted(lo_keys, "left")
-        np.add.at(counts, (edge_rows, columns), inside)
-        counts[:, -1] = cands.row_counts(len(regions))
-        return counts
-
-    n = np.array([tally(s) for s in rejected])
+    # the candidates sort by key, so each (row, interval) holds a range of them
+    at = keys(candidates.rows, candidates.locations)
+    start = at.searchsorted(keys(edge_rows, los), "left")
+    stop = at.searchsorted(keys(edge_rows, his), "right")
+    # per mask, then for every candidate: the count before each position,
+    # so a range's count is one difference
+    before = np.zeros((len(masks) + 1, len(candidates) + 1), np.int64)
+    np.cumsum(masks, axis=1, out=before[:-1, 1:])
+    before[-1] = np.arange(len(candidates) + 1)
+    # per mask and row: entries in each column's intervals, then in all
+    n = np.zeros((len(before), len(regions), 3 + len(regions[0].peak_supports)), np.int64)
+    np.add.at(n, (slice(None), edge_rows, columns), before[:, stop] - before[:, start])
+    n[..., -1] = np.diff(before[:, np.concatenate(([0], ends))], axis=1)
     # the smoothed signal holds the signal: transition = smoothed - signal
+    n, locmax = n[:-1], n[-1, :, 2:-1]
     fields = [n[..., 0], n[..., 1] - n[..., 0], n[..., -1] - n[..., 1], n[..., 2:-1] > 0]
-    return TrialOutcome(*fields, tally(candidates)[:, 2:-1])
+    return TrialOutcome(*fields, locmax)
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +489,23 @@ def _block(
         thresholds[Procedure.SUPREMUM] = sup[law]
     for p, threshold in thresholds.items():
         reports[p] = height_rule_report(cands, threshold, alpha, p)
-    rejected = [reports[p].rejected for p in procs]
+    rejects = np.array([reports[p].rejects for p in procs])
     # each (procedure, row) scored, as [procedure, replication, amplitude, column]
     shape = (len(procs), len(reps), len(design.amplitude_grid), len(bands))
     if design.auto_bandwidth:
         # per procedure, replication and amplitude: the band with the most
         # rejections, whose row alone is scored
-        counts = np.reshape([s.row_counts(len(views)) for s in rejected], (-1, len(bands)))
+        counts = [np.bincount(cands.rows[r], minlength=len(views)) for r in rejects]
+        counts = np.reshape(counts, (-1, len(bands)))
         chosen = [most_rejections(c, design.gamma_grid) for c in counts]
         chosen = np.reshape(chosen, (len(procs), -1))
         kept = chosen + np.arange(0, len(views), len(bands))
-        rejected = [_stack([s.take_rows(k) for s, k in zip(rejected, kept)], kept.shape[1])]
-        cands, law = cands.take_rows(kept.ravel()), chosen.ravel()
+        # one set of every procedure's chosen rows, each masked by its own
+        cands, at = cands.take_rows(kept.ravel())
+        rejects = rejects[cands.rows // kept.shape[1], at][np.newaxis]
+        law = chosen.ravel()
         shape = (*shape[:3], 1)
-    outcome = score_trial(rejected, cands, [bands[i].regions for i in law])
+    outcome = score_trial(rejects, cands, [bands[i].regions for i in law])
 
     # each metric as a [column, amplitude, procedure, replication] array
     order = (3, 2, 0, 1)
@@ -524,15 +527,6 @@ def _block(
     # C-contiguous: a join of strided views may not be, and then a cell's
     # reduction would add its replications in another order
     return {name: np.ascontiguousarray(x) for name, x in metrics.items()}
-
-
-def _stack(sets: list[CandidateSet], num_rows: int) -> CandidateSet:
-    """The sets one after another: row r of ``sets[i]`` becomes row
-    ``i * num_rows + r``.  Every set carries p-values."""
-    names = ("indices", "locations", "heights", "pvalues")
-    fields = [np.concatenate([getattr(s, name) for s in sets]) for name in names]
-    rows = np.concatenate([s.rows + i * num_rows for i, s in enumerate(sets)])
-    return CandidateSet(*fields, rows=rows)
 
 
 def most_rejections(counts: Sequence[int], bandwidths: Sequence[float]) -> int:

@@ -64,7 +64,8 @@ class SampledSequence:
     is a read-only view.  The constructor copies the values it is given;
     :meth:`_adopt` takes an array the library has just made as it is.
     Every time ``t0 + dt * i`` must be finite and distinct from its
-    neighbours, so ``dt`` must span at least 4 ulps of the largest time.
+    neighbours, so ``dt`` must span at least 4 ulps of the largest time,
+    and be a normal double.
     """
 
     values: np.ndarray
@@ -90,6 +91,8 @@ class SampledSequence:
                 f"sample times collide or overflow: t0={t0!r}, dt={dt!r}, "
                 f"{values.size} samples"
             )
+        if dt < np.finfo(np.float64).tiny:  # kernel weights, of order 1 / dt, overflow
+            raise ValueError(f"grid spacing {dt!r} is subnormal")
         if int(self.margin) < 0:
             raise ValueError("margin must be non-negative")
         data = values if adopt else values.copy()

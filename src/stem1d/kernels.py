@@ -23,6 +23,7 @@ from .errors import (
     DegenerateSequenceError,
     GridMismatchError,
     NoQualifyingPeaksError,
+    NumericFailureError,
     positive_finite,
 )
 from .grid import SQRT_2PI, SampledSequence, strict_local_maxima
@@ -153,7 +154,8 @@ def convolve(seq: SampledSequence, kernel: Kernel) -> SampledSequence:
     """Discrete approximation of ``(w * y)(t)`` on the sequence's grid.
 
     The input is implicitly zero padded, so a margin of half the kernel
-    support is added to the output's validity margin.
+    support is added to the output's validity margin.  Values whose
+    weighted sums overflow raise :class:`NumericFailureError`.
     """
     if not same_grid(seq.dt, kernel.dt):
         raise GridMismatchError(
@@ -163,7 +165,10 @@ def convolve(seq: SampledSequence, kernel: Kernel) -> SampledSequence:
     # sequence's own writeable samples; the result is a fresh array
     out = convolve_rows(seq._data, kernel, seq.dt)
     margin = seq.margin + kernel.half_support_samples
-    return SampledSequence._adopt(out, seq.dt, seq.t0, margin)
+    try:
+        return SampledSequence._adopt(out, seq.dt, seq.t0, margin)
+    except ValueError:  # on the grid of a valid sequence, only the values fail
+        raise NumericFailureError("smoothed values overflow: they are not finite") from None
 
 
 def convolve_rows(values: np.ndarray, kernel: Kernel, dt: float) -> np.ndarray:
@@ -175,7 +180,8 @@ def convolve_rows(values: np.ndarray, kernel: Kernel, dt: float) -> np.ndarray:
         full = np.stack([np.convolve(row, kernel.weights) for row in values])
     c = kernel.center_index
     out = full[..., c:c + values.shape[-1]]
-    out *= dt
+    with np.errstate(over="ignore"):  # an overflow is refused where the values are checked
+        out *= dt
     return out
 
 

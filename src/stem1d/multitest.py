@@ -40,7 +40,8 @@ PEAK_PROCEDURES = (Procedure.BONFERRONI, Procedure.BH)
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
     """Outcome of one testing procedure on a candidate set of one or more
-    rows, each row corrected on its own.
+    rows, each row corrected on its own: ``rejects`` is True on each of
+    ``candidates`` rejected.
 
     The numbers are arrays, one entry per row.  ``pvalue_cutoff`` is the
     realized rejection cutoff (1 on a row with no candidates, 0 where a
@@ -52,27 +53,38 @@ class DetectionReport:
 
     procedure: Procedure
     alpha: float
-    rejected: CandidateSet
+    candidates: CandidateSet
+    rejects: np.ndarray
     pvalue_cutoff: np.ndarray
     height_threshold: np.ndarray
-    num_candidates: np.ndarray
     step_index: np.ndarray
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        numbers = (self.pvalue_cutoff, self.height_threshold, self.step_index)
-        if np.ndim(self.num_candidates) != 1 or any(
-            np.shape(x) != np.shape(self.num_candidates) for x in numbers
+        numbers = (self.height_threshold, self.step_index)
+        if np.ndim(self.pvalue_cutoff) != 1 or any(
+            np.shape(x) != np.shape(self.pvalue_cutoff) for x in numbers
         ):
             raise ValueError("report numbers must be 1-D arrays, one entry per row")
-        if np.any(np.less(self.num_candidates, 0)):
-            raise ValueError("num_candidates must be non-negative")
-        if len(self.rejected) > np.sum(self.num_candidates):
-            raise ValueError("cannot reject more candidates than tested")
+        rejects = np.asarray(self.rejects)
+        if rejects.dtype != bool or rejects.shape != (len(self.candidates),):
+            raise ValueError("rejects must be a boolean mask, one entry per candidate")
+        object.__setattr__(self, "rejects", rejects)
+        self.candidates.row_counts(len(self.pvalue_cutoff))  # refuses rows past the numbers
+
+    @property
+    def num_candidates(self) -> np.ndarray:
+        """Candidates tested in each row."""
+        return self.candidates.row_counts(len(self.pvalue_cutoff))
+
+    @property
+    def rejected(self) -> CandidateSet:
+        """The candidates rejected, as a set of their own."""
+        return self.candidates.select(self.rejects)
 
     @property
     def num_rejected(self) -> int:
-        return len(self.rejected)
+        return int(np.count_nonzero(self.rejects))
 
     def to_json_dict(self, row: int | None = None) -> dict:
         """One row's numbers and rejections; ``row`` may be left out on a
@@ -102,7 +114,7 @@ class DetectionReport:
         return lines
 
     def _row(self, row: int | None) -> int:
-        rows = len(self.num_candidates)
+        rows = len(self.pvalue_cutoff)
         if row is None and rows != 1:
             raise ValueError(f"the report has {rows} rows; name the row to write")
         row = 0 if row is None else row
@@ -113,10 +125,10 @@ class DetectionReport:
     def _entries(self, row: int) -> list[tuple]:
         """``(index, time, height, pvalue)`` of each rejection in ``row``, as
         Python numbers; the p-value is None where none is attached."""
-        chosen = self.rejected.select(self.rejected.rows == row)
-        p = [None] * len(chosen) if chosen.pvalues is None else chosen.pvalues.tolist()
-        fields = (chosen.indices, chosen.locations, chosen.heights)
-        return list(zip(*(f.tolist() for f in fields), p))
+        c = self.candidates
+        at = np.flatnonzero(self.rejects & (c.rows == row))
+        p = [None] * at.size if c.pvalues is None else c.pvalues[at].tolist()
+        return list(zip(*(f[at].tolist() for f in (c.indices, c.locations, c.heights)), p))
 
 
 def _json_float(x):
@@ -163,10 +175,10 @@ def _cutoff(p: np.ndarray, alpha: float, procedure: Procedure, m, counts):
     return np.where(m > 0, cutoff, 1.0), k
 
 
-def _per_row(x, what: str, unit: str = "row") -> None:
+def _per_row(x, what: str) -> None:
     """Refuse a lone value where a batch needs a sequence of ``what``."""
     if not (isinstance(x, Sequence) or np.ndim(x) > 0):
-        raise ValueError(f"a batch needs one {what} per {unit}, as a sequence")
+        raise ValueError(f"a batch needs one {what} per row, as a sequence")
 
 
 def _procedures(procedures: Sequence[Procedure], allowed, level: str) -> None:
@@ -207,8 +219,8 @@ def run_procedure(
     thresholds[solve] = palm_quantile(moments, np.asarray(law)[rows], cutoffs[solve])
     reports = []
     for proc, (cutoff, k), threshold in zip(procedures, cuts, thresholds):
-        rejected = candidates.select(candidates.pvalues < cutoff[candidates.rows])
-        reports.append(DetectionReport(proc, alpha, rejected, cutoff, threshold, m, k))
+        rejects = candidates.pvalues < cutoff[candidates.rows]
+        reports.append(DetectionReport(proc, alpha, candidates, rejects, cutoff, threshold, k))
     return reports
 
 

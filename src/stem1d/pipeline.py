@@ -44,7 +44,10 @@ class StemResult:
 
     report: DetectionReport
     smoothed: SampledSequence
-    candidates: CandidateSet
+
+    @property
+    def candidates(self) -> CandidateSet:
+        return self.report.candidates  # the local maxima tested, with p-values
 
 
 def stem_detect(
@@ -72,4 +75,4 @@ def stem_detect(
         raise DegenerateSequenceError("sequence carries no usable variation")
     candidates = candidate_pvalues(candidates, [moments], [0])
     (report,) = run_procedure(candidates, alpha, [moments], [0], [procedure])
-    return StemResult(report=report, smoothed=smoothed, candidates=candidates)
+    return StemResult(report=report, smoothed=smoothed)

@@ -196,9 +196,7 @@ _ONE_ROW_CALLS = {
         0.05, [UNIT_MOMENTS], [0], [Procedure.POINTWISE_BONFERRONI],
     ),
     "score_trial": lambda c: score_trial(
-        [height_rule_report(
-            c.select(c.rows == 0), np.array([2.5]), 0.05, Procedure.SUPREMUM
-        ).rejected],
+        [c.heights > 2.5],
         c,
         [compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))],
     ),

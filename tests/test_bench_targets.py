@@ -111,3 +111,7 @@ def test_a_small_run_enters_every_required_layer(name, tmp_path):
     entered = {tracer.names[i] for i in tracer.name_id}
     missed = sorted(set(workloads.layers(name)) - entered)
     assert not missed, f"{name} recorded no call of {missed}"
+    if "palm.palm_survival" in workloads.layers(name):
+        # as bench/selftest.py requires of evals_per_quantile: the survival
+        # function is evaluated inside palm_quantile, not only around it
+        assert tracer.under("palm.palm_quantile", "palm.palm_survival")[0] > 0

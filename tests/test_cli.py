@@ -439,6 +439,9 @@ _SPIKES = [0.0] * 50 + [1.0] + [0.0] * 49
 # times that collide, and a last time that overflows: exit 3 naming the file
 @example(case=(_grid_file("# dt=1e-20 t0=1", _SPIKES), ["--gamma", "3e-20"]))
 @example(case=(_grid_file("# dt=1e307", _SPIKES), ["--gamma", "3e307"]))
+# a subnormal spacing: exit 3 naming the file from a header, 2 from --dt
+@example(case=(_grid_file("# dt=1e-320", _SPIKES), ["--gamma", "3e-320"]))
+@example(case=(_grid_file("# t0=0", _SPIKES), ["--gamma", "3e-320", "--dt=1e-320"]))
 # the constant-interior check once overflowed on this finite series
 @example(case=(_grid_file("# dt=1", [1.7e308] * 100 + [-1.7e308] * 100), ["--gamma", "3"]))
 def test_detect_any_series_file_exits_with_a_documented_code(tmp_path_factory, case):
@@ -452,17 +455,90 @@ def test_detect_any_series_file_exits_with_a_documented_code(tmp_path_factory, c
     _assert_documented_exit([*argv, "--alpha", "0.05"])
 
 
+# a template header's dt= and center= values: zeros, non-finite,
+# subnormal and huge ones, and two a template's dt may take
+_TEMPLATE_VALUES = ("0", "-0.0", "inf", "-inf", "nan", "1e-320", "1e308", str(2**70),
+                    "0.5", "2")
+
+
+@st.composite
+def _template_file(draw):
+    """A template file, and the ``dt`` of the series it smooths: up to 50
+    weights after a header whose dt= or center= may be missing, with junk,
+    non-finite, extreme and non-UTF-8 lines put anywhere.  center= may
+    also name an index off either end; the series' dt is 1 or the
+    template's own."""
+    n = draw(st.integers(1, 50))
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    lines = [repr(w).encode() for w in weights.tolist()]
+    dt = draw(st.sampled_from(("1",) * 6 + _TEMPLATE_VALUES))
+    middle = (str(n // 2),) * 6
+    center = draw(st.sampled_from((*middle, *_TEMPLATE_VALUES, "-1", "0", str(n - 1), str(n))))
+    keep = st.sampled_from((True,) * 5 + (False,))
+    keys = [key for key in (f"dt={dt}", f"center={center}") if draw(keep)]
+    for line in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    series_dt = draw(st.sampled_from(("1", dt)))
+    return b"\n".join([" ".join(["#", *keys]).encode(), *lines]) + b"\n", series_dt
+
+
+_NORMAL_SERIES = np.random.default_rng(0).normal(size=200).tolist()
+# weights whose sums with the series overflow, and whose sums overflow
+# only once scaled by dt: the first exited 2 as if a flag were bad, the
+# second also warned
+_OVERFLOWING = {
+    "sums": (b"# dt=1 center=1\n1.7e308\n1.7e308\n1.7e308\n", "1"),
+    "scaled-by-dt": (b"# dt=2 center=0\n1.7e308\n0.6369616873214543\n", "2"),
+}
+
+
+def _detect_with_template(folder, template: bytes, series_dt: str) -> int:
+    """``_assert_documented_exit`` of detect with the given template file,
+    on a 200-sample normal series."""
+    series, moments = folder / "series.csv", folder / "moments.json"
+    (folder / "template.csv").write_bytes(template)
+    series.write_bytes(_grid_file(f"# dt={series_dt}", _NORMAL_SERIES))
+    write_moments_json(closed_form_moments(GaussianAcvfParams(1.0), 2.0), moments)
+    argv = ["detect", "--input", str(series), "--moments", str(moments), "--kernel",
+            "template", "--template-file", str(folder / "template.csv")]
+    return _assert_documented_exit([*argv, "--alpha", "0.05"])
+
+
+@settings(max_examples=200)
+@given(case=_template_file())
+@example(case=_OVERFLOWING["sums"])
+@example(case=_OVERFLOWING["scaled-by-dt"])
+def test_detect_any_template_file_exits_with_a_documented_code(tmp_path_factory, case):
+    folder = tmp_path_factory.getbasetemp() / "any-template"
+    folder.mkdir(exist_ok=True)
+    _detect_with_template(folder, *case)
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_detect_template_whose_smoothing_overflows_exits_4(tmp_path, case):
+    assert _detect_with_template(tmp_path, *_OVERFLOWING[case]) == 4
+
+
+_COLLIDE = "sample times collide or overflow: "
+_SUBNORMAL = "grid spacing 1e-320 is subnormal"
+
+
 @pytest.mark.parametrize(
-    "header,flags,code",
+    "header,flags,code,message",
     [
-        ("# dt=1e-20 t0=1", ["--gamma", "3e-20"], 3),
-        ("# dt=1e307", ["--gamma", "3e307"], 3),
-        ("# t0=1", ["--dt", "1e-20", "--gamma", "3e-20"], 2),
-        ("# dt=1 t0=1e20", ["--gamma", "3"], 3),
+        ("# dt=1e-20 t0=1", ["--gamma", "3e-20"], 3, _COLLIDE),
+        ("# dt=1e307", ["--gamma", "3e307"], 3, _COLLIDE),
+        ("# t0=1", ["--dt", "1e-20", "--gamma", "3e-20"], 2, _COLLIDE),
+        ("# dt=1 t0=1e20", ["--gamma", "3"], 3, _COLLIDE),
+        ("# dt=1e-320", ["--gamma", "3e-320"], 3, _SUBNORMAL),
+        ("# t0=0", ["--dt", "1e-320", "--gamma", "3e-320"], 2, _SUBNORMAL),
     ],
-    ids=["header-dt-collides", "last-time-overflows", "flag-dt-collides", "header-t0-huge"],
+    ids=["header-dt-collides", "last-time-overflows", "flag-dt-collides", "header-t0-huge",
+         "header-dt-subnormal", "flag-dt-subnormal"],
 )
-def test_detect_grid_whose_times_collide_or_overflow(tmp_path, capsys, header, flags, code):
+def test_detect_grid_whose_times_collide_or_overflow(
+    tmp_path, capsys, header, flags, code, message
+):
     # refused as the series is read, not deep in the pipeline: a header
     # grid is the file's fault (3), a --dt flag's the command line's (2)
     series, moments = tmp_path / "series.csv", tmp_path / "moments.json"
@@ -471,7 +547,7 @@ def test_detect_grid_whose_times_collide_or_overflow(tmp_path, capsys, header, f
     argv = ["detect", "--input", str(series), "--moments", str(moments), *flags]
     assert main([*argv, "--alpha", "0.05"]) == code
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {series}: sample times collide or overflow: ")
+    assert err.startswith(f"error: {series}: {message}")
     assert err.count("\n") == 1
 
 

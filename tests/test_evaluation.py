@@ -90,7 +90,7 @@ def _first(outcome):
 def _score_height_rule(cands, threshold, regions):
     """One height rule scored on a one-row set, as a batch of one."""
     report = height_rule_report(cands, np.array([threshold]), 0.05, Procedure.SUPREMUM)
-    return _first(score_trial([report.rejected], cands, [regions]))
+    return _first(score_trial([report.rejects], cands, [regions]))
 
 
 def test_score_trial_classifies_rejections():
@@ -196,15 +196,19 @@ def test_score_trial_matches_per_support_count(seed, threshold):
     heights = rng.normal(size=locations.size)
     cands = CandidateSet(np.arange(locations.size), locations, heights)
     cut = {"random": rng.normal(), "inf": math.inf, "-inf": -math.inf}[threshold]
-    outcome = _score_height_rule(cands, cut, regions)
-    rejected = locations[heights > cut]
-    want_detected = _per_support_count(rejected, regions.peak_supports) > 0
+    # the rule's mask and its complement, scored over the one set
+    mask = heights > cut
+    both = score_trial([mask, ~mask], cands, [regions])
     want_locmax = _per_support_count(locations, regions.peak_supports)
-    assert outcome.detected_flags.dtype == bool
-    assert outcome.locmax_per_peak.dtype == np.int64
-    np.testing.assert_array_equal(outcome.detected_flags, want_detected)
-    np.testing.assert_array_equal(outcome.locmax_per_peak, want_locmax)
-    assert outcome.total_rejections == rejected.size
+    assert both.locmax_per_peak.dtype == np.int64
+    np.testing.assert_array_equal(both.locmax_per_peak, [want_locmax])
+    for p, chosen in enumerate((mask, ~mask)):
+        rejected = locations[chosen]
+        want_detected = _per_support_count(rejected, regions.peak_supports) > 0
+        assert both.detected_flags.dtype == bool
+        np.testing.assert_array_equal(both.detected_flags[p, 0], want_detected)
+        assert both.total_rejections[p, 0] == rejected.size
+    outcome = _first(both)
     if threshold == "inf":
         assert not outcome.detected_flags.any()
     if seed == 0:
@@ -656,7 +660,7 @@ def _reference_trial(design, seed, base_mu, bands, rep):
             for c, k in enumerate(scored):
                 outcome = _first(
                     score_trial(
-                        [reports[k].rejected], row_views[k].cands, [bands[k].regions]
+                        [reports[k].rejects], row_views[k].cands, [bands[k].regions]
                     )
                 )
                 locmax = outcome.locmax_per_peak
@@ -765,9 +769,9 @@ def test_sweep_bits_do_not_depend_on_the_block_size(auto, reps, seed):
 
 
 def test_score_trial_batch_matches_single_reports():
-    # three rows scored against two region sets (two kernels), with one
-    # rejected-set report and one height-rule (pointwise-style) report:
-    # every (procedure, row) equals the score of the row alone, a batch of one
+    # three rows scored against two region sets (two kernels), with the
+    # masks of two height-rule reports over the one set: every (procedure,
+    # row) equals the score of the row alone, under its part of the mask
     rng = np.random.default_rng(8)
     shape = TruncatedGaussianShape(b=2.0, c=2.0)
     spec = SignalSpec(
@@ -788,14 +792,13 @@ def test_score_trial_batch_matches_single_reports():
         height_rule_report(cands, thresholds, 0.05, Procedure.SUPREMUM),
         height_rule_report(cands, -thresholds, 0.05, Procedure.POINTWISE_BH),
     ]
-    batch = score_trial([r.rejected for r in reports], cands, regions)
+    batch = score_trial([r.rejects for r in reports], cands, regions)
     for p, report in enumerate(reports):
         for row in range(3):
             one = cands.select(cands.rows == row)
             single = CandidateSet(one.indices, one.locations, one.heights)
-            threshold = report.height_threshold[row:row + 1]
-            rule = height_rule_report(single, threshold, 0.05, report.procedure)
-            want = _first(score_trial([rule.rejected], single, [regions[row]]))
+            mask = report.rejects[cands.rows == row]  # the row's part of the mask
+            want = _first(score_trial([mask], single, [regions[row]]))
             got_fdr = batch.false_discovery_proportion[p, row]
             assert batch.rejected_in_signal[p, row] == want.rejected_in_signal
             assert batch.rejected_in_transition[p, row] == want.rejected_in_transition

@@ -279,10 +279,10 @@ def test_batch_refuses_one_bare_noise_moments():
         height_rule_report(cands, 1.0, 0.05, Procedure.SUPREMUM)
     report = height_rule_report(cands, np.array([1.0]), 0.05, Procedure.SUPREMUM)
     regions = compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))
-    with pytest.raises(ValueError, match="one rejected CandidateSet per procedure"):
-        score_trial(report.rejected, cands, [regions])
+    with pytest.raises(ValueError, match="one boolean mask per procedure"):
+        score_trial(report.rejects, cands, [regions])
     with pytest.raises(ValueError, match="one RegionSet per row"):
-        score_trial([report.rejected], cands, regions)
+        score_trial([report.rejects], cands, regions)
 
 
 @pytest.mark.parametrize("procedure", [BON, BH])
@@ -408,6 +408,48 @@ def test_multi_row_report_writes_each_row_as_its_one_row_report():
                 write(row)
     # a report holds arrays only, all of one length
     empty = CandidateSet.empty()
-    for numbers in ((1.0, math.inf, 0, 0), ([1.0], [math.inf], [0], [0, 0])):
+    none = np.zeros(0, bool)
+    for numbers in ((1.0, math.inf, 0), ([1.0], [math.inf], [0, 0])):
         with pytest.raises(ValueError, match="1-D arrays, one entry per row"):
-            DetectionReport(BH, 0.05, empty, *map(np.array, numbers))
+            DetectionReport(BH, 0.05, empty, none, *map(np.array, numbers))
+
+
+def test_reports_and_scores_refuse_masks_that_do_not_fit_the_set():
+    cands = _cands([0.001, 0.2, 0.5])
+    report = _run(cands, 0.05, BH)
+    numbers = (report.pvalue_cutoff, report.height_threshold, report.step_index)
+    regions = compute_regions(SignalSpec((), 20.0), gaussian_kernel(1.0, 1.0))
+    fits = np.array([True, False, True])
+    for mask in (fits[:2], np.append(fits, True), fits.astype(int), fits.astype(float)):
+        with pytest.raises(ValueError, match=r"one entry per candidate \(3\)"):
+            score_trial([mask], cands, [regions])
+        with pytest.raises(ValueError, match="boolean mask, one entry per candidate"):
+            DetectionReport(BH, 0.05, cands, mask, *numbers)
+    # a lone mask, as an array or a list, is not a sequence of them
+    for lone in (fits, fits.tolist(), True):
+        with pytest.raises(ValueError, match="one boolean mask per procedure"):
+            score_trial(lone, cands, [regions])
+    # a report's mask is over its own set, not over one of another length
+    with pytest.raises(ValueError, match="boolean mask, one entry per candidate"):
+        DetectionReport(BH, 0.05, CandidateSet.empty(), fits, *numbers)
+    # and the set spans no more rows than the report's numbers
+    two = CandidateSet(np.arange(3), np.arange(3.0), np.zeros(3), rows=[0, 0, 1])
+    with pytest.raises(ValueError, match="candidates span 2 rows, but 1 per-row"):
+        DetectionReport(BH, 0.05, two, fits, *numbers)
+    score_trial([fits, ~fits], cands, [regions])  # masks that fit are scored
+
+
+@settings(max_examples=50)
+@given(PVALUES, st.floats(0.001, 0.5))
+def test_rejected_is_the_candidates_the_mask_selects(pvalues, alpha):
+    cands = _cands_with_pvalues(pvalues)
+    for report in run_procedure(cands, alpha, [MOMENTS], [0], [BON, BH]):
+        assert report.candidates is cands
+        # the report's rule, p < cutoff, marks the set it was given
+        np.testing.assert_array_equal(report.rejects, cands.pvalues < report.pvalue_cutoff)
+        want = cands.select(report.rejects)
+        got = report.rejected
+        for name in ("indices", "locations", "heights", "pvalues", "rows"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert report.num_rejected == len(got) == np.count_nonzero(report.rejects)
+        np.testing.assert_array_equal(report.num_candidates, [len(cands)])

@@ -424,11 +424,13 @@ def test_candidate_set_take_rows_and_row_counts():
     np.testing.assert_array_equal(cands.row_counts(5), [2, 1, 0, 3, 0])
     with pytest.raises(ValueError, match="candidates span 4 rows, but 3 per-row"):
         cands.row_counts(3)
-    taken = cands.take_rows(np.array([3, 2, 0, 3]))
+    taken, at = cands.take_rows(np.array([3, 2, 0, 3]))
     np.testing.assert_array_equal(taken.rows, [0, 0, 0, 2, 2, 3, 3, 3])
     np.testing.assert_array_equal(taken.indices, [3, 4, 5, 0, 1, 3, 4, 5])
+    np.testing.assert_array_equal(at, [3, 4, 5, 0, 1, 3, 4, 5])  # positions here
     np.testing.assert_array_equal(taken.row_counts(4), [3, 0, 2, 3])
-    assert len(cands.take_rows(np.array([2, 4], dtype=np.int64))) == 0
+    taken, at = cands.take_rows(np.array([2, 4], dtype=np.int64))
+    assert len(taken) == 0 and at.size == 0
 
 
 def test_candidate_pvalues_per_row_coefficients_match_single_rows():
